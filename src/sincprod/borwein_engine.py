@@ -1,13 +1,17 @@
 """Exact integrals, weighted integrals and deficits of sinc products.
 
 For f(t) = prod_k sinc(beta_k pi t) the normalized transform
-F(x) = fhat(pi x) is a compactly supported piecewise polynomial with
-rational breakpoints and coefficients.  It is built recursively:
+F(x) = fhat(pi x) is the box spline
 
-    F_0 = box(beta_0),   F_j = convolve_with_box(F_{j-1}, beta_j) / (2 beta_j)
+    F(x) = C * sum_{S > x} w_S (S - x)^n,   C = 1 / (n! 2^n prod_k beta_k),
 
-which keeps integral(F) = 2 (that is f(0) = 1) for every spec.  Under
-this normalization
+with n + 1 factors, S running over the signed sums sum_k eps_k beta_k
+and w_S the signed count of sign choices giving S (the truncated-power
+form of a B-spline).  This signed knot measure {S: w_S} is the one
+representation of F here.  Scaled by L, the lcm of the scale
+denominators, knots and weights are integers; merging the +-beta_k L
+shifts of each factor into a dict coalesces equal sums, so sinc^n has
+n + 1 knots, not 2^n.  Here integral(F) = 2 (that is f(0) = 1) and
 
     integral of f dt             = F(0)
     integral of W_m(t) f(t) dt   = 2 * (F(1) + F(3) + ... + F(2m+1))
@@ -21,42 +25,42 @@ sample sums collapse to 1 and either quantity equals
 turning "is the integral exactly 1" into a support comparison plus a
 few evaluations of F near the edge of its support.
 
-Single points of F are also computable without building the spline: on
-sorting the scales descending, F(x) is a signed sum of (S - x)^n over
-sign assignments S = sum_k eps_k beta_k that exceed x, and branches
-whose maximal achievable S lies at or below x are pruned.  Near the
-support edge only O(n) branches survive, which is what makes the
-57-factor deficit exact evaluation instant.
+A sample point x is evaluated by a layered dict DP over the measure,
+scales sorted descending, dropping each entry s whose largest
+completion s + (remaining scales) stays at or below x L.  Near the
+support edge only O(n) entries survive, which makes the 57-factor
+deficit instant.  The exported spline takes its pieces from suffix
+moments of the full measure.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, replace
 
-from .rational import rat, rat_str, to_decimal
+from .rational import Rat, rat, rat_str, to_decimal
 from .spline_engine import (
     SIZE_GUARD_DEFAULT,
     JumpConvention,
     PiecewisePolynomial,
     SplineSizeError,
-    box,
 )
 
 NODE_BUDGET_DEFAULT = 10**8
+_LAYER_CAP = 1 << 16  # DP entries held at once per chunk, which bounds memory
 
 
 class NodeBudgetError(Exception):
-    """Pruned enumeration exceeded its node budget."""
+    """The pruned knot DP expanded more entries than its node budget."""
 
     def __init__(self, visited, surviving, budget):
         self.visited = visited
         self.surviving = surviving
         self.budget = budget
         super().__init__(
-            "pruned enumeration exceeded the node budget "
-            "(%d nodes visited, %d surviving branches, budget %d)" % (visited, surviving, budget)
+            "pruned knot DP exceeded the node budget "
+            "(%d entries expanded, %d surviving knots, budget %d)" % (visited, surviving, budget)
         )
 
 
@@ -162,19 +166,24 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# full-spline path
+# the signed knot measure
 # ---------------------------------------------------------------------------
 
 
-def fourier_spline(spec: SincProductSpec, size_guard: int = SIZE_GUARD_DEFAULT) -> PiecewisePolynomial:
-    """Normalized transform F of the sinc product, as an exact spline.
+def _integer_scales(spec: SincProductSpec):
+    """(L, scales, D): L the lcm of the scale denominators, scales the
+    integers beta_k L, D = n! 2^n prod_k beta_k L.  So C = L^(n+1) / D,
+    and F(x) = L sum_{s > xL} w_s (q s - p)^n / (q^n D) for xL = p/q."""
+    L = math.lcm(*(int(b.denominator) for b in spec.betas))
+    scales = [int(b * L) for b in spec.betas]
+    n = len(scales) - 1
+    return L, scales, math.factorial(n) * 2**n * math.prod(scales)
 
-    Breakpoints are the signed subset sums of the scales; a scale
-    appearing m times contributes a factor m+1, so the projected count
-    is prod (m_i + 1) over distinct scales, up to 2^(n+1).  Builds whose
-    projection exceeds the size guard are refused up front with a
-    pointer to point_eval_pruned.
-    """
+
+def _check_size(spec: SincProductSpec, size_guard: int) -> None:
+    """Refuse a full knot measure whose projected knot count exceeds the
+    size guard: a scale appearing m times contributes a factor m+1, so
+    the projection is prod (m_i + 1) over distinct scales, up to 2^(n+1)."""
     projected = 1
     for mult in Counter(spec.betas).values():
         projected *= mult + 1
@@ -183,10 +192,39 @@ def fourier_spline(spec: SincProductSpec, size_guard: int = SIZE_GUARD_DEFAULT) 
                 "projected breakpoint count %s exceeds the size guard %d; "
                 "use point_eval_pruned for single points" % (projected, size_guard)
             )
-    F = box(spec.betas[0])
-    for b in spec.betas[1:]:
-        F = F.convolve_with_box(b, size_guard=size_guard).scaled(rat(1, 2) / b)
-    return F
+
+
+def fourier_spline(spec: SincProductSpec, size_guard: int = SIZE_GUARD_DEFAULT) -> PiecewisePolynomial:
+    """Normalized transform F of the sinc product, as an exact spline.
+
+    Breakpoints are all signed sums of the scales, weight-0 knots
+    included.  Walking the knots right to left, the piece left of knot
+    s_j has the coefficient of x^k equal to
+    C binom(n, k) (-1)^k m_(n-k) / L^(n-k), with the integer suffix
+    moments m_i = sum_{s >= s_j} w_s s^i.  Oversized builds are
+    refused up front (see _check_size).
+    """
+    _check_size(spec, size_guard)
+    L, scales, D = _integer_scales(spec)
+    n = len(scales) - 1
+    knots = {0: 1}
+    for b in scales:
+        merged = defaultdict(int)
+        for s, w in knots.items():
+            merged[s + b] += w
+            merged[s - b] -= w
+        knots = merged
+    order = sorted(knots)
+    factors = [(-1) ** k * math.comb(n, k) * L ** (k + 1) for k in range(n + 1)]
+    moments = [0] * (n + 1)
+    pieces = []
+    for s in reversed(order[1:]):
+        term = knots[s]
+        for i in range(n + 1):
+            moments[i] += term
+            term *= s
+        pieces.append(tuple(Rat(f * moments[n - k], D) for k, f in enumerate(factors)))
+    return PiecewisePolynomial(tuple(Rat(s, L) for s in order), tuple(reversed(pieces)))
 
 
 def edge_polynomial(spec: SincProductSpec):
@@ -195,24 +233,15 @@ def edge_polynomial(spec: SincProductSpec):
     R is the support radius; the edge region ends at R - 2 min(beta),
     the largest signed subset sum below R.
     """
-    n = spec.degree()
-    prod = rat(1)
-    for b in spec.betas:
-        prod *= b
-    C = rat(1) / (rat(math.factorial(n)) * rat(2) ** n * prod)
-    R = spec.support_radius()
-    return C, n, R - 2 * min(spec.betas)
-
-
-# ---------------------------------------------------------------------------
-# pruned single-point path
-# ---------------------------------------------------------------------------
+    L, scales, D = _integer_scales(spec)
+    n = len(scales) - 1
+    return Rat(L ** (n + 1), D), n, spec.support_radius() - 2 * min(spec.betas)
 
 
 @dataclass
 class _PruneStats:
-    visited: int = 0
-    surviving: int = 0
+    visited: int = 0  # knot entries expanded
+    surviving: int = 0  # nonzero knots past x after the last layer
 
 
 def point_eval_pruned(
@@ -221,12 +250,10 @@ def point_eval_pruned(
     convention=JumpConvention.HALF_SUM,
     node_budget: int = NODE_BUDGET_DEFAULT,
 ):
-    """Exact F(x) by branch-and-bound over sign assignments.
+    """Exact F(x) by the pruned knot-measure DP; F is even.
 
-    Evenness reduces x to |x|.  The jump convention only matters for a
-    single-factor spec evaluated exactly at its edge; with two or more
-    factors F is continuous and the enumeration (strict exceedance)
-    already yields the function value.
+    The jump convention only matters for a single-factor spec evaluated
+    exactly at its edge, the one discontinuity of any F.
     """
     value, _ = _point_eval_pruned_stats(spec, x, convention, node_budget)
     return value
@@ -234,50 +261,44 @@ def point_eval_pruned(
 
 def _point_eval_pruned_stats(spec, x, convention=JumpConvention.HALF_SUM, node_budget=NODE_BUDGET_DEFAULT):
     x = abs(rat(x))
-    betas = sorted(spec.betas, reverse=True)
-    n = len(betas) - 1
-
-    prod = rat(1)
-    for b in betas:
-        prod *= b
-
-    if n == 0:
-        b0 = betas[0]
-        stats = _PruneStats(visited=1, surviving=1)
-        if x < b0:
-            return rat(1) / b0, stats
-        if x > b0:
-            return rat(0), stats
-        mode = JumpConvention(convention) if not isinstance(convention, JumpConvention) else convention
-        weight = {JumpConvention.HALF_SUM: rat(1, 2), JumpConvention.LEFT: rat(1), JumpConvention.RIGHT: rat(0)}[mode]
-        return weight / b0, stats
-
-    suffix = [rat(0)] * (len(betas) + 1)
-    for i in range(len(betas) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + betas[i]
-
+    if spec.betas == (x,):  # the one jump of F, at the edge of a single box
+        weight = {JumpConvention.HALF_SUM: rat(1, 2), JumpConvention.LEFT: rat(1), JumpConvention.RIGHT: rat(0)}
+        return weight[JumpConvention(convention)] / x, _PruneStats(visited=1, surviving=1)
+    L, scales, D = _integer_scales(spec)
+    n = len(scales) - 1
+    p, q = x.numerator * L, x.denominator
+    floor = p // q
+    scales.sort(reverse=True)
     stats = _PruneStats()
-    acc = rat(0)
-    # iterative DFS: (index, partial sum, parity of minus signs)
-    stack = [(0, rat(0), 0)]
-    while stack:
-        i, partial, neg = stack.pop()
-        stats.visited += 1
-        if stats.visited > node_budget:
-            raise NodeBudgetError(stats.visited, stats.surviving, node_budget)
-        if partial + suffix[i] <= x:
-            # even the all-plus completion cannot strictly exceed x, and
-            # a completion hitting x exactly contributes (x - x)^n = 0
-            continue
-        if i == len(betas):
-            stats.surviving += 1
-            term = (partial - x) ** n
-            acc = acc - term if neg & 1 else acc + term
-            continue
-        stack.append((i + 1, partial - betas[i], neg + 1))
-        stack.append((i + 1, partial + betas[i], neg))
-    value = acc / (rat(math.factorial(n)) * rat(2) ** n * prod)
-    return value, stats
+    acc = 0
+    chunks = [({0: 1}, 0, sum(scales))]  # (entries, layers merged, sum of the scales left)
+    while chunks:
+        layer, i, rest = chunks.pop()
+        for b in scales[i:]:
+            rest -= b
+            i += 1
+            merged = defaultdict(int)
+            for s, w in layer.items():
+                if not w:
+                    continue
+                stats.visited += 1
+                if stats.visited > node_budget:
+                    raise NodeBudgetError(stats.visited, stats.surviving, node_budget)
+                # a child that cannot pass x L with every remaining scale added contributes 0
+                if s + b + rest > floor:
+                    merged[s + b] += w
+                    if s - b + rest > floor:
+                        merged[s - b] -= w
+            layer = merged
+            if len(layer) > _LAYER_CAP:  # F is linear in the weights: finish the halves one by one
+                items = list(layer.items())
+                chunks.append((dict(items[len(items) // 2 :]), i, rest))
+                layer = dict(items[: len(items) // 2])
+        for s, w in layer.items():
+            if w:
+                stats.surviving += 1
+                acc += w * (q * s - p) ** n
+    return Rat(L * acc, q**n * D), stats
 
 
 # ---------------------------------------------------------------------------
@@ -294,39 +315,46 @@ def theorem1_support_check(spec: SincProductSpec, mode: str = "plain") -> bool:
     return spec.support_radius() < bound
 
 
-def _sample_points_beyond(radius, first: int, step: int = 2):
-    """Integer sample points first, first+step, ... up to and including
-    the support radius (points past the radius contribute 0)."""
-    pts = []
-    p = first
-    while p <= radius:
-        pts.append(p)
-        p += step
-    return pts
-
-
 def _eval_points(spec, points, node_budget, size_guard):
-    """Exact F at each point, preferring the pruned path, falling back
-    to the full spline when pruning blows the budget."""
+    """Exact F at each point by the pruned DP.  Once a point runs out of
+    node budget, the rest run unbudgeted if the full knot measure fits
+    the size guard, whose knot count bounds every DP layer."""
     values = []
-    spline = None
     for p in points:
         try:
-            values.append(point_eval_pruned(spec, p, node_budget=node_budget))
+            value, _ = _point_eval_pruned_stats(spec, p, node_budget=node_budget)
         except NodeBudgetError as exc:
-            if spline is None:
-                try:
-                    spline = fourier_spline(spec, size_guard=size_guard)
-                except SplineSizeError:
-                    raise ExactPathUnavailableError(
-                        "exact path unavailable: point x=%s is too deep inside the "
-                        "support for pruning (%d surviving branches) and the full "
-                        "spline exceeds the size guard; use the numeric oracle "
-                        "(sincprod.numeric_oracle.numeric_integral) instead"
-                        % (p, exc.surviving)
-                    ) from exc
-            values.append(spline.evaluate(p))
+            try:
+                _check_size(spec, size_guard)
+            except SplineSizeError:
+                raise ExactPathUnavailableError(
+                    "exact path unavailable: F(%s) needs more than %d pruned knot entries and the "
+                    "full knot measure exceeds the size guard; use the numeric oracle "
+                    "(sincprod.numeric_oracle.numeric_integral) instead" % (p, exc.budget)
+                ) from exc
+            node_budget = math.inf
+            value, _ = _point_eval_pruned_stats(spec, p, node_budget=node_budget)
+        values.append(value)
     return values
+
+
+def _sample_report(spec, top, digits, node_budget, size_guard) -> EvalReport:
+    """Integral of W f for the weight W = 1 (top = 0) or W_m (top = 2m+1).
+
+    With a unit scale the value is 1 - 2 sum F(q) over q = top+2,
+    top+4, ... inside the support, and radius < top+2 certifies 1
+    outright.  Otherwise it is F(0), or 2 (F(1) + F(3) + ... + F(top)).
+    """
+    radius = spec.support_radius()
+    if spec.has_unit_scale():
+        if radius < top + 2:
+            return _report(rat(1), digits, radius, deficit=rat(0), certified=True)
+        points = list(range(top + 2, math.floor(radius) + 1, 2))
+        values = _eval_points(spec, points, node_budget, size_guard)
+        deficit = 2 * sum(values, rat(0))
+        return _report(1 - deficit, digits, radius, deficit=deficit, terms=zip(points, values))
+    values = _eval_points(spec, range(top % 2, top + 1, 2), node_budget, size_guard)
+    return _report(values[0] if top == 0 else 2 * sum(values, rat(0)), digits, radius)
 
 
 def _report(value, digits, radius, deficit=None, terms=(), certified=False):
@@ -351,29 +379,10 @@ def integral_exact(
     With a unit scale present the value is 1 when the support radius is
     below 2 (certified with no evaluation at all), and otherwise
     1 - 2 sum F(2k) over even points inside the support.  Without a unit
-    scale the value is F(0), which requires the full spline (or deep
-    pruned evaluation) and may be infeasible for large specs.
+    scale the value is F(0), which needs the whole knot measure above 0
+    and may be infeasible for large specs.
     """
-    radius = spec.support_radius()
-    if spec.has_unit_scale():
-        if radius < 2:
-            return _report(rat(1), digits, radius, deficit=rat(0), certified=True)
-        points = _sample_points_beyond(radius, first=2)
-        values = _eval_points(spec, points, node_budget, size_guard)
-        deficit = 2 * sum(values, rat(0))
-        return _report(1 - deficit, digits, radius, deficit=deficit, terms=zip(points, values))
-    try:
-        value = fourier_spline(spec, size_guard=size_guard).evaluate(0)
-    except SplineSizeError:
-        try:
-            value = point_eval_pruned(spec, 0, node_budget=node_budget)
-        except NodeBudgetError as exc:
-            raise ExactPathUnavailableError(
-                "exact path unavailable for this spec (no unit scale, %d "
-                "surviving branches at x=0); use the numeric oracle "
-                "(sincprod.numeric_oracle.numeric_integral) instead" % exc.surviving
-            ) from exc
-    return _report(value, digits, radius)
+    return _sample_report(spec, 0, digits, node_budget, size_guard)
 
 
 def weighted_integral_exact(
@@ -390,28 +399,7 @@ def weighted_integral_exact(
     1 - 2 sum F(q) over odd q > 2m+1 inside the support; radius < 2m+3
     certifies the value 1 outright.
     """
-    radius = spec.support_radius()
-    top = 2 * weights.m + 1
-    if spec.has_unit_scale():
-        if radius < top + 2:
-            return _report(rat(1), digits, radius, deficit=rat(0), certified=True)
-        points = _sample_points_beyond(radius, first=top + 2)
-        values = _eval_points(spec, points, node_budget, size_guard)
-        deficit = 2 * sum(values, rat(0))
-        return _report(1 - deficit, digits, radius, deficit=deficit, terms=zip(points, values))
-    points = [q for q in range(1, top + 1, 2)]
-    try:
-        spline = fourier_spline(spec, size_guard=size_guard)
-        values = [spline.evaluate(q) for q in points]
-    except SplineSizeError:
-        try:
-            values = [point_eval_pruned(spec, q, node_budget=node_budget) for q in points]
-        except NodeBudgetError as exc:
-            raise ExactPathUnavailableError(
-                "exact path unavailable for this spec (no unit scale); "
-                "use the numeric oracle (sincprod.numeric_oracle.numeric_integral) instead"
-            ) from exc
-    return _report(2 * sum(values, rat(0)), digits, radius)
+    return _sample_report(spec, 2 * weights.m + 1, digits, node_budget, size_guard)
 
 
 def deficit_report(
@@ -435,14 +423,7 @@ def deficit_report(
         if weights is None
         else weighted_integral_exact(spec, weights, digits, node_budget, size_guard)
     )
-    return EvalReport(
-        exact_value=base.deficit,
-        decimal=to_decimal(base.deficit, digits),
-        support_radius=base.support_radius,
-        deficit=base.deficit,
-        deficit_terms=base.deficit_terms,
-        certified_by_support=base.certified_by_support,
-    )
+    return replace(base, exact_value=base.deficit, decimal=to_decimal(base.deficit, digits))
 
 
 def sinc_power_breaking(m: int, n_max: int, digits: int = 12) -> list:

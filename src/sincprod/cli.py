@@ -125,9 +125,10 @@ def _add_spec_flags(p):
     p.add_argument("--family", choices=["odd-harmonic", "sinc-power"])
     p.add_argument("--n", type=int, help="family size parameter")
     p.add_argument("--node-budget", type=int, default=NODE_BUDGET_DEFAULT,
-                   help="pruned-enumeration node cap before giving up")
+                   help="cap on the knot entries the pruned DP expands per sample point "
+                        "before it falls back to the full knot measure")
     p.add_argument("--size-guard", type=int, default=SIZE_GUARD_DEFAULT,
-                   help="breakpoint-count cap for full spline builds")
+                   help="knot-count cap for the full knot measure and spline builds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,6 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance self-checks")
     p.add_argument("--suite", choices=["fast", "full"], default="fast")
     return ap
+
+
+PARSER = build_parser()  # built once per process: it costs about as much as a median request
 
 
 def _run(args) -> int:
@@ -295,9 +299,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -204,6 +204,8 @@ def numeric_sum(
     one_sided restricts to m >= 0; the integrand is even in m, so
     one_sided = (two_sided + 1) / 2.
     """
+    if not 0 < abs_tol < inf:
+        raise ValueError("abs_tol must be a positive finite number, got %r" % abs_tol)
     rs = _as_scales(scales)
     if rs.b is not None or rs.weight is not None:
         raise ValueError("numeric_sum takes plain scales (no kernel, no weight)")

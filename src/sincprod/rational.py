@@ -2,10 +2,10 @@
 
 All exact computation in this package runs on arbitrary-precision
 rationals kept in lowest terms with positive denominator.  gmpy2.mpq is
-used when available (it is 10-50x faster than fractions.Fraction on the
-coefficient sizes that show up in high-order convolutions); the stdlib
-Fraction is a drop-in fallback.  The two types compare and hash equal,
-so callers may mix them freely.
+used when available (often quoted as 10-50x faster than
+fractions.Fraction on large coefficients, a figure this project has not
+measured); the stdlib Fraction is a drop-in fallback.  The two types
+compare and hash equal, so callers may mix them freely.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ def rat(value, den=None):
     """Build a rational from int, str ("p/q" or decimal), Fraction or Rat."""
     if den is not None:
         return Rat(value) / Rat(den)
+    if type(value) is Rat:
+        return value
     if isinstance(value, str):
         s = value.strip()
+        _allow_digits(len(s))
         if "/" in s:
             p, q = s.split("/", 1)
             return Rat(int(p)) / Rat(int(q))
@@ -43,19 +46,18 @@ def rat(value, den=None):
     return Rat(value)
 
 
-def _allow_big_str(n: int) -> None:
-    # str(int) refuses beyond sys.get_int_max_str_digits(); raise the cap
-    # lazily so 100000-digit numerators can still be serialized.
-    need = int(n.bit_length() * 0.30103) + 16
-    if need > sys.get_int_max_str_digits():
+def _allow_digits(need: int) -> None:
+    # int <-> str conversion refuses beyond sys.get_int_max_str_digits();
+    # raise the cap lazily so 100000-digit rationals still round-trip.
+    # A cap of 0 means unlimited.
+    if 0 < sys.get_int_max_str_digits() < need:
         sys.set_int_max_str_digits(need + 64)
 
 
 def rat_str(x) -> str:
     """Serialize as "p/q", always including the denominator."""
     x = rat(x)
-    _allow_big_str(x.numerator)
-    _allow_big_str(x.denominator)
+    _allow_digits(int(max(abs(x.numerator), x.denominator).bit_length() * 0.30103) + 16)
     return "%d/%d" % (x.numerator, x.denominator)
 
 

@@ -7,8 +7,8 @@ is identically 0 outside [x_0, x_M]; the value exactly at a breakpoint
 is fixed by a ``JumpConvention`` at evaluation time, defaulting to the
 Dirichlet half-sum of the one-sided limits.
 
-The only constructor that matters downstream is convolution with a
-centered box: the result at x is the exact integral of the input over
+Convolution with a centered box, the independent reference for the
+knot-measure transform of borwein_engine, gives at x the integral over
 [x-h, x+h], computed from the piecewise antiderivative.  That raises
 every degree by one, widens the support by h on each side, and keeps
 every coefficient rational.

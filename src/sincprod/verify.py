@@ -41,6 +41,7 @@ from .numeric_oracle import (
     verify_ft_example5,
 )
 from .rational import rat
+from .spline_engine import box
 
 
 @dataclass
@@ -77,6 +78,15 @@ def random_spec_corpus(count: int = 100, max_n: int = 8, seed: int = RANDOM_SPEC
             SincProductSpec(tuple(rat(1, rng.randint(1, 9)) for _ in range(n + 1)))
         )
     return specs
+
+
+def reference_spline(spec):
+    """F by box convolutions, sharing no code with the knot measure:
+    F_0 = box(beta_0), F_j = convolve_with_box(F_{j-1}, beta_j) / (2 beta_j)."""
+    F = box(spec.betas[0])
+    for b in spec.betas[1:]:
+        F = F.convolve_with_box(b).scaled(rat(1, 2) / b)
+    return F
 
 
 def _edge_matches_spline(spec, spline) -> bool:
@@ -245,16 +255,18 @@ def check_oracle_equivalence():
     def fn():
         rng = random.Random(RANDOM_SPEC_SEED + 1)
         for spec in random_spec_corpus():
-            spline = fourier_spline(spec)
+            spline = reference_spline(spec)
             if spline.integral() != 2:
                 return False, "integral(F) != 2 for %s" % (spec.betas,)
             if not _edge_matches_spline(spec, spline):
                 return False, "edge polynomial mismatch for %s" % (spec.betas,)
+            if fourier_spline(spec) != spline:
+                return False, "knot-measure spline != box-convolution spline for %s" % (spec.betas,)
             for _ in range(10):
                 x = rat(rng.randint(-60, 60), rng.randint(1, 12))
                 if point_eval_pruned(spec, x) != spline.evaluate(x):
                     return False, "pruned != spline at %s for %s" % (x, spec.betas)
-        return True, "100 specs, 10 points each: pruned == spline, integral == 2, edge matches"
+        return True, "100 specs, 10 points each: knot measure == box convolution, integral == 2, edge matches"
 
     return _run("9", "dual-path oracle equivalence on random specs", fn)
 

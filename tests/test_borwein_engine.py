@@ -4,6 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
+from sincprod import borwein_engine
 from sincprod.borwein_engine import (
     CosineWeightSpec,
     ExactPathUnavailableError,
@@ -22,6 +23,7 @@ from sincprod.borwein_engine import (
 from sincprod.exact_core import odd_harmonic_sum
 from sincprod.rational import rat
 from sincprod.spline_engine import SplineSizeError
+from sincprod.verify import reference_spline
 
 
 # -- specs --------------------------------------------------------------------
@@ -61,6 +63,21 @@ def test_spline_normalization_various():
         assert F.integral() == 2
 
 
+def test_spline_matches_box_convolution_csv():
+    # the knot-measure spline against the independent box-convolution
+    # chain, byte for byte: weight-0 knots (x = 0 for 1, 1, 2) stay breakpoints
+    rng = random.Random(13)
+    specs = [SincProductSpec((rat(1), rat(1), rat(2))), SincProductSpec.sinc_power(16)]
+    specs += [SincProductSpec.odd_harmonic(n) for n in range(9)]
+    specs += [
+        SincProductSpec(tuple(rat(rng.randint(1, 3), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))))
+        for _ in range(30)
+    ]
+    for spec in specs:
+        assert fourier_spline(spec).to_csv() == reference_spline(spec).to_csv(), spec.betas
+    assert rat(0) in fourier_spline(specs[0]).breakpoints
+
+
 def test_spline_size_guard_redirects():
     spec = SincProductSpec(tuple(rat(1, 2 * k + 3) for k in range(24)))
     with pytest.raises(SplineSizeError) as err:
@@ -89,15 +106,18 @@ def test_pruned_57_factor_edge_value():
     assert stats.surviving == 1  # only the all-plus assignment reaches past 3
 
 
-def test_pruned_matches_spline_randomized():
+def test_pruned_matches_spline_randomized(monkeypatch):
     rng = random.Random(7)
     for _ in range(25):
         n = rng.randint(0, 9)
         spec = SincProductSpec(tuple(rat(1, rng.randint(1, 9)) for _ in range(n + 1)))
-        F = fourier_spline(spec)
+        F = reference_spline(spec)
         for _ in range(8):
             x = rat(rng.randint(-50, 50), rng.randint(1, 11))
             assert point_eval_pruned(spec, x) == F.evaluate(x), (spec.betas, x)
+            with monkeypatch.context() as m:  # layers split into chunks of at most 2 entries
+                m.setattr(borwein_engine, "_LAYER_CAP", 2)
+                assert point_eval_pruned(spec, x) == F.evaluate(x), (spec.betas, x)
 
 
 def test_pruned_budget_error_reports_counts():
@@ -106,6 +126,27 @@ def test_pruned_budget_error_reports_counts():
         point_eval_pruned(spec, 0, node_budget=50)
     assert err.value.visited > 50
     assert err.value.budget == 50
+
+
+def test_budget_exhaustion_falls_back_once(monkeypatch):
+    # one point out of budget switches every later point to the
+    # unbudgeted DP, instead of burning the budget again at each
+    spec = SincProductSpec.sinc_power(30)
+    exhausted = []
+    real = borwein_engine._point_eval_pruned_stats
+
+    def counting(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except NodeBudgetError as exc:
+            exhausted.append(exc)
+            raise
+
+    monkeypatch.setattr(borwein_engine, "_point_eval_pruned_stats", counting)
+    rep = deficit_report(spec, node_budget=20)
+    assert len(exhausted) == 1
+    assert len(rep.deficit_terms) == 15
+    assert rep.exact_value == deficit_report(spec).exact_value
 
 
 def test_pruned_evenness():
@@ -149,7 +190,7 @@ def test_edge_polynomial_agrees_with_outermost_piece():
         n = rng.randint(0, 7)
         spec = SincProductSpec(tuple(rat(1, rng.randint(1, 9)) for _ in range(n + 1)))
         C, deg, valid_from = edge_polynomial(spec)
-        F = fourier_spline(spec)
+        F = reference_spline(spec)
         R = spec.support_radius()
         assert F.breakpoints[-2] == valid_from
         expansion = [C * math.comb(deg, i) * R ** (deg - i) * (-1) ** i for i in range(deg + 1)]

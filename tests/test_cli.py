@@ -1,4 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +120,28 @@ def test_infeasible_exact_path_exits_three(capsys):
     assert d["error"]["type"] == "ExactPathUnavailableError"
 
 
+def test_former_budget_fallbacks_are_fast(capsys):
+    # sinc powers coalesce to n + 1 knots, so a small node budget suffices
+    # at every sample point and no request falls back or stalls
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "integral", "--family", "sinc-power", "--n", "30", "--node-budget", "20000"
+    )
+    assert code == 0 and time.perf_counter() - t0 < 1
+    n = 30  # the classical closed form of the integral of sinc^n(pi t)
+    expected = Fraction(
+        sum((-1) ** k * math.comb(n, k) * (n - 2 * k) ** (n - 1) for k in range((n + 1) // 2)),
+        2 ** (n - 1) * math.factorial(n - 1),
+    )
+    d = json.loads(out)
+    assert d["exact"] == "%d/%d" % (expected.numerator, expected.denominator)
+    assert d["decimal"] == "0.251048514991"
+    assert [x for x, _ in d["deficit_terms"]] == list(range(2, 31, 2))
+    t0 = time.perf_counter()
+    code, _, _ = run_cli(capsys, "deficit", "--family", "sinc-power", "--n", "40")
+    assert code == 0 and time.perf_counter() - t0 < 1
+
+
 def test_spline_dump_size_guard_exits_three(capsys):
     code, out, _ = run_cli(
         capsys, "spline-dump", "--betas", ",".join("1/%d" % (k + 2) for k in range(25))
@@ -127,6 +155,49 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+def test_second_call_gets_defaults_back(capsys, monkeypatch):
+    # one parser serves every main() call in a process; flags given to
+    # the first call must not leak into the second as defaults
+    seen = []
+    real = cli.deficit_report
+
+    def recording(spec, weights, **kwargs):
+        seen.append((weights, kwargs["node_budget"]))
+        return real(spec, weights, **kwargs)
+
+    monkeypatch.setattr(cli, "deficit_report", recording)
+    spec = ["deficit", "--family", "odd-harmonic", "--n", "8"]
+    code, out, _ = run_cli(capsys, "--format", "json", *spec, "--weights", "2", "--node-budget", "5")
+    assert code == 0 and json.loads(out)["weights"] == 1
+    code, out, _ = run_cli(capsys, *spec)
+    assert code == 0
+    assert out.startswith("command: deficit\n") and "weights: None\n" in out
+    assert seen == [(cli.CosineWeightSpec(1), 5), (None, cli.NODE_BUDGET_DEFAULT)]
+
+
+@pytest.mark.parametrize(
+    "command", [["sum", "--scales", "5pi/4,1,1"], ["lower-bound", "--a0", "5pi/4", "--rest", "1,1"]]
+)
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+def test_bad_abs_tol_exits_two(capsys, command, tol):
+    code, out, err = run_cli(capsys, *command, "--abs-tol=" + tol)
+    assert code == 2 and out == ""
+    assert "abs_tol must be a positive finite number" in err and "Traceback" not in err
+
+
+def test_breakpoint_threshold_beyond_int_str_limit():
+    # a fresh process, so no earlier serialization has raised the
+    # interpreter's 4300-digit int/str limit yet
+    threshold = "2" + "0" * 4999 + "1/1" + "0" * 5000  # (2 10^5000 + 1) / 10^5000
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sincprod.cli", "breakpoint", "--threshold", threshold],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "6"
 
 
 def test_csv_format(capsys):
