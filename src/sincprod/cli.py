@@ -6,7 +6,7 @@ floats.  Exit codes: 0 success, 2 usage error, 3 exact path infeasible
 (the error report is emitted as JSON so callers can machine-parse it).
 
 SINCPROD_PRECISION_BITS sets the default working precision for both
-interval searches and the numeric oracle.
+the breaking-point enclosures and the numeric oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .borwein_engine import (
 )
 from .exact_core import (
     DEFAULT_PRECISION_BITS,
+    MAX_PRECISION_BITS,
     HarmonicFamily,
     NonTerminatingSearchError,
     breaking_point_report,
@@ -42,7 +43,7 @@ from .numeric_oracle import (
     numeric_sum,
     verify_ft_example5,
 )
-from .rational import rat, rat_str
+from .rational import int_str, rat, rat_str
 from .spline_engine import SIZE_GUARD_DEFAULT, SplineSizeError
 
 EXIT_OK = 0
@@ -142,7 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("breakpoint", help="largest n keeping the partial scale sum below a threshold")
     p.add_argument("--family", choices=["odd-harmonic"], default="odd-harmonic")
     p.add_argument("--threshold", required=True)
-    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
+    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS,
+                   help="starting precision of the closed-form enclosure of the partial sum, "
+                        "53 to %d bits; it doubles while an enclosure straddles the threshold"
+                        % MAX_PRECISION_BITS)
 
     p = sub.add_parser("integral", help="exact integral of the sinc product")
     _add_spec_flags(p)
@@ -199,8 +203,9 @@ def _run(args) -> int:
         rep = breaking_point_report(
             HarmonicFamily.odd_harmonic(), rat(args.threshold), precision_bits=args.precision_bits
         )
+        digits = int_str(rep.n)  # also lifts the int/str digit limit for json.dumps
         if fmt == "plain":
-            print(rep.n)
+            print(digits)
         else:
             _emit(
                 {

@@ -4,12 +4,28 @@ Everything here works in normalized units: the k-th scale of the
 odd-harmonic family is 1/(2k+1), so the thresholds of interest are the
 small integers 2, 3, 5, 7 rather than multiples of pi.
 
-Two rigorous comparison modes are available when deciding whether a
-partial sum has crossed a threshold:
+The odd-harmonic breaking point, the largest n with
+S_n = sum_{k<=n} 1/(2k+1) < t, is found on one of two paths, picked
+by the float estimate n ~ e^(2t - gamma - 2 ln 2) - 1:
 
-* exact rationals, used while the number of summed terms is small;
-* directed-rounded intervals at a configurable number of bits, used for
-  long scans, escalating precision until the comparison is strict.
+* the exact scan, below ``SCAN_TERM_CUTOFF`` terms: S_k is kept as
+  num/den with den the running lcm of 1, 3, ..., 2k+1 and compared
+  with t exactly, term by term;
+* the closed form S_n = (psi(n + 3/2) + gamma + 2 ln 2) / 2 beyond it:
+  ln, gamma and ln 2 come from ``mpmath.iv``, psi's asymptotic series
+  (DLMF 5.11.2) uses exact Bernoulli numbers, and its remainder is
+  bounded by the first omitted term (DLMF 5.11(ii)).  A gallop from
+  the estimate and a bisection then need O(log n) enclosures.
+
+Every decision of the closed-form path is a strict separation of an
+enclosure from t or an exact comparison.  When an enclosure of S_n
+straddles t, S_n is summed exactly (by binary splitting) if
+n <= ``EXACT_TERM_CUTOFF``.  Otherwise the precision doubles, up to
+``MAX_PRECISION_BITS`` or until the series rather than the precision
+limits the enclosure; a straddle left then is summed exactly if
+n <= ``MAX_EXACT_TERMS`` and refused beyond.  A threshold whose n is
+too large for ``MAX_PRECISION_BITS`` to tell S_n from S_(n+1) is
+refused at once.
 
 Intervals are dyadic fixed point: an ``Interval`` stores integer
 mantissas lo, hi meaning [lo/2^P, hi/2^P].  Rounding a rational in is
@@ -21,18 +37,28 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from math import exp, floor, gcd
+
+import mpmath as mp
+from mpmath import bernfrac, iv
 
 from .rational import rat
 
-DEFAULT_PRECISION_BITS = max(53, int(os.environ.get("SINCPROD_PRECISION_BITS", "128")))
-
-EXACT_TERM_CUTOFF = 10_000
+SCAN_TERM_CUTOFF = 250          # the exact scan's last term; the closed form takes over beyond
+EXACT_TERM_CUTOFF = 10_000      # a straddling enclosure is settled by the exact S_n up to here
 MAX_PRECISION_BITS = 1 << 14
+MAX_EXACT_TERMS = 100_000       # past MAX_PRECISION_BITS, the exact S_n is summed only up to here
+MAX_SERIES_TERMS = 128          # Bernoulli terms per enclosure; caps its cost, not its rigour
+
+DEFAULT_PRECISION_BITS = min(
+    MAX_PRECISION_BITS, max(53, int(os.environ.get("SINCPROD_PRECISION_BITS", "128")))
+)
 
 
 class NonTerminatingSearchError(Exception):
-    """The family cannot reach the requested threshold."""
+    """The search cannot decide: the family never reaches the threshold,
+    or deciding would take more than a cost budget allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +211,34 @@ class HarmonicFamily:
 # ---------------------------------------------------------------------------
 
 
-def _odd_sum_raw(n: int):
-    """(num, den) with den the running lcm of 1, 3, ..., 2n+1.
+def _odd_sum_split(a: int, b: int):
+    """(num, den) with num/den = sum_{a<=k<b} 1/(2k+1), by binary splitting.
 
-    Keeping the denominator as the lcm avoids a full gcd reduction per
-    term, which is what makes thousands of terms cheap.
+    den is the product of the odd numbers, not their lcm: halving the
+    range keeps the big-integer products balanced, and callers that only
+    compare never pay for a reduction.
     """
-    num, den = 0, 1
-    for k in range(n + 1):
-        d = 2 * k + 1
-        mult = d // gcd(den, d)
-        den *= mult
-        num = num * mult + den // d
-    return num, den
+    if b - a == 1:
+        return 1, 2 * a + 1
+    m = (a + b) // 2
+    p1, q1 = _odd_sum_split(a, m)
+    p2, q2 = _odd_sum_split(m, b)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def odd_harmonic_sum(n: int):
     """Sum_{k=0..n} 1/(2k+1) exactly, in lowest terms."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    num, den = _odd_sum_raw(n)
-    return rat(num, den)
+    return rat(*_odd_sum_split(0, n + 1))
 
 
 def interval_odd_harmonic_sum(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Interval:
     """Enclosure of Sum_{k=0..n} 1/(2k+1) at the requested precision.
 
     Each term is rounded once, so the width is at most (n+1) ulp, well
-    inside the (n+1) * 2^(1-P) * value contract.
+    inside the (n+1) * 2^(1-P) * value contract.  This is direct
+    summation, independent of the closed form the search uses.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -228,6 +254,73 @@ def interval_odd_harmonic_sum(n: int, precision_bits: int = DEFAULT_PRECISION_BI
     return Interval(lo, hi, precision_bits)
 
 
+@lru_cache(maxsize=None)  # bounded: k <= MAX_SERIES_TERMS + 1
+def _bernoulli(k: int):
+    """B_2k as (p, q)."""
+    return bernfrac(2 * k)
+
+
+def _floor_ceil(p: int, q: int, bits: int):
+    """floor and ceil of (p/q) * 2^bits, for q > 0."""
+    scaled = p << bits
+    return scaled // q, -((-scaled) // q)
+
+
+def _mpf_floor_ceil(raw, bits: int, ceil: bool) -> int:
+    """floor (or ceil) of a raw mpf (sign, man, exp, bc) times 2^bits."""
+    sign, man, exp, _ = raw
+    value, shift = (-man if sign else man), exp + bits
+    if shift >= 0:
+        return value << shift
+    return -((-value) >> -shift) if ceil else value >> -shift
+
+
+def _odd_sum_enclosure(n: int, bits: int):
+    """(enclosure, series_limited) for S_n = (psi(n + 3/2) + gamma + 2 ln 2) / 2.
+
+    With x = n + 3/2 = d/2, 2 S_n = ln d + gamma + ln 2 - 1/d
+    - sum_{k<=K} B_2k / (2k x^2k) + R, where R lies between 0 and minus
+    the first omitted term (DLMF 5.11(ii), x real and positive).  The
+    terms stop once the next one is below 2^-(bits+2), or, flagged as
+    ``series_limited``, where the series starts to grow (small x) or
+    after ``MAX_SERIES_TERMS`` (about 2400 bits at x = 10^4).  The bound
+    on R holds for any K, so a limited enclosure is only wider, and more
+    bits would not narrow it.  The mantissas of 2 S_n on the 2^-bits
+    grid are those of S_n on the 2^-(bits+1) grid.
+    """
+    d = 2 * n + 3
+    saved = iv.prec
+    iv.prec = bits + 32
+    try:
+        v = (iv.log(d) + iv.euler + iv.ln2)._mpi_
+    finally:
+        iv.prec = saved
+    lo = _mpf_floor_ceil(v[0], bits, ceil=False)
+    hi = _mpf_floor_ceil(v[1], bits, ceil=True)
+    # -1/d, then the terms -B_2k 4^k / (2k d^2k) for k = 1, 2, ...
+    lo_t, hi_t = _floor_ceil(-1, d, bits)
+    lo, hi = lo + lo_t, hi + hi_t
+    d2, power, prev = d * d, 1, None
+    k = 1
+    while True:
+        b_p, b_q = _bernoulli(k)
+        power *= d2
+        p, q = -b_p << (2 * k), 2 * k * b_q * power
+        lo_t, hi_t = _floor_ceil(p, q, bits)
+        size = abs(p).bit_length() - q.bit_length()  # log2 |term|, to within 1
+        limited = k > MAX_SERIES_TERMS or (prev is not None and size > prev)
+        if limited or size < -bits - 2:
+            # the first omitted term: R lies between 0 and it
+            if p < 0:
+                lo += lo_t
+            else:
+                hi += hi_t
+            return Interval(lo, hi, bits + 1), limited
+        lo, hi = lo + lo_t, hi + hi_t
+        prev = size
+        k += 1
+
+
 # ---------------------------------------------------------------------------
 # Breaking points
 # ---------------------------------------------------------------------------
@@ -235,20 +328,20 @@ def interval_odd_harmonic_sum(n: int, precision_bits: int = DEFAULT_PRECISION_BI
 
 @dataclass(frozen=True)
 class BreakingPointResult:
+    """``terms_scanned`` counts the terms summed exactly: the scan's, plus
+    n + 1 for each straddle the closed form settled with the exact S_n."""
+
     n: int
-    mode: str              # "exact", "interval", or "closed_form"
-    precision_bits: int | None
+    mode: str              # "exact" or "closed_form"
+    precision_bits: int | None   # the closed form's highest precision
     terms_scanned: int
 
 
 def breaking_point(family: HarmonicFamily, threshold, **kwargs) -> int:
     """Largest n with Sum_{k=0..n} beta_k < threshold (strict).
 
-    The decision is rigorous: exact rationals while at most
-    ``exact_term_cutoff`` terms are in play, then interval scans with
-    precision escalation (restarting at twice the bits whenever a
-    comparison straddles), with a final exact fallback if escalation is
-    exhausted, which can only happen when the threshold is hit exactly.
+    The decision is rigorous: see the module docstring for the
+    odd-harmonic paths; the constant and custom families are exact.
     """
     return breaking_point_report(family, threshold, **kwargs).n
 
@@ -256,13 +349,20 @@ def breaking_point(family: HarmonicFamily, threshold, **kwargs) -> int:
 def breaking_point_report(
     family: HarmonicFamily,
     threshold,
-    exact_term_cutoff: int = EXACT_TERM_CUTOFF,
+    exact_term_cutoff: int = SCAN_TERM_CUTOFF,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_terms: int = 100_000_000,
 ) -> BreakingPointResult:
+    """The breaking point, how it was decided and the work it took.
+
+    ``exact_term_cutoff`` is where the odd-harmonic exact scan hands
+    over to the closed form; ``precision_bits`` is the closed form's
+    starting precision.
+    """
     threshold = rat(threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+    if not 53 <= precision_bits <= MAX_PRECISION_BITS:
+        raise ValueError("precision_bits must be between 53 and %d" % MAX_PRECISION_BITS)
 
     if family.kind == "constant":
         # (n+1) * beta < t  <=>  n + 1 <= ceil(t/beta) - 1
@@ -286,7 +386,11 @@ def breaking_point_report(
             "family total %s stays below threshold %s" % (total, threshold)
         )
 
-    # odd_harmonic: exact phase with lcm denominators, then intervals
+    estimate = _estimate_breaking_point(threshold)
+    if estimate >= exact_term_cutoff:
+        return _closed_form_search(threshold, estimate, precision_bits, 0)
+
+    # odd_harmonic exact scan, with lcm denominators
     t_p, t_q = threshold.numerator, threshold.denominator
     num, den = 0, 1
     k = 0
@@ -300,42 +404,87 @@ def breaking_point_report(
                 raise NonTerminatingSearchError("first scale already reaches the threshold")
             return BreakingPointResult(k - 1, "exact", None, k + 1)
         k += 1
+    return _closed_form_search(threshold, k - 1, precision_bits, k)
 
-    checkpoint_k, checkpoint = k, (num, den)
+
+_GAMMA_2LN2 = 1.9635100260214235  # gamma + 2 ln 2
+
+
+def _estimate_breaking_point(threshold) -> int:
+    """n ~ e^y - 1 with y = 2t - gamma - 2 ln 2, from psi(x) ~ ln x - 1/(2x).
+
+    It only picks the path and seeds the gallop; it decides nothing.
+    Floats serve while n fits their 53 bits; beyond, mpmath works at
+    about as many bits as n has, so the gallop starts within a few
+    steps.  A threshold whose n cannot be told from n + 1 at
+    ``MAX_PRECISION_BITS`` is refused here.
+    """
+    if threshold < 20:
+        return max(0, floor(exp(2 * float(threshold) - _GAMMA_2LN2) - 1))
+
+    def y():  # at the working precision
+        return 2 * mp.mpf(threshold.numerator) / threshold.denominator - mp.euler - 2 * mp.ln2
+
+    with mp.workprec(64):
+        n_bits = int(y() / mp.ln2) + 1
+    if n_bits > MAX_PRECISION_BITS - 16:
+        raise NonTerminatingSearchError(
+            "the breaking point has about %d bits; telling S_n from S_(n+1) needs more than "
+            "MAX_PRECISION_BITS = %d" % (n_bits, MAX_PRECISION_BITS)
+        )
+    with mp.workprec(n_bits + 32):
+        return int(mp.floor(mp.exp(y()) - 1))
+
+
+def _closed_form_search(threshold, start: int, precision_bits: int, terms: int) -> BreakingPointResult:
+    """Gallop from ``start``, then bisect, until S_n < t <= S_(n+1).
+
+    ``terms`` counts the exact terms summed before the call; each exact
+    straddle decision adds its n + 1.
+    """
+    t_p, t_q = threshold.numerator, threshold.denominator
     bits = precision_bits
-    while bits <= MAX_PRECISION_BITS:
-        one = 1 << bits
-        num, den = checkpoint
-        lo = (num << bits) // den
-        hi = -((-(num << bits)) // den)
-        t_scaled_num = t_p * one   # compare against t_q * mantissa
-        k = checkpoint_k
-        straddled = False
-        while k <= max_terms:
-            d = 2 * k + 1
-            q, r = divmod(one, d)
-            lo += q
-            hi += q + (1 if r else 0)
-            if lo * t_q >= t_scaled_num:
-                return BreakingPointResult(k - 1, "interval", bits, k + 1)
-            if hi * t_q >= t_scaled_num:
-                straddled = True
-                break
-            k += 1
-        if not straddled:
-            raise NonTerminatingSearchError("scan exceeded max_terms without a decision")
-        bits *= 2
 
-    # Escalation exhausted: the sum must equal the threshold at some n.
-    # Decide the straddling comparisons exactly from the checkpoint.
-    num, den = checkpoint
-    k = checkpoint_k
-    while k <= max_terms:
-        d = 2 * k + 1
-        mult = d // gcd(den, d)
-        den *= mult
-        num = num * mult + den // d
-        if num * t_q >= t_p * den:
-            return BreakingPointResult(k - 1, "exact", None, k + 1)
-        k += 1
-    raise NonTerminatingSearchError("scan exceeded max_terms without a decision")
+    def below(n: int) -> bool:
+        """S_n < t, decided rigorously."""
+        nonlocal bits, terms
+        while True:
+            enclosure, limited = _odd_sum_enclosure(n, bits)
+            if enclosure.strictly_below(threshold):
+                return True
+            if enclosure.strictly_above(threshold):
+                return False
+            if n <= EXACT_TERM_CUTOFF or limited or bits * 2 > MAX_PRECISION_BITS:
+                break
+            bits *= 2
+        if n > MAX_EXACT_TERMS:
+            raise NonTerminatingSearchError(
+                "S_n straddles the threshold at %d bits for an n of %d bits; the exact S_n "
+                "is summed only up to MAX_EXACT_TERMS = %d terms" % (bits, n.bit_length(), MAX_EXACT_TERMS)
+            )
+        num, den = _odd_sum_split(0, n + 1)
+        terms += n + 1
+        return num * t_q < t_p * den
+
+    if below(start):
+        lo, step = start, 1
+        while below(lo + step):
+            lo, step = lo + step, step * 2
+        hi = lo + step
+    else:
+        hi, step = start, 1
+        while True:
+            if hi == 0:
+                raise NonTerminatingSearchError("first scale already reaches the threshold")
+            m = max(hi - step, 0)
+            if below(m):
+                lo = m
+                break
+            hi, step = m, step * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return BreakingPointResult(lo, "closed_form", bits, terms)

@@ -60,11 +60,15 @@ class RealScales:
         # keep the caller's numeric type (mpf scales stay mpf); a float()
         # round-trip here would silently cap the attainable accuracy
         scales = tuple(self.scales)
-        if not scales or any(not (float(a) > 0) for a in scales):
+        if not scales or not all(_positive_finite(a) for a in scales):
             raise ValueError("scales must be a nonempty list of positive finite reals")
         object.__setattr__(self, "scales", scales)
-        if self.b is not None and not (float(self.b) > 0):
-            raise ValueError("kernel parameter b must be positive")
+        if self.b is not None and not _positive_finite(self.b):
+            raise ValueError("kernel parameter b must be a positive finite real")
+
+
+def _positive_finite(x) -> bool:
+    return float(x) > 0 and mp.isfinite(x)
 
 
 def _as_scales(scales) -> RealScales:

@@ -54,6 +54,12 @@ def _allow_digits(need: int) -> None:
         sys.set_int_max_str_digits(need + 64)
 
 
+def int_str(n: int) -> str:
+    """Decimal string of an int of any size."""
+    _allow_digits(int(abs(n).bit_length() * 0.30103) + 16)
+    return str(n)
+
+
 def rat_str(x) -> str:
     """Serialize as "p/q", always including the denominator."""
     x = rat(x)

@@ -2,8 +2,9 @@
 
 Each check returns a ``CheckResult`` so the CLI can print one line per
 criterion and the test suite can assert on the same outcomes.  The
-"fast" suite skips only the longest scan (the threshold-7 breaking
-point); everything else is identical.
+"fast" suite skips only the threshold-7 breaking point, whose
+direct-sum certificate adds 168,803 terms twice; everything else is
+identical.
 
 Checks 3c and 3d compare against published reference digits that are
 not correctly rounded values of the quantities they display: the true
@@ -32,7 +33,13 @@ from .borwein_engine import (
     sinc_power_breaking,
     weighted_integral_exact,
 )
-from .exact_core import HarmonicFamily, breaking_point_report, odd_harmonic_sum
+from .exact_core import (
+    EXACT_TERM_CUTOFF,
+    HarmonicFamily,
+    breaking_point_report,
+    interval_odd_harmonic_sum,
+    odd_harmonic_sum,
+)
 from .numeric_oracle import (
     example5_integral,
     lower_bound_check,
@@ -107,6 +114,16 @@ def _edge_matches_spline(spec, spline) -> bool:
 
 
 def check_breaking_points(full: bool):
+    """Pinned n, each certified by direct summation: S_n < t <= S_(n+1)
+    from exact sums up to EXACT_TERM_CUTOFF terms, from 512-bit term-by-
+    term enclosures beyond.  Neither shares the search's closed form."""
+
+    def bracketed(threshold, n):
+        if n + 1 <= EXACT_TERM_CUTOFF:
+            return odd_harmonic_sum(n) < threshold <= odd_harmonic_sum(n + 1)
+        return (interval_odd_harmonic_sum(n, 512).strictly_below(threshold)
+                and interval_odd_harmonic_sum(n + 1, 512).strictly_above(threshold))
+
     def fn():
         fam = HarmonicFamily.odd_harmonic()
         cases = [(2, 6), (3, 55), (5, 3090)] + ([(7, 168802)] if full else [])
@@ -116,7 +133,9 @@ def check_breaking_points(full: bool):
             got.append((threshold, rep.n, rep.mode))
             if rep.n != expect:
                 return False, "threshold %d gave %d, expected %d" % (threshold, rep.n, expect)
-        return True, "; ".join("t=%d -> n=%d (%s)" % g for g in got)
+            if not bracketed(threshold, rep.n):
+                return False, "threshold %d: direct summation does not bracket n = %d" % (threshold, rep.n)
+        return True, "; ".join("t=%d -> n=%d (%s, bracket by direct sums)" % g for g in got)
 
     return _run("1", "breaking points 2, 3, 5%s" % (", 7" if full else " (fast suite)"), fn)
 

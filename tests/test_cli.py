@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from sincprod import cli
+from sincprod.exact_core import MAX_PRECISION_BITS
 from sincprod.rational import rat
 from sincprod.spline_engine import PiecewisePolynomial
 from sincprod import verify as verify_mod
@@ -185,6 +186,40 @@ def test_bad_abs_tol_exits_two(capsys, command, tol):
     code, out, err = run_cli(capsys, *command, "--abs-tol=" + tol)
     assert code == 2 and out == ""
     assert "abs_tol must be a positive finite number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bits", ["0", "-5", "52", str(MAX_PRECISION_BITS + 1)])
+def test_breakpoint_precision_bits_out_of_range_exits_two(capsys, bits):
+    code, out, err = run_cli(capsys, "breakpoint", "--threshold", "7", "--precision-bits=" + bits)
+    assert code == 2 and out == ""
+    assert "precision_bits must be between 53 and %d" % MAX_PRECISION_BITS in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threshold, digits", [("11", 9), ("100", 87)])
+def test_breakpoint_large_threshold_is_fast(capsys, threshold, digits):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--format", "json", "breakpoint", "--threshold", threshold)
+    assert time.perf_counter() - t0 < 1.0
+    d = json.loads(out)
+    assert code == 0 and d["mode"] == "closed_form" and len(str(d["breaking_point"])) == digits
+    if threshold == "11":
+        assert d["breaking_point"] == 503195827
+
+
+def test_breakpoint_prints_more_digits_than_the_int_str_limit(capsys):
+    # n for t = 5000 has about 4,340 digits, past Python's default 4,300
+    code, out, _ = run_cli(capsys, "breakpoint", "--threshold", "5000")
+    assert code == 0 and len(out.strip()) > 4300 and out.strip().isdigit()
+
+
+def test_breakpoint_beyond_max_precision_exits_three(capsys):
+    # n would have about 17,300 bits: no precision up to the cap tells S_n from S_(n+1)
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--format", "json", "breakpoint", "--threshold", "6000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "NonTerminatingSearchError"
 
 
 def test_breakpoint_threshold_beyond_int_str_limit():

@@ -1,11 +1,17 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sincprod.exact_core import (
+    EXACT_TERM_CUTOFF,
+    MAX_PRECISION_BITS,
+    SCAN_TERM_CUTOFF,
     HarmonicFamily,
     Interval,
     NonTerminatingSearchError,
+    _odd_sum_enclosure,
     breaking_point,
     breaking_point_report,
     interval_odd_harmonic_sum,
@@ -138,9 +144,15 @@ def test_breaking_points_odd_harmonic():
 
 def test_breaking_point_modes():
     fam = HarmonicFamily.odd_harmonic()
-    assert breaking_point_report(fam, 5).mode == "exact"      # decided within the exact cutoff
+    assert breaking_point_report(fam, 3).mode == "exact"      # n below the scan cutoff
+    rep5 = breaking_point_report(fam, 5)
+    assert (rep5.n, rep5.mode) == (3090, "closed_form")
     rep7 = breaking_point_report(fam, 7)
-    assert (rep7.n, rep7.mode) == (168802, "interval")
+    assert (rep7.n, rep7.mode) == (168802, "closed_form")
+
+
+def test_breaking_point_nine():
+    assert breaking_point(HarmonicFamily.odd_harmonic(), 9) == 9216352
 
 
 def test_breaking_point_bracket():
@@ -156,10 +168,67 @@ def test_breaking_point_bracket():
 
 
 def test_breaking_point_interval_phase_forced():
-    # drive the interval machinery even for small thresholds
+    # drive the closed-form enclosures even for small thresholds
     fam = HarmonicFamily.odd_harmonic()
     rep = breaking_point_report(fam, 3, exact_term_cutoff=0)
-    assert (rep.n, rep.mode) == (55, "interval")
+    assert (rep.n, rep.mode) == (55, "closed_form")
+
+
+def _assert_direct_sum_bracket(threshold, n):
+    """S_n < t <= S_(n+1) by summation, never by the closed form."""
+    if n < 12_000:
+        assert odd_harmonic_sum(n) < threshold <= odd_harmonic_sum(n + 1)
+    else:
+        assert interval_odd_harmonic_sum(n, 512).strictly_below(threshold)
+        assert interval_odd_harmonic_sum(n + 1, 512).strictly_above(threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.fractions(min_value=1, max_value=6, max_denominator=10**9).filter(lambda t: t > 1))
+def test_breaking_point_matches_direct_sums(t):
+    _assert_direct_sum_bracket(t, breaking_point(HarmonicFamily.odd_harmonic(), t))
+
+
+_NEAR_CUTOFFS = [m for c in (SCAN_TERM_CUTOFF, EXACT_TERM_CUTOFF) for m in range(c - 3, c + 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.one_of(st.sampled_from(_NEAR_CUTOFFS), st.integers(min_value=1, max_value=12_000)),
+    k=st.one_of(st.none(), st.integers(min_value=1, max_value=1200)),
+)
+def test_breaking_point_near_partial_sums(m, k):
+    # t = S_m exactly (k None) or 2^-k below it, on both sides of each cutoff
+    s_m = odd_harmonic_sum(m)
+    t = s_m if k is None else s_m - Fraction(1, 2**k)
+    assume(t > 1)  # S_0 = 1 already reaches any t <= 1
+    n = breaking_point(HarmonicFamily.odd_harmonic(), t)
+    if k is None or Fraction(1, 2**k) < rat(1, 2 * m + 1):
+        assert n == m - 1
+    _assert_direct_sum_bracket(t, n)
+
+
+def test_closed_form_enclosure_contains_exact_sum():
+    for n in (0, 1, 6, 55, 250, 3090, 10_001):
+        for bits in (53, 128, 1024):
+            enclosure, limited = _odd_sum_enclosure(n, bits)
+            assert enclosure.contains(odd_harmonic_sum(n)), (n, bits)
+            if n >= 250:
+                assert not limited and enclosure.width() < rat(1, 2**(bits - 10)), (n, bits)
+
+
+def test_breaking_point_precision_bounds():
+    fam = HarmonicFamily.odd_harmonic()
+    for bits in (0, -5, 52, MAX_PRECISION_BITS + 1):
+        with pytest.raises(ValueError):
+            breaking_point_report(fam, 7, precision_bits=bits)
+    for bits in (53, MAX_PRECISION_BITS):
+        assert breaking_point_report(fam, 7, precision_bits=bits).n == 168802
+
+
+def test_breaking_point_beyond_max_precision_refused():
+    with pytest.raises(NonTerminatingSearchError):
+        breaking_point(HarmonicFamily.odd_harmonic(), 6000)
 
 
 def test_breaking_point_exact_equality_escalates_to_exact():

@@ -66,6 +66,14 @@ def test_integral_rejects_single_factor():
         numeric_integral([1.0], rel_tol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), mp.inf, float("nan"), mp.nan])
+def test_real_scales_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        RealScales((bad, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        RealScales((1.0, 1.0), b=bad)
+
+
 # -- sums ---------------------------------------------------------------------
 
 
