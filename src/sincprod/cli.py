@@ -6,13 +6,15 @@ floats.  Exit codes: 0 success, 2 usage error, 3 exact path infeasible
 (the error report is emitted as JSON so callers can machine-parse it).
 
 SINCPROD_PRECISION_BITS sets the default working precision for both
-the breaking-point enclosures and the numeric oracle.
+the breaking-point enclosures and the numeric oracle; a value that is
+not an integer is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import mpmath as mp
@@ -32,9 +34,11 @@ from .borwein_engine import (
 from .exact_core import (
     DEFAULT_PRECISION_BITS,
     MAX_PRECISION_BITS,
+    PRECISION_ENV,
     HarmonicFamily,
     NonTerminatingSearchError,
     breaking_point_report,
+    env_precision_bits,
 )
 from .numeric_oracle import (
     ToleranceUnreachableError,
@@ -304,6 +308,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    if env_precision_bits(53) is None:
+        print("usage error: %s must be an integer number of bits, got %r"
+              % (PRECISION_ENV, os.environ[PRECISION_ENV]), file=sys.stderr)
+        return EXIT_USAGE
     try:
         args = PARSER.parse_args(argv)
     except SystemExit as exc:

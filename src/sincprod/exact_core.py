@@ -51,9 +51,22 @@ MAX_PRECISION_BITS = 1 << 14
 MAX_EXACT_TERMS = 100_000       # past MAX_PRECISION_BITS, the exact S_n is summed only up to here
 MAX_SERIES_TERMS = 128          # Bernoulli terms per enclosure; caps its cost, not its rigour
 
-DEFAULT_PRECISION_BITS = min(
-    MAX_PRECISION_BITS, max(53, int(os.environ.get("SINCPROD_PRECISION_BITS", "128")))
-)
+PRECISION_ENV = "SINCPROD_PRECISION_BITS"
+
+
+def env_precision_bits(floor: int) -> int | None:
+    """The SINCPROD_PRECISION_BITS setting clamped into
+    [floor, MAX_PRECISION_BITS]: 128 when unset, None when it is not an
+    integer.  It never raises, so a bad setting cannot break the import;
+    the CLI refuses it with a usage error."""
+    try:
+        bits = int(os.environ.get(PRECISION_ENV, "128"))
+    except ValueError:
+        return None
+    return min(MAX_PRECISION_BITS, max(floor, bits))
+
+
+DEFAULT_PRECISION_BITS = env_precision_bits(53) or 128
 
 
 class NonTerminatingSearchError(Exception):

@@ -3,17 +3,20 @@
 Everything here deliberately avoids the exact engine's machinery: sums
 are summed, integrals are integrated.  mpmath supplies the arbitrary
 precision arithmetic; the working precision defaults to
-SINCPROD_PRECISION_BITS (at least 96 bits) so that ten matching decimal
-digits can be certified comfortably.
+SINCPROD_PRECISION_BITS (clamped to 96 ... 16384 bits) so that ten
+matching decimal digits can be certified comfortably.
 
-Integrals of sinc products use panel quadrature on a short head
-interval [0, T] plus a closed-form tail: past T the integrand is
-exactly a trigonometric sum over t^p, and each term
-integral_T^inf e^(i w t) t^(-p) dt equals T^(1-p) E_p(-i w T) with E_p
-the generalized exponential integral.  The tail therefore costs 2^p
-special-function calls and is accurate to working precision, instead of
-needing the astronomically large truncation points an absolute-value
-bound would demand for slowly decaying integrands.
+Integrals of sinc products use one quadrature panel on the head
+[0, T], half a period of the fastest frequency, plus a closed-form
+tail: past T the integrand is exactly a trigonometric sum over t^p,
+and each term integral_T^inf e^(i w t) t^(-p) dt equals
+T^(1-p) E_p(-i w T) with E_p the generalized exponential integral
+(DLMF 8.19), for any T > 0.  Equal frequencies are merged and each
+conjugate pair +-w shares one call, so the tail costs one
+special-function call per distinct nonzero |w|.  It is accurate to
+working precision, with guard bits for the cancellation a short head
+leaves, instead of needing the astronomically large truncation points
+an absolute-value bound would demand for slowly decaying integrands.
 
 The non-sinc band-limited family (the (t sin t - cos t + e) kernel) has
 conditionally convergent Fourier-type integrals with 1/t tails; those
@@ -24,7 +27,6 @@ taken as exact rationals so a true common period exists.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
@@ -33,9 +35,10 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .borwein_engine import CosineWeightSpec
+from .exact_core import env_precision_bits
 from .rational import rat
 
-DEFAULT_PREC_BITS = max(96, int(os.environ.get("SINCPROD_PRECISION_BITS", "128")))
+DEFAULT_PREC_BITS = env_precision_bits(96) or 128
 
 MAX_SUM_TERMS = 20_000_000
 MAX_TRIG_FACTORS = 16
@@ -43,7 +46,8 @@ MAX_TRIG_FACTORS = 16
 
 class ToleranceUnreachableError(Exception):
     """The rigorous tail bound cannot reach the requested tolerance
-    within the iteration cap."""
+    within the iteration cap, or the quadrature's error estimate exceeds
+    the requested relative tolerance."""
 
 
 @dataclass(frozen=True)
@@ -126,19 +130,42 @@ def _trig_combos(scales_mp, weight: CosineWeightSpec | None):
 
 
 def _tail_exact(scales_mp, weight, T):
-    """integral_T^inf prod_k sinc(a_k t) * W(t) dt, exact to precision."""
+    """integral_T^inf prod_k sinc(a_k t) * W(t) dt, exact to precision.
+
+    Equal frequencies are merged.  The integrand is real, so the
+    coefficient at -w is the conjugate of the one at +w, and
+    E_p(conj z) = conj E_p(z): each pair +-w costs one E_p call, and
+    w = 0 contributes c / (p - 1) with no call.  The terms have size
+    up to T^(1-p) / prod a_k and cancel down to the tail, so the sum
+    carries log2 of that size in guard bits, plus p.
+    """
     p = len(scales_mp)
     inv = mpf(1)
     for a in scales_mp:
         inv /= a
-    total = mpc(0)
-    for c, w in _trig_combos(scales_mp, weight):
-        total += c * mp.expint(p, -1j * w * T)
-    return (inv * T ** (1 - p) * total).real
+    size = inv * T ** (1 - p)
+    with mp.extraprec(max(0, int(mp.ceil(mp.log(size, 2)))) + p):
+        merged = {}
+        for c, w in _trig_combos(scales_mp, weight):
+            if w < 0:
+                c, w = mp.conj(c), -w
+            merged[w] = merged.get(w, 0) + c
+        total = mpf(0)
+        for w, c in merged.items():
+            if w == 0:
+                total += c.real / (p - 1)
+            elif c != 0:
+                total += (c * mp.expint(p, -1j * w * T)).real
+        return size * total
 
 
 def numeric_integral(scales, rel_tol: float = 1e-12, prec_bits: int | None = None):
     """integral over R of W(t) prod_k sinc(a_k t) dt within rel_tol.
+
+    The head [0, T] is one half period of the fastest frequency,
+    T = pi / omega_max, integrated directly; the tail past T is exact
+    at any T.  ToleranceUnreachableError is raised when the
+    quadrature's error estimate exceeds rel_tol of the result.
 
     A single undamped sinc factor is not absolutely integrable and is
     rejected (the exact engine handles that case in closed form).  The
@@ -159,9 +186,8 @@ def numeric_integral(scales, rel_tol: float = 1e-12, prec_bits: int | None = Non
     with mp.workprec(max(prec, need)):
         a_mp = [mpf(a) for a in eff]
         weight = rs.weight
-        T = max(mpf(2) / min(a_mp), mpf(8))
         omega_max = mp.fsum(a_mp) + ((2 * weight.m + 1) * mp.pi if weight is not None else 0)
-        npanels = max(4, int(mp.ceil(T * omega_max / mp.pi)))
+        T = mp.pi / omega_max
 
         def f(t):
             v = mpf(1)
@@ -171,9 +197,14 @@ def numeric_integral(scales, rel_tol: float = 1e-12, prec_bits: int | None = Non
                 v *= 2 * mp.fsum(mp.cos((2 * k + 1) * mp.pi * t) for k in range(weight.m + 1))
             return v
 
-        head = mp.quad(f, mp.linspace(0, T, npanels + 1))
-        tail = _tail_exact(a_mp, weight, T)
-        result = 2 * (head + tail)
+        head, err = mp.quad(f, [0, T], error=True)
+        half = head + _tail_exact(a_mp, weight, T)
+        if err > rel_tol * abs(half):
+            raise ToleranceUnreachableError(
+                "quadrature error estimate %s exceeds rel_tol %s of the half-line integral %s"
+                % (mp.nstr(err, 5), rel_tol, mp.nstr(half, 5))
+            )
+        result = 2 * half
         if rs.b is not None:
             result *= mpf(rs.b)
         return result

@@ -235,6 +235,27 @@ def test_breakpoint_threshold_beyond_int_str_limit():
     assert proc.stdout.strip() == "6"
 
 
+@pytest.mark.parametrize("bits, code", [("abc", 2), ("1e3", 2), ("99999", 0)])
+def test_precision_env_setting(bits, code):
+    # a fresh process: the setting is read when sincprod is imported
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               SINCPROD_PRECISION_BITS=bits)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sincprod.cli", "breakpoint", "--threshold", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert "SINCPROD_PRECISION_BITS must be an integer" in proc.stderr
+    else:
+        assert proc.stdout.strip() == "55"
+    probe = "import sincprod.numeric_oracle as o; print(o.DEFAULT_PREC_BITS)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == (MAX_PRECISION_BITS if bits == "99999" else 128)
+
+
 def test_csv_format(capsys):
     code, out, _ = run_cli(capsys, "--format", "csv", "integral", "--betas", "1,1/3")
     lines = out.strip().splitlines()

@@ -1,10 +1,17 @@
 import mpmath as mp
 import pytest
 
-from sincprod.borwein_engine import CosineWeightSpec, SincProductSpec, integral_exact
+from sincprod.borwein_engine import (
+    CosineWeightSpec,
+    SincProductSpec,
+    integral_exact,
+    weighted_integral_exact,
+)
 from sincprod.numeric_oracle import (
     RealScales,
     ToleranceUnreachableError,
+    _tail_exact,
+    _trig_combos,
     bandlimited_kernel,
     example5_integral,
     lower_bound_check,
@@ -19,6 +26,11 @@ from sincprod.rational import rat
 def _pi_scales(n):
     with mp.workprec(200):
         return [mp.pi / (2 * k + 1) for k in range(n + 1)]
+
+
+def _pi_times(betas):
+    with mp.workprec(200):
+        return tuple(mp.pi * rat(b).numerator / rat(b).denominator for b in betas)
 
 
 # -- integrals ----------------------------------------------------------------
@@ -45,8 +57,6 @@ def test_integral_matches_exact_engine_n7():
 def test_integral_weighted_matches_exact_engine():
     # 2 cos(pi t) weight over nine factors, against the exact deficit path
     exact = SincProductSpec.odd_harmonic(8)
-    from sincprod.borwein_engine import weighted_integral_exact
-
     want = weighted_integral_exact(exact, CosineWeightSpec(0)).exact_value
     v = numeric_integral(RealScales(tuple(_pi_scales(8)), weight=CosineWeightSpec(0)), rel_tol=1e-10)
     with mp.workprec(120):
@@ -59,6 +69,75 @@ def test_integral_kernel_factor_counts():
     v = numeric_integral(RealScales((1.0,), b=2.0), rel_tol=1e-9)
     # integral of sinc(t) sin(2t)/t dt = pi (kernel dominates the band)
     assert abs(v - float(mp.pi)) < 1e-7
+
+
+def _naive_tail(scales_mp, weight, T):
+    """The tail with one E_p call per expansion term, unmerged."""
+    p = len(scales_mp)
+    total = mp.fsum(c * mp.expint(p, -1j * w * T) for c, w in _trig_combos(scales_mp, weight))
+    inv = mp.fprod(1 / a for a in scales_mp)
+    return (inv * T ** (1 - p) * total).real
+
+
+@pytest.mark.parametrize(
+    "scales, weight",
+    [
+        ([1] * 6, None),
+        (_pi_scales(4), CosineWeightSpec(1)),
+        (_pi_times([rat(2, 3)] * 3), CosineWeightSpec(0)),  # coincident frequencies
+    ],
+)
+def test_tail_merge_matches_naive_sum(scales, weight):
+    with mp.workprec(128):
+        a_mp = [mp.mpf(a) for a in scales]
+        omega_max = mp.fsum(a_mp) + (2 * weight.m + 1) * mp.pi if weight else mp.fsum(a_mp)
+        T = mp.pi / omega_max
+        got = _tail_exact(a_mp, weight, T)
+        with mp.extraprec(128):
+            want = _naive_tail(a_mp, weight, T)
+        assert abs(got - want) <= mp.mpf("1e-30") * abs(want)
+
+
+@pytest.mark.parametrize("scales, calls", [([1] * 8, 4), (_pi_scales(4), 16)])
+def test_tail_one_expint_call_per_distinct_frequency(monkeypatch, scales, calls):
+    seen = []
+    expint = mp.expint
+    monkeypatch.setattr(mp, "expint", lambda *args: seen.append(args) or expint(*args))
+    numeric_integral(scales, rel_tol=1e-12)
+    assert len(seen) == calls
+
+
+def _exact_float(x):
+    with mp.workprec(200):
+        return mp.mpf(x.numerator) / x.denominator
+
+
+@pytest.mark.parametrize(
+    "scales, want",
+    [
+        (RealScales(_pi_times([rat(1, 1000)] * 3 + [rat(2)])),
+         integral_exact(SincProductSpec((rat(1, 1000),) * 3 + (rat(2),))).exact_value),
+        (RealScales(_pi_times([1] * 12)), integral_exact(SincProductSpec.sinc_power(12)).exact_value),
+        (RealScales(tuple(_pi_scales(5)), weight=CosineWeightSpec(3)),
+         weighted_integral_exact(SincProductSpec.odd_harmonic(5), CosineWeightSpec(3)).exact_value),
+        (RealScales((1,), b=2), None),  # integral of sinc(t) sin(2t)/t is pi
+    ],
+)
+def test_short_head_tail_keeps_working_precision(scales, want):
+    # T = pi / omega_max makes the tail terms cancel by up to 2^26; at
+    # 106 working bits, 1e-25 needs the tail's guard bits
+    with mp.workprec(200):
+        want = +mp.pi if want is None else _exact_float(want)
+    v = numeric_integral(scales, rel_tol=1e-20, prec_bits=106)
+    assert abs(v - want) <= mp.mpf("1e-25") * abs(want)
+
+
+def test_integral_error_estimate_checked(monkeypatch):
+    quad = mp.quad
+    monkeypatch.setattr(mp, "quad", lambda *args, **kwargs: (quad(*args, **kwargs)[0], mp.mpf("1e-3")))
+    with pytest.raises(ToleranceUnreachableError, match="rel_tol"):
+        numeric_integral([1, 1], rel_tol=1e-12)
+    assert numeric_integral([1, 1], rel_tol=1e-2) > 0
 
 
 def test_integral_rejects_single_factor():
