@@ -69,13 +69,16 @@ def _parse_scale(token: str):
     num, den = s, None
     if "/" in s:
         num, den = s.split("/", 1)
-    if num.endswith("pi"):
-        head = num[:-2]
-        value = mp.pi * (rat_to_mpf(rat(head)) if head else 1)
-    else:
-        value = rat_to_mpf(rat(num))
-    if den is not None:
-        value = value / rat_to_mpf(rat(den))
+    try:
+        if num.endswith("pi"):
+            head = num[:-2]
+            value = mp.pi * (rat_to_mpf(rat(head)) if head else 1)
+        else:
+            value = rat_to_mpf(rat(num))
+        if den is not None:
+            value = value / rat_to_mpf(rat(den))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _usage("cannot read scale %r: %s" % (token, str(exc) or "division by zero")) from None
     return value
 
 
@@ -125,14 +128,24 @@ def _emit(report: dict, fmt: str):
             print("%s: %s" % (k, v))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
+
+
 def _add_spec_flags(p):
     p.add_argument("--betas", help='comma list of rational scales, e.g. "1,1/3,1/5"')
     p.add_argument("--family", choices=["odd-harmonic", "sinc-power"])
     p.add_argument("--n", type=int, help="family size parameter")
-    p.add_argument("--node-budget", type=int, default=NODE_BUDGET_DEFAULT,
+    p.add_argument("--node-budget", type=_positive_int, default=NODE_BUDGET_DEFAULT,
                    help="cap on the knot entries the pruned DP expands per sample point "
                         "before it falls back to the full knot measure")
-    p.add_argument("--size-guard", type=int, default=SIZE_GUARD_DEFAULT,
+    p.add_argument("--size-guard", type=_positive_int, default=SIZE_GUARD_DEFAULT,
                    help="knot-count cap for the full knot measure and spline builds")
 
 
@@ -176,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", required=True, help='comma list, e.g. "5pi/4,1,1"')
     p.add_argument("--alternating", action="store_true")
     p.add_argument("--one-sided", action="store_true")
-    p.add_argument("--abs-tol", type=float, default=1e-10)
+    p.add_argument("--abs-tol", type=float, default=1e-10,
+                   help="bound on the error of the value: the terms past a short direct head are "
+                        "summed by parts with a rigorous remainder bound (tail_bound <= abs-tol)")
 
     p = sub.add_parser("lower-bound", help="sum-side lower bound counterexample check")
     p.add_argument("--a0", required=True)
@@ -284,8 +299,11 @@ def _run(args) -> int:
         spec = _parse_spec(args)
         csv_text = fourier_spline(spec, size_guard=args.size_guard).to_csv()
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(csv_text)
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(csv_text)
+            except OSError as exc:
+                raise _usage("cannot write --output %s: %s" % (args.output, exc.strerror or exc)) from None
         else:
             sys.stdout.write(csv_text)
         return EXIT_OK

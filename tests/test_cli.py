@@ -188,6 +188,42 @@ def test_bad_abs_tol_exits_two(capsys, command, tol):
     assert "abs_tol must be a positive finite number" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["--a", "0.5,0.3", "--b", "1"], ["--ft-omegas", "0"]])
+def test_bad_example5_tol_exits_two(capsys, command, tol):
+    code, out, err = run_cli(capsys, "example5", *command, "--tol=" + tol)
+    assert code == 2 and out == ""
+    assert "tol must be a positive finite number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sum", "--scales", "pi/0,1,1"], "'pi/0'"),
+        (["sum", "--scales", "1,x,1"], "'x'"),
+        (["spline-dump", "--betas", "1,1", "--output", "/nonexistent-dir/x.csv"], "/nonexistent-dir/x.csv"),
+        (["integral", "--betas", "1,1", "--node-budget", "-1"], "--node-budget"),
+        (["integral", "--betas", "1,1", "--size-guard", "0"], "--size-guard"),
+        (["spline-dump", "--betas", "1,1", "--size-guard", "0"], "--size-guard"),
+    ],
+)
+def test_bad_inputs_exit_two_with_a_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_sum_near_resonance_exits_three_at_once(capsys):
+    # 2 + 1.141592654 is 4e-10 from pi: the alternating sum has a
+    # frequency that close to 2 pi and would need a head of 1e11 terms
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "sum", "--scales", "2,1.141592654", "--alternating", "--abs-tol", "1e-14"
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and json.loads(out)["error"]["type"] == "ToleranceUnreachableError"
+
+
 @pytest.mark.parametrize("bits", ["0", "-5", "52", str(MAX_PRECISION_BITS + 1)])
 def test_breakpoint_precision_bits_out_of_range_exits_two(capsys, bits):
     code, out, err = run_cli(capsys, "breakpoint", "--threshold", "7", "--precision-bits=" + bits)

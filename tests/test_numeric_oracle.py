@@ -1,10 +1,16 @@
+import math
+import time
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sincprod.borwein_engine import (
     CosineWeightSpec,
     SincProductSpec,
     integral_exact,
+    point_eval_pruned,
     weighted_integral_exact,
 )
 from sincprod.numeric_oracle import (
@@ -138,6 +144,34 @@ def test_integral_error_estimate_checked(monkeypatch):
     with pytest.raises(ToleranceUnreachableError, match="rel_tol"):
         numeric_integral([1, 1], rel_tol=1e-12)
     assert numeric_integral([1, 1], rel_tol=1e-2) > 0
+    # abs_tol replaces the relative check; the estimate counts twice, for both half-lines
+    assert numeric_integral([1, 1], rel_tol=1e-12, abs_tol=2e-3) > 0
+    with pytest.raises(ToleranceUnreachableError, match="abs_tol"):
+        numeric_integral([1, 1], rel_tol=1e-2, abs_tol=1e-3)
+
+
+@pytest.mark.parametrize("bad", [0, -1.0, float("nan"), float("inf")])
+def test_bad_tolerances_rejected(bad):
+    with pytest.raises(ValueError, match="rel_tol must be a positive finite number"):
+        numeric_integral([1, 1], rel_tol=bad)
+    with pytest.raises(ValueError, match="abs_tol must be a positive finite number"):
+        numeric_integral([1, 1], abs_tol=bad)
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        example5_integral(["0.5"], 1, tol=bad)
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        verify_ft_example5([0], tol=bad)
+
+
+def test_zero_integral_checked_to_an_absolute_tolerance():
+    # sinc(2t) sinc(t) has its transform in |w| <= 3 < pi, so against
+    # 2 cos(pi t) the integral is exactly 0: no relative check can pass
+    scales = RealScales((2, 1), weight=CosineWeightSpec(0))
+    with pytest.raises(ToleranceUnreachableError, match="rel_tol"):
+        numeric_integral(scales, rel_tol=1.25e-8)
+    assert abs(numeric_integral(scales, rel_tol=1.25e-8, abs_tol=1.25e-8)) < 1e-30
+    rep = verify_theorem1([2, 1], alternating=True)
+    assert rep["hypothesis_holds"] and rep["equal_within_tol"]
+    assert mp.mpf(rep["tail_bound"]) <= 1e-7 / 8
 
 
 def test_integral_rejects_single_factor():
@@ -193,8 +227,106 @@ def test_sum_alternating_two_factors_allowed():
 def test_sum_preconditions():
     with pytest.raises(ValueError):
         numeric_sum([2.0, 1.5], abs_tol=1e-8)  # two factors, not alternating
+    # 2 + a + pi is 1e-9 past 2 pi: the tail needs a head of about 4e10 terms
+    with pytest.raises(ToleranceUnreachableError, match="cap"):
+        numeric_sum([2.0, float(mp.pi) - 2 + 1e-9], alternating=True, abs_tol=1e-14)
+    with pytest.raises(ValueError, match="too many factors"):
+        numeric_sum([1.0] * 17)
+
+
+def test_sum_near_resonance_refused_at_once():
+    t0 = time.perf_counter()
     with pytest.raises(ToleranceUnreachableError):
-        numeric_sum([2.0, 1.5], alternating=True, abs_tol=1e-14)
+        numeric_sum([1.0, 1.0, 2 * float(mp.pi) - 2 + 1e-7], abs_tol=1e-14)
+    assert time.perf_counter() - t0 < 1
+
+
+def _poisson(betas, alternating):
+    """The exact sum over all integers m of prod sinc(beta_k pi m), by
+    Poisson summation over the exact transform F: 2 sum_j F(2j + 1)
+    (alternating) or F(0) + 2 sum_j F(2j)."""
+    spec = SincProductSpec(tuple(rat(b) for b in betas))
+    top = int(sum(spec.betas)) + 1
+    if alternating:
+        return 2 * sum(point_eval_pruned(spec, x) for x in range(1, top + 1, 2))
+    return point_eval_pruned(spec, 0) + 2 * sum(point_eval_pruned(spec, x) for x in range(2, top + 1, 2))
+
+
+@pytest.mark.parametrize(
+    "scales, alternating, one_sided, want",
+    [
+        (_pi_times(["5/4"]) + (1, 1), False, True, rat(9, 10)),  # Example 6
+        (_pi_times(["5/4"] * 3), False, True, rat(249, 250)),
+        (_pi_times(["3/4", "2/3", "1/2"]), False, False, rat(167, 144)),
+        (_pi_times(["3/4", "2/3", "1/2"]), True, False, rat(121, 144)),
+    ],
+)
+@pytest.mark.parametrize("tol", [1e-10, 1e-20])
+def test_sum_known_values_within_tail_bound(scales, alternating, one_sided, want, tol):
+    s = numeric_sum(scales, alternating=alternating, one_sided=one_sided, abs_tol=tol, prec_bits=160)
+    with mp.workprec(200):
+        assert abs(s.value - _exact_float(want)) <= s.tail_bound <= tol
+    assert s.truncation_m < 1000
+
+
+@pytest.mark.parametrize(
+    "betas",
+    [
+        # 3/4 + 1/4 + 2/3 - 2/3 = 1: shifted by pi for the alternating
+        # sign, that frequency is 2 pi, so z = 1 up to rounding
+        ["3/4", "2/3", "1/4", "2/3"],
+        # 3/4 + 2/3 - beta = 1 - 1e-12: z = 1 is missed by 1e-12 pi, and
+        # the coefficient there is imaginary, so the drift is first order
+        ["3/4", "2/3", rat(5, 12) + rat(1, 10**12)],
+    ],
+)
+def test_sum_resonant_frequency_takes_hurwitz_zeta(monkeypatch, betas):
+    calls = []
+    zeta = mp.zeta
+    monkeypatch.setattr(mp, "zeta", lambda *args: calls.append(args) or zeta(*args))
+    s = numeric_sum(_pi_times(betas), alternating=True, abs_tol=1e-12)
+    assert calls and all(args[0] == len(betas) for args in calls)
+    want = _poisson(betas, True)
+    with mp.workprec(200):
+        assert abs(s.value - _exact_float(want)) <= s.tail_bound <= 1e-12
+    # the same scales in floats miss the resonance by about 1e-16 more
+    calls.clear()
+    s53 = numeric_sum([float(a) for a in _pi_times(betas)], alternating=True, abs_tol=1e-12)
+    assert calls
+    with mp.workprec(200):
+        assert abs(s53.value - _exact_float(want)) <= s53.tail_bound + 1e-15
+
+
+def test_sinc_cubed_tight_tolerance_is_fast():
+    t0 = time.perf_counter()
+    s = numeric_sum(_pi_times(["5/4"] * 3), abs_tol=1e-12, one_sided=True)
+    assert time.perf_counter() - t0 < 0.5
+    with mp.workprec(200):
+        assert abs(s.value - _exact_float(rat(249, 250))) <= s.tail_bound <= 1e-12
+
+
+def _direct_sum(scales, alternating, M):
+    """The two-sided sum over |m| <= M in floats, and the crude bound
+    (prod 1/a_k) 2 M^(1-p) / (p - 1) on the rest, plus float rounding."""
+    terms = []
+    for m in range(1, M + 1):
+        v = math.prod(math.sin(a * m) / (a * m) for a in scales)
+        terms.append(-v if alternating and m & 1 else v)
+    p = len(scales)
+    return 1 + 2 * math.fsum(terms), 2 * M ** (1 - p) / ((p - 1) * math.prod(scales)) + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    eighths=st.lists(st.integers(min_value=4, max_value=24), min_size=2, max_size=4),
+    alternating=st.booleans(),
+)
+def test_sum_agrees_with_long_direct_sum(eighths, alternating):
+    scales = [k / 8 for k in eighths]
+    alternating = alternating or len(scales) == 2
+    s = numeric_sum(scales, alternating=alternating, abs_tol=1e-10)
+    direct, bound = _direct_sum(scales, alternating, 100_000)
+    assert abs(s.value - direct) <= s.tail_bound + bound
 
 
 # -- identity checks ----------------------------------------------------------
