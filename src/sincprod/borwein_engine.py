@@ -40,14 +40,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
 from .rational import Rat, rat, rat_str, to_decimal
-from .spline_engine import (
-    SIZE_GUARD_DEFAULT,
-    JumpConvention,
-    PiecewisePolynomial,
-    SplineSizeError,
-)
+from .spline_engine import SIZE_GUARD_DEFAULT, PiecewisePolynomial, SplineSizeError
 
 NODE_BUDGET_DEFAULT = 10**8
+MAX_SAMPLE_POINTS = 10**4  # sample points of F per request, each at least one DP
 _LAYER_CAP = 1 << 16  # DP entries held at once per chunk, which bounds memory
 
 
@@ -106,17 +102,8 @@ class SincProductSpec:
     def support_radius(self):
         return sum(self.betas, rat(0))
 
-    def degree(self) -> int:
-        return len(self.betas) - 1
-
     def has_unit_scale(self) -> bool:
         return any(b == 1 for b in self.betas)
-
-    def scaled(self, factor) -> "SincProductSpec":
-        f = rat(factor)
-        if f <= 0:
-            raise ValueError("scaling factor must be positive")
-        return SincProductSpec(tuple(b * f for b in self.betas))
 
 
 @dataclass(frozen=True)
@@ -244,26 +231,20 @@ class _PruneStats:
     surviving: int = 0  # nonzero knots past x after the last layer
 
 
-def point_eval_pruned(
-    spec: SincProductSpec,
-    x,
-    convention=JumpConvention.HALF_SUM,
-    node_budget: int = NODE_BUDGET_DEFAULT,
-):
+def point_eval_pruned(spec: SincProductSpec, x, node_budget: int = NODE_BUDGET_DEFAULT):
     """Exact F(x) by the pruned knot-measure DP; F is even.
 
-    The jump convention only matters for a single-factor spec evaluated
-    exactly at its edge, the one discontinuity of any F.
+    A single-factor spec evaluated exactly at its edge, the one
+    discontinuity of any F, takes the half-sum 1/(2 beta).
     """
-    value, _ = _point_eval_pruned_stats(spec, x, convention, node_budget)
+    value, _ = _point_eval_pruned_stats(spec, x, node_budget)
     return value
 
 
-def _point_eval_pruned_stats(spec, x, convention=JumpConvention.HALF_SUM, node_budget=NODE_BUDGET_DEFAULT):
+def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
     x = abs(rat(x))
     if spec.betas == (x,):  # the one jump of F, at the edge of a single box
-        weight = {JumpConvention.HALF_SUM: rat(1, 2), JumpConvention.LEFT: rat(1), JumpConvention.RIGHT: rat(0)}
-        return weight[JumpConvention(convention)] / x, _PruneStats(visited=1, surviving=1)
+        return 1 / (2 * x), _PruneStats(visited=1, surviving=1)
     L, scales, D = _integer_scales(spec)
     n = len(scales) - 1
     p, q = x.numerator * L, x.denominator
@@ -306,15 +287,6 @@ def _point_eval_pruned_stats(spec, x, convention=JumpConvention.HALF_SUM, node_b
 # ---------------------------------------------------------------------------
 
 
-def theorem1_support_check(spec: SincProductSpec, mode: str = "plain") -> bool:
-    """Support condition for sum = integral: radius < 2 (plain sampling)
-    or < 3 (alternating)."""
-    if mode not in ("plain", "alternating"):
-        raise ValueError("mode must be 'plain' or 'alternating'")
-    bound = 2 if mode == "plain" else 3
-    return spec.support_radius() < bound
-
-
 def _eval_points(spec, points, node_budget, size_guard):
     """Exact F at each point by the pruned DP.  Once a point runs out of
     node budget, the rest run unbudgeted if the full knot measure fits
@@ -343,18 +315,30 @@ def _sample_report(spec, top, digits, node_budget, size_guard) -> EvalReport:
 
     With a unit scale the value is 1 - 2 sum F(q) over q = top+2,
     top+4, ... inside the support, and radius < top+2 certifies 1
-    outright.  Otherwise it is F(0), or 2 (F(1) + F(3) + ... + F(top)).
+    outright.  Otherwise it is F(0), or 2 (F(1) + F(3) + ... + F(top)),
+    where the points past the radius, at which F vanishes, are skipped.
     """
     radius = spec.support_radius()
+    edge = math.floor(radius)  # a point exactly at the radius may carry a jump
     if spec.has_unit_scale():
         if radius < top + 2:
             return _report(rat(1), digits, radius, deficit=rat(0), certified=True)
-        points = list(range(top + 2, math.floor(radius) + 1, 2))
+        points = _sample_points(top + 2, edge)
         values = _eval_points(spec, points, node_budget, size_guard)
         deficit = 2 * sum(values, rat(0))
         return _report(1 - deficit, digits, radius, deficit=deficit, terms=zip(points, values))
-    values = _eval_points(spec, range(top % 2, top + 1, 2), node_budget, size_guard)
+    values = _eval_points(spec, _sample_points(top % 2, min(top, edge)), node_budget, size_guard)
     return _report(values[0] if top == 0 else 2 * sum(values, rat(0)), digits, radius)
+
+
+def _sample_points(start, stop):
+    """start, start + 2, ... up to stop, refused past MAX_SAMPLE_POINTS."""
+    if (stop - start) // 2 + 1 > MAX_SAMPLE_POINTS:
+        raise ExactPathUnavailableError(
+            "exact path unavailable: the value needs F at more than MAX_SAMPLE_POINTS = %d sample "
+            "points; use the numeric oracle (sincprod.numeric_oracle) instead" % MAX_SAMPLE_POINTS
+        )
+    return range(start, stop + 1, 2)
 
 
 def _report(value, digits, radius, deficit=None, terms=(), certified=False):

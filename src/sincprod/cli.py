@@ -64,21 +64,25 @@ INFEASIBLE_ERRORS = (
 
 
 def _parse_scale(token: str):
-    """Real scale grammar for the oracle: '1', '2.5', 'pi', '5pi/4', 'pi/3'."""
+    """Real scale grammar for the oracle: '1', '2.5', 'pi', '5pi/4', 'pi/3'.
+
+    The value is built at MAX_PRECISION_BITS, no lower than any working
+    precision of the oracle, which then rounds it once."""
     s = token.strip().lower()
     num, den = s, None
     if "/" in s:
         num, den = s.split("/", 1)
     try:
-        if num.endswith("pi"):
-            head = num[:-2]
-            value = mp.pi * (rat_to_mpf(rat(head)) if head else 1)
-        else:
-            value = rat_to_mpf(rat(num))
-        if den is not None:
-            value = value / rat_to_mpf(rat(den))
+        with mp.workprec(MAX_PRECISION_BITS):
+            if num.endswith("pi"):
+                head = num[:-2]
+                value = mp.pi * (rat_to_mpf(rat(head)) if head else 1)
+            else:
+                value = rat_to_mpf(rat(num))
+            if den is not None:
+                value = value / rat_to_mpf(rat(den))
     except (ValueError, ZeroDivisionError) as exc:
-        raise _usage("cannot read scale %r: %s" % (token, str(exc) or "division by zero")) from None
+        raise _UsageError("cannot read scale %r: %s" % (token, str(exc) or "division by zero")) from None
     return value
 
 
@@ -88,26 +92,22 @@ def rat_to_mpf(x):
 
 def _parse_spec(args) -> SincProductSpec:
     if args.betas and args.family:
-        raise _usage("give either --betas or --family, not both")
+        raise _UsageError("give either --betas or --family, not both")
     if args.betas:
         return SincProductSpec(tuple(rat(tok) for tok in args.betas.split(",")))
     if args.family:
         if args.n is None:
-            raise _usage("--family requires --n")
+            raise _UsageError("--family requires --n")
         if args.family == "odd-harmonic":
             return SincProductSpec.odd_harmonic(args.n)
         if args.family == "sinc-power":
             return SincProductSpec.sinc_power(args.n)
-        raise _usage("unknown family %r" % args.family)
-    raise _usage("a spec is required: --betas or --family with --n")
+        raise _UsageError("unknown family %r" % args.family)
+    raise _UsageError("a spec is required: --betas or --family with --n")
 
 
 class _UsageError(Exception):
     pass
-
-
-def _usage(msg: str) -> _UsageError:
-    return _UsageError(msg)
 
 
 def _emit(report: dict, fmt: str):
@@ -247,12 +247,12 @@ def _run(args) -> int:
             weights = None
         elif args.command == "weighted-integral":
             if args.weights < 1:
-                raise _usage("--weights must be >= 1 for weighted-integral")
+                raise _UsageError("--weights must be >= 1 for weighted-integral")
             weights = CosineWeightSpec(args.weights - 1)
             report = weighted_integral_exact(spec, weights, digits=args.digits, **limits)
         else:
             if args.weights < 0:
-                raise _usage("--weights must be >= 0")
+                raise _UsageError("--weights must be >= 0")
             weights = CosineWeightSpec(args.weights - 1) if args.weights else None
             report = deficit_report(spec, weights, digits=args.digits, **limits)
         _emit(report.to_dict(args.command, spec, weights), fmt)
@@ -281,7 +281,7 @@ def _run(args) -> int:
                     _emit(r, fmt)
             return EXIT_OK
         if not args.a or not args.b:
-            raise _usage("example5 needs --a and --b (or --ft-omegas)")
+            raise _UsageError("example5 needs --a and --b (or --ft-omegas)")
         value = example5_integral(args.a.split(","), args.b, tol=args.tol)
         _emit(
             {
@@ -303,7 +303,7 @@ def _run(args) -> int:
                 with open(args.output, "w") as fh:
                     fh.write(csv_text)
             except OSError as exc:
-                raise _usage("cannot write --output %s: %s" % (args.output, exc.strerror or exc)) from None
+                raise _UsageError("cannot write --output %s: %s" % (args.output, exc.strerror or exc)) from None
         else:
             sys.stdout.write(csv_text)
         return EXIT_OK
@@ -322,7 +322,7 @@ def _run(args) -> int:
         )
         return EXIT_OK if not failures else 1
 
-    raise _usage("unknown command")
+    raise _UsageError("unknown command")
 
 
 def main(argv=None) -> int:

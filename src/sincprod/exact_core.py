@@ -27,10 +27,10 @@ n <= ``MAX_EXACT_TERMS`` and refused beyond.  A threshold whose n is
 too large for ``MAX_PRECISION_BITS`` to tell S_n from S_(n+1) is
 refused at once.
 
-Intervals are dyadic fixed point: an ``Interval`` stores integer
-mantissas lo, hi meaning [lo/2^P, hi/2^P].  Rounding a rational in is
-floor/ceil on the mantissa, addition at equal P is exact, and every
-operation returns an enclosure of the exact result.
+Enclosures are dyadic fixed point: an ``Interval`` stores integer
+mantissas lo_num, hi_num meaning [lo_num/2^P, hi_num/2^P], built by
+directed (floor/ceil) rounding of each part.  The searches only ask
+whether it lies strictly below or strictly above a rational.
 """
 
 from __future__ import annotations
@@ -93,15 +93,6 @@ class Interval:
         if self.lo_num > self.hi_num:
             raise ValueError("empty interval")
 
-    @classmethod
-    def from_rational(cls, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> "Interval":
-        x = rat(x)
-        p, q = x.numerator, x.denominator
-        scaled = p << precision_bits
-        lo = scaled // q                # floor
-        hi = -((-scaled) // q)          # ceil
-        return cls(lo, hi, precision_bits)
-
     @property
     def lo(self):
         return rat(self.lo_num, 1 << self.precision_bits)
@@ -110,66 +101,11 @@ class Interval:
     def hi(self):
         return rat(self.hi_num, 1 << self.precision_bits)
 
-    def width(self):
-        return rat(self.hi_num - self.lo_num, 1 << self.precision_bits)
-
-    def midpoint(self):
-        return rat(self.lo_num + self.hi_num, 1 << (self.precision_bits + 1))
-
-    def contains(self, x) -> bool:
-        return self.lo <= rat(x) <= self.hi
-
     def strictly_below(self, x) -> bool:
         return self.hi < rat(x)
 
     def strictly_above(self, x) -> bool:
         return self.lo > rat(x)
-
-    def _aligned(self, other: "Interval"):
-        if self.precision_bits != other.precision_bits:
-            raise ValueError("mixed interval precisions; use with_precision first")
-        return other
-
-    def with_precision(self, precision_bits: int) -> "Interval":
-        shift = precision_bits - self.precision_bits
-        if shift >= 0:
-            return Interval(self.lo_num << shift, self.hi_num << shift, precision_bits)
-        lo = self.lo_num >> -shift
-        hi = -((-self.hi_num) >> -shift)
-        return Interval(lo, hi, precision_bits)
-
-    def __add__(self, other: "Interval") -> "Interval":
-        other = self._aligned(other)
-        return Interval(self.lo_num + other.lo_num, self.hi_num + other.hi_num, self.precision_bits)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi_num, -self.lo_num, self.precision_bits)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return self + (-other)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        other = self._aligned(other)
-        cands = [
-            self.lo_num * other.lo_num,
-            self.lo_num * other.hi_num,
-            self.hi_num * other.lo_num,
-            self.hi_num * other.hi_num,
-        ]
-        p = self.precision_bits
-        lo = min(cands) >> p                      # floor(x / 2^P)
-        hi = -((-max(cands)) >> p)                # ceil
-        return Interval(lo, hi, p)
-
-    def __float__(self) -> float:
-        return float(self.midpoint())
-
-    def __repr__(self):
-        return "Interval(~%.17g, width=%.3g, bits=%d)" % (
-            float(self.midpoint()),
-            float(self.width()),
-            self.precision_bits,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +142,6 @@ class HarmonicFamily:
         if not betas or any(b <= 0 for b in betas):
             raise ValueError("scales must be a nonempty positive list")
         return cls("custom", betas=betas)
-
-    def scale(self, k: int):
-        if self.kind == "odd_harmonic":
-            return rat(1, 2 * k + 1)
-        if self.kind == "constant":
-            return self.beta
-        return self.betas[k]
-
-    def size(self):
-        """Number of terms, or None for the unbounded families."""
-        return len(self.betas) if self.kind == "custom" else None
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +287,13 @@ def breaking_point(family: HarmonicFamily, threshold, **kwargs) -> int:
 def breaking_point_report(
     family: HarmonicFamily,
     threshold,
-    exact_term_cutoff: int = SCAN_TERM_CUTOFF,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> BreakingPointResult:
     """The breaking point, how it was decided and the work it took.
 
-    ``exact_term_cutoff`` is where the odd-harmonic exact scan hands
-    over to the closed form; ``precision_bits`` is the closed form's
-    starting precision.
+    The odd-harmonic exact scan hands over to the closed form past
+    ``SCAN_TERM_CUTOFF`` terms, read at call time; ``precision_bits``
+    is the closed form's starting precision.
     """
     threshold = rat(threshold)
     if threshold <= 0:
@@ -400,14 +324,14 @@ def breaking_point_report(
         )
 
     estimate = _estimate_breaking_point(threshold)
-    if estimate >= exact_term_cutoff:
+    if estimate >= SCAN_TERM_CUTOFF:
         return _closed_form_search(threshold, estimate, precision_bits, 0)
 
     # odd_harmonic exact scan, with lcm denominators
     t_p, t_q = threshold.numerator, threshold.denominator
     num, den = 0, 1
     k = 0
-    while k <= exact_term_cutoff:
+    while k <= SCAN_TERM_CUTOFF:
         d = 2 * k + 1
         mult = d // gcd(den, d)
         den *= mult

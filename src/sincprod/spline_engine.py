@@ -4,8 +4,7 @@ A ``PiecewisePolynomial`` is a strictly increasing breakpoint list
 x_0 < ... < x_M together with one coefficient list (ascending powers of
 x, global monomial basis) per open interval (x_j, x_{j+1}).  The value
 is identically 0 outside [x_0, x_M]; the value exactly at a breakpoint
-is fixed by a ``JumpConvention`` at evaluation time, defaulting to the
-Dirichlet half-sum of the one-sided limits.
+is the Dirichlet half-sum of the one-sided limits.
 
 Convolution with a centered box, the independent reference for the
 knot-measure transform of borwein_engine, gives at x the integral over
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from enum import Enum
 
 from .rational import rat, rat_str
 
@@ -27,16 +25,6 @@ SIZE_GUARD_DEFAULT = 1 << 20
 
 class SplineSizeError(Exception):
     """Projected breakpoint count exceeds the configured cap."""
-
-
-class JumpConvention(Enum):
-    HALF_SUM = "half_sum"
-    LEFT = "left"
-    RIGHT = "right"
-
-
-def _convention(c) -> JumpConvention:
-    return c if isinstance(c, JumpConvention) else JumpConvention(str(c))
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +54,6 @@ def _pshift(coeffs, h):
 
 def _pint(coeffs):
     return [rat(0)] + [c / (i + 1) for i, c in enumerate(coeffs)]
-
-
-def _pderive(coeffs):
-    if len(coeffs) <= 1:
-        return [rat(0)]
-    return [c * i for i, c in enumerate(coeffs)][1:]
 
 
 def _psub(a, b):
@@ -110,27 +92,9 @@ class PiecewisePolynomial:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pcs)
 
-    @classmethod
-    def zero(cls) -> "PiecewisePolynomial":
-        return cls((), ())
-
-    @property
-    def support(self):
-        if not self.pieces:
-            return None
-        return (self.breakpoints[0], self.breakpoints[-1])
-
-    def degree(self) -> int:
-        """Max piece degree; -1 for the zero function."""
-        deg = -1
-        for p in self.pieces:
-            if len(p) > 1 or p[0] != 0:
-                deg = max(deg, len(p) - 1)
-        return deg
-
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, x, convention=JumpConvention.HALF_SUM):
+    def evaluate(self, x):
         x = rat(x)
         if not self.pieces or x < self.breakpoints[0] or x > self.breakpoints[-1]:
             return rat(0)
@@ -138,18 +102,8 @@ class PiecewisePolynomial:
         if i < len(self.breakpoints) and self.breakpoints[i] == x:
             left = _peval(self.pieces[i - 1], x) if i >= 1 else rat(0)
             right = _peval(self.pieces[i], x) if i < len(self.pieces) else rat(0)
-            mode = _convention(convention)
-            if mode is JumpConvention.LEFT:
-                return left
-            if mode is JumpConvention.RIGHT:
-                return right
             return (left + right) / 2
         return _peval(self.pieces[i - 1], x)
-
-    def __call__(self, x, convention=JumpConvention.HALF_SUM):
-        return self.evaluate(x, convention)
-
-    # -- calculus -----------------------------------------------------------
 
     def integral(self):
         total = rat(0)
@@ -168,46 +122,6 @@ class PiecewisePolynomial:
             out.append(ip)
             cum = _peval(ip, self.breakpoints[j + 1])
         return out, cum
-
-    def antiderivative(self) -> "PiecewisePolynomial":
-        """Restriction of the antiderivative to the support.
-
-        The true antiderivative continues as the constant ``integral()``
-        to the right of the support; that tail is not representable
-        under the compact-support convention and is dropped.
-        """
-        if not self.pieces:
-            return self
-        pieces, _ = self._cumulative()
-        return PiecewisePolynomial(self.breakpoints, tuple(tuple(p) for p in pieces))
-
-    def differentiate(self) -> "PiecewisePolynomial":
-        """Piecewise derivative (jumps at breakpoints are ignored)."""
-        if not self.pieces:
-            return self
-        return PiecewisePolynomial(
-            self.breakpoints, tuple(tuple(_pderive(list(p))) for p in self.pieces)
-        )
-
-    def smoothness_order(self) -> int | float:
-        """Largest m with matching derivatives up to order m at every
-        breakpoint; -1 for a jump, inf when there is no constraint."""
-        if not self.pieces:
-            return float("inf")
-        zero = (rat(0),)
-        best = float("inf")
-        for i, b in enumerate(self.breakpoints):
-            left = list(self.pieces[i - 1]) if i >= 1 else list(zero)
-            right = list(self.pieces[i]) if i < len(self.pieces) else list(zero)
-            diff = _psub(left, right)
-            if diff == [0]:
-                continue  # identical polynomials, no constraint here
-            order = -1
-            while _peval(diff, b) == 0:
-                order += 1
-                diff = _pderive(diff)
-            best = min(best, order)
-        return best
 
     # -- convolution --------------------------------------------------------
 
@@ -262,24 +176,6 @@ class PiecewisePolynomial:
             cells += [rat_str(c) for c in p]
             lines.append(",".join(cells))
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PiecewisePolynomial":
-        bps, pieces = [], []
-        for line in text.strip().splitlines():
-            if not line.strip():
-                continue
-            cells = [rat(c) for c in line.split(",")]
-            lo, hi, coeffs = cells[0], cells[1], cells[2:]
-            if not bps:
-                bps.append(lo)
-            elif lo != bps[-1]:
-                raise ValueError("pieces are not contiguous")
-            bps.append(hi)
-            pieces.append(tuple(coeffs))
-        if not pieces:
-            return cls.zero()
-        return cls(tuple(bps), tuple(pieces))
 
 
 def box(halfwidth) -> PiecewisePolynomial:

@@ -1,0 +1,18 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_benchmark_runs():
+    # bench/tracing.py wraps engine functions by attribute name, so a
+    # renamed or deleted one breaks the traced run, not the engine's tests
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "breakpoint-scan", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

@@ -17,7 +17,6 @@ from sincprod.borwein_engine import (
     integral_exact,
     point_eval_pruned,
     sinc_power_breaking,
-    theorem1_support_check,
     weighted_integral_exact,
 )
 from sincprod.exact_core import odd_harmonic_sum
@@ -92,8 +91,8 @@ def test_pruned_single_box():
     spec = SincProductSpec((rat(1),))
     assert point_eval_pruned(spec, rat(1, 2)) == 1
     assert point_eval_pruned(spec, 1) == rat(1, 2)  # half-sum at the jump
-    assert point_eval_pruned(spec, 1, convention="left") == 1
-    assert point_eval_pruned(spec, 1, convention="right") == 0
+    assert point_eval_pruned(spec, -1) == rat(1, 2)
+    assert point_eval_pruned(SincProductSpec((rat(2, 3),)), rat(2, 3)) == rat(3, 4)  # 1/(2 beta)
     assert point_eval_pruned(spec, 2) == 0
 
 
@@ -321,7 +320,7 @@ def test_deficit_requires_unit_scale():
         deficit_report(SincProductSpec((rat(1, 2),)))
 
 
-# -- sinc powers and support checks ------------------------------------------
+# -- sinc powers --------------------------------------------------------------
 
 
 def test_sinc_power_law():
@@ -337,15 +336,6 @@ def test_sinc_power_first_failure_value():
     assert rep.exact_value == 1 - 2 * rat(1, 48) == rat(23, 24)
 
 
-def test_support_checks():
-    assert theorem1_support_check(SincProductSpec.odd_harmonic(6), "plain")
-    assert not theorem1_support_check(SincProductSpec.odd_harmonic(7), "plain")
-    assert not theorem1_support_check(SincProductSpec.odd_harmonic(56), "alternating")
-    assert theorem1_support_check(SincProductSpec.odd_harmonic(55), "alternating")
-    with pytest.raises(ValueError):
-        theorem1_support_check(SincProductSpec.odd_harmonic(1), "bogus")
-
-
 # -- structural invariants ----------------------------------------------------
 
 
@@ -355,7 +345,7 @@ def test_scaling_covariance():
         n = rng.randint(0, 5)
         spec = SincProductSpec(tuple(rat(1, rng.randint(1, 7)) for _ in range(n + 1)))
         lam = rat(rng.randint(1, 5), rng.randint(1, 5))
-        scaled = spec.scaled(lam)
+        scaled = SincProductSpec(tuple(b * lam for b in spec.betas))
         F, G = fourier_spline(spec), fourier_spline(scaled)
         for _ in range(5):
             x = rat(rng.randint(-20, 20), rng.randint(1, 9))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,12 +8,16 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sincprod import cli
+from sincprod.borwein_engine import MAX_SAMPLE_POINTS, SincProductSpec, fourier_spline
 from sincprod.exact_core import MAX_PRECISION_BITS
+from sincprod.numeric_oracle import numeric_sum
 from sincprod.rational import rat
-from sincprod.spline_engine import PiecewisePolynomial
 from sincprod import verify as verify_mod
 
 
@@ -74,6 +80,45 @@ def test_sum_cli_parses_pi_grammar(capsys):
     assert abs(float(d["value"]) - 0.9) < 5e-9
 
 
+def test_sum_scales_read_at_full_precision(capsys):
+    # a 53-bit 5 pi / 4 alone puts the sum 1.6e-17 away from 9/10
+    argv = ["--format", "json", "sum", "--scales", "5pi/4,1,1", "--one-sided", "--abs-tol", "1e-20"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert abs(Fraction(json.loads(out)["value"]) - Fraction(9, 10)) < Fraction(1, 10**20)
+    res = numeric_sum([cli._parse_scale(t) for t in ("5pi/4", "1", "1")], one_sided=True, abs_tol=1e-20)
+    with mp.workprec(200):
+        assert abs(res.value - mp.mpf(9) / 10) < 1e-20
+
+
+def test_weighted_integral_stops_at_the_support(capsys):
+    # F vanishes past the radius 5/6, so a billion cosine terms cost nothing
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "weighted-integral", "--betas", "1/2,1/3", "--weights", "1000000000"
+    )
+    assert code == 0 and time.perf_counter() - t0 < 1
+    assert json.loads(out)["exact"] == "0/1"
+    # a point exactly at the radius stays: the box's jump there is worth 1/(2 beta)
+    code, out, _ = run_cli(capsys, "--format", "json", "weighted-integral", "--betas", "3", "--weights", "2")
+    assert code == 0 and json.loads(out)["exact"] == "1/1"  # 2 (1/3 + 1/6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integral", "--betas", "1e400,1"],
+        ["deficit", "--betas", "1,%d" % (2 * MAX_SAMPLE_POINTS + 1)],
+        ["weighted-integral", "--betas", "1e400", "--weights", "1000000000"],
+    ],
+)
+def test_sample_point_count_exits_three_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and json.loads(out)["error"]["type"] == "ExactPathUnavailableError"
+
+
 def test_lower_bound_cli(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "lower-bound", "--a0", "5pi/4", "--rest", "1,1",
@@ -89,10 +134,7 @@ def test_spline_dump_round_trips(capsys, tmp_path):
         capsys, "spline-dump", "--betas", "1,1/3,1/5", "--output", str(target)
     )
     assert code == 0
-    parsed = PiecewisePolynomial.from_csv(target.read_text())
-    from sincprod.borwein_engine import SincProductSpec, fourier_spline
-
-    assert parsed == fourier_spline(SincProductSpec((rat(1), rat(1, 3), rat(1, 5))))
+    assert target.read_text() == fourier_spline(SincProductSpec((rat(1), rat(1, 3), rat(1, 5)))).to_csv()
 
 
 def test_spline_dump_stdout(capsys):
@@ -290,6 +332,45 @@ def test_precision_env_setting(bits, code):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == (MAX_PRECISION_BITS if bits == "99999" else 128)
+
+
+BAD_NUMBERS = ["", "1/0", "pi/0", "nan", "inf", "1e400", "-1/2", "2/3/4"]
+numbers = st.sampled_from(BAD_NUMBERS) | st.sampled_from(["1", "1/3", "2", "3/2", "5pi/4"])
+number_lists = st.lists(numbers, min_size=1, max_size=3).map(",".join)
+tolerances = st.sampled_from(["0", "nan", "1e-30", "1e-9"])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for every subcommand but verify and example5, whose run time is quadosc's."""
+    command = draw(st.sampled_from(
+        ["breakpoint", "integral", "weighted-integral", "deficit", "sum", "lower-bound", "spline-dump"]
+    ))
+    argv = draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]])) + [command]
+    if command == "breakpoint":
+        return argv + ["--threshold=" + draw(numbers)]
+    if command == "sum":
+        flags = draw(st.lists(st.sampled_from(["--alternating", "--one-sided"]), unique=True))
+        return argv + ["--scales=" + draw(number_lists), "--abs-tol=" + draw(tolerances)] + flags
+    if command == "lower-bound":
+        return argv + ["--a0=" + draw(numbers), "--rest=" + draw(number_lists), "--abs-tol=" + draw(tolerances)]
+    family = ["--family", draw(st.sampled_from(["odd-harmonic", "sinc-power"])), "--n", str(draw(st.integers(-1, 12)))]
+    argv += draw(st.sampled_from([family, ["--betas=" + draw(number_lists)]]))
+    argv += draw(st.sampled_from([[], ["--node-budget", "1"]]))
+    if command in ("weighted-integral", "deficit"):
+        argv += ["--weights", str(draw(st.sampled_from([-1, 0, 1, 2, 7, 10**9])))]
+    return argv
+
+
+@settings(max_examples=200, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argv())
+def test_cli_argv_exit_codes(argv):
+    # every argv ends in success, a usage error or an infeasible-path report, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_csv_format(capsys):

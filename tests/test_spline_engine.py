@@ -1,14 +1,13 @@
+from itertools import zip_longest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sincprod.borwein_engine import SincProductSpec, fourier_spline
 from sincprod.rational import rat
-from sincprod.spline_engine import (
-    JumpConvention,
-    PiecewisePolynomial,
-    SplineSizeError,
-    box,
-)
+from sincprod.spline_engine import PiecewisePolynomial, SplineSizeError, box
+from sincprod.verify import random_spec_corpus
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12
@@ -34,6 +33,44 @@ splines = st.builds(
     st.lists(rationals, min_size=2, max_size=6, unique=True),
     st.lists(st.lists(rationals, min_size=1, max_size=4), min_size=1, max_size=5),
 )
+
+ZERO = PiecewisePolynomial((), ())
+
+
+def _derivative(coeffs):
+    return [c * i for i, c in enumerate(coeffs)][1:] or [rat(0)]
+
+
+def smoothness_order(s):
+    """Largest m such that adjacent pieces (0 outside the support) agree
+    in value and in the first m derivatives at every breakpoint: -1 for
+    a jump, inf where no two adjacent pieces differ."""
+    best = float("inf")
+    for i, b in enumerate(s.breakpoints):
+        left = list(s.pieces[i - 1]) if i >= 1 else [rat(0)]
+        right = list(s.pieces[i]) if i < len(s.pieces) else [rat(0)]
+        diff = [a - c for a, c in zip_longest(left, right, fillvalue=0)]
+        if not any(diff):
+            continue  # identical polynomials, no constraint here
+        order = -1
+        while _peval(diff, b) == 0:
+            order += 1
+            diff = _derivative(diff)
+        best = min(best, order)
+    return best
+
+
+def parse_csv(text):
+    """The spline of to_csv's rows x_lo,x_hi,c0,...,c_d."""
+    bps, pieces = [], []
+    for line in text.splitlines():
+        lo, hi, *coeffs = (rat(c) for c in line.split(","))
+        if not bps:
+            bps.append(lo)
+        assert lo == bps[-1], "pieces are not contiguous"
+        bps.append(hi)
+        pieces.append(tuple(coeffs))
+    return PiecewisePolynomial(tuple(bps), tuple(pieces))
 
 
 # -- box ----------------------------------------------------------------------
@@ -65,17 +102,15 @@ def test_box_integral_always_two(h):
     assert box(h).integral() == 2
 
 
-# -- evaluation conventions ---------------------------------------------------
+# -- the value at a jump ------------------------------------------------------
 
 
 def test_jump_conventions_at_box_edge():
+    # a breakpoint takes the half-sum of the one-sided limits
     b = box(1)
     assert b.evaluate(1) == rat(1, 2)
-    assert b.evaluate(1, JumpConvention.LEFT) == 1
-    assert b.evaluate(1, JumpConvention.RIGHT) == 0
     assert b.evaluate(-1) == rat(1, 2)
-    assert b.evaluate(-1, "left") == 0
-    assert b.evaluate(-1, "right") == 1
+    assert box(rat(1, 3)).evaluate(rat(1, 3)) == rat(3, 2)
 
 
 # -- convolution --------------------------------------------------------------
@@ -85,23 +120,23 @@ def test_triangle_from_unit_boxes():
     tri = box(1).convolve_with_box(1)
     assert tri.evaluate(0) == 2
     assert tri.evaluate(1) == 1
-    assert tri.support == (rat(-2), rat(2))
-    assert tri.degree() == 1
+    assert tri.breakpoints == (rat(-2), rat(0), rat(2))
+    assert max(len(p) for p in tri.pieces) == 2  # linear pieces
     assert tri.integral() == 4
 
 
 def test_convolution_narrow_box():
     s = box(1).convolve_with_box(rat(1, 3))
     assert s.evaluate(0) == rat(2, 3)
-    assert s.support == (rat(-4, 3), rat(4, 3))
+    assert (s.breakpoints[0], s.breakpoints[-1]) == (rat(-4, 3), rat(4, 3))
 
 
 def test_convolution_is_continuous():
+    # adjacent pieces meet at every breakpoint; each box smooths one order more
+    assert smoothness_order(box(1)) == -1
     s = box(1).convolve_with_box(rat(1, 2))
-    for b in s.breakpoints:
-        left = s.evaluate(b, JumpConvention.LEFT)
-        right = s.evaluate(b, JumpConvention.RIGHT)
-        assert left == right
+    assert smoothness_order(s) == 0
+    assert smoothness_order(s.convolve_with_box(1)) == 1
 
 
 def test_convolution_rejects_nonpositive_halfwidth():
@@ -127,9 +162,9 @@ def test_convolution_mass_rule(s, h):
 @given(s=splines, h=positive_rationals)
 def test_convolution_support_additivity_and_degree(s, h):
     out = s.convolve_with_box(h)
-    lo, hi = s.support
-    assert out.support == (lo - rat(h), hi + rat(h))
-    assert out.degree() <= s.degree() + 1
+    lo, hi = s.breakpoints[0], s.breakpoints[-1]
+    assert (out.breakpoints[0], out.breakpoints[-1]) == (lo - rat(h), hi + rat(h))
+    assert max(map(len, out.pieces)) <= max(map(len, s.pieces)) + 1
     # breakpoints are exactly the shifted originals, deduplicated
     want = sorted({b - rat(h) for b in s.breakpoints} | {b + rat(h) for b in s.breakpoints})
     assert list(out.breakpoints) == want
@@ -167,41 +202,30 @@ def test_evenness_preserved():
         assert s.evaluate(x) == s.evaluate(-x)
 
 
-# -- calculus -----------------------------------------------------------------
-
-
-def test_smoothness_orders():
-    assert box(1).smoothness_order() == -1
-    tri = box(1).convolve_with_box(1)
-    assert tri.smoothness_order() == 0
-    b3 = tri.convolve_with_box(1)
-    assert b3.smoothness_order() == 1
-
-
-def test_degree_reporting():
-    assert box(1).degree() == 0
-    assert PiecewisePolynomial.zero().degree() == -1
-    assert PiecewisePolynomial.zero().smoothness_order() == float("inf")
-
-
-@settings(max_examples=60)
-@given(s=splines)
-def test_differentiate_antiderivative_roundtrip(s):
-    assert s.antiderivative().differentiate() == s
+# -- integration and smoothness -----------------------------------------------
 
 
 def test_antiderivative_is_cumulative():
     tri = box(1).convolve_with_box(1)
-    G = tri.antiderivative()
-    assert G.evaluate(tri.breakpoints[0], JumpConvention.RIGHT) == 0
-    assert G.evaluate(tri.breakpoints[-1], JumpConvention.LEFT) == tri.integral()
+    pieces, total = tri._cumulative()
+    assert _peval(pieces[0], tri.breakpoints[0]) == 0
+    for j in range(1, len(pieces)):  # continuous across the interior breakpoints
+        assert _peval(pieces[j - 1], tri.breakpoints[j]) == _peval(pieces[j], tri.breakpoints[j])
+    assert _peval(pieces[-1], tri.breakpoints[-1]) == total == tri.integral()
 
 
 def test_zero_function_roundtrips():
-    z = PiecewisePolynomial.zero()
-    assert z.integral() == 0
-    assert z.evaluate(3) == 0
-    assert z.convolve_with_box(1).integral() == 0
+    assert ZERO.integral() == 0
+    assert ZERO.evaluate(3) == 0
+    assert ZERO.convolve_with_box(1).integral() == 0
+
+
+def test_fourier_spline_smoothness():
+    # F of n + 1 factors is C^(n-1), and no smoother: its edge piece is C (R - x)^n
+    specs = [SincProductSpec.odd_harmonic(n) for n in range(1, 7)]
+    specs += [spec for spec in random_spec_corpus() if len(spec.betas) >= 2]
+    for spec in specs:
+        assert smoothness_order(fourier_spline(spec)) == len(spec.betas) - 2, spec.betas
 
 
 # -- serialization ------------------------------------------------------------
@@ -210,15 +234,15 @@ def test_zero_function_roundtrips():
 def test_csv_round_trip():
     s = box(1).convolve_with_box(rat(1, 3)).convolve_with_box(rat(1, 5))
     text = s.to_csv()
-    back = PiecewisePolynomial.from_csv(text)
+    back = parse_csv(text)
     assert back == s
     first = text.splitlines()[0].split(",")
     assert first[0] == "-23/15"  # -(1 + 1/3 + 1/5)
 
 
 def test_csv_zero():
-    assert PiecewisePolynomial.from_csv("") == PiecewisePolynomial.zero()
-    assert PiecewisePolynomial.zero().to_csv() == ""
+    assert ZERO.to_csv() == ""
+    assert parse_csv("") == ZERO
 
 
 def test_invalid_construction():
