@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-tol", type=float, default=5e-10)
 
     p = sub.add_parser("example5", help="band-limited kernel integral or transform check")
-    p.add_argument("--a", help='comma list of rational scales, e.g. "0.5,0.3"')
+    p.add_argument("--a", help='comma list of positive scales, read exactly, e.g. "0.5,0.3" or "355/113000"')
     p.add_argument("--b", help="kernel frequency bound")
     p.add_argument("--ft-omegas", help="comma list of transform sample frequencies")
     p.add_argument("--tol", type=float, default=1e-6)

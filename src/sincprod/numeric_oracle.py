@@ -8,17 +8,20 @@ arbitrary precision arithmetic; the working precision defaults to
 SINCPROD_PRECISION_BITS (clamped to 96 ... 16384 bits) so that ten
 matching decimal digits can be certified comfortably.
 
-Integrals of sinc products use one quadrature panel on the head
-[0, T], half a period of the fastest frequency, plus a closed-form
-tail: past T the integrand is exactly a trigonometric sum over t^p,
-and each term integral_T^inf e^(i w t) t^(-p) dt equals
-T^(1-p) E_p(-i w T) with E_p the generalized exponential integral
-(DLMF 8.19), for any T > 0.  Equal frequencies are merged and each
-conjugate pair +-w shares one call, so the tail costs one
-special-function call per distinct nonzero |w|.  It is accurate to
-working precision, with guard bits for the cancellation a short head
-leaves, instead of needing the astronomically large truncation points
-an absolute-value bound would demand for slowly decaying integrands.
+Every integral is a head [0, T], integrated directly in mp.quad panels
+half a period of the fastest frequency wide, plus a closed-form tail:
+past T each factor is a finite sum of terms c e^(i w t) t^(-p), and
+each term integral_T^inf e^(i w t) t^(-p) dt equals T^(1-p) E_p(-i w T),
+with E_p the generalized exponential integral (DLMF 8.19), for any
+T > 0.  Equal (w, p) are merged and each conjugate pair +-w shares one
+E_1 call, from which E_p follows by recurrence.  For sinc products the
+terms are exact and the head is one panel.  The band-limited kernel
+f(x) = (x sin x - cos x + e) / ((1 + x^2)(e - 1)) is expanded past
+x = a T >= 4 in 1/(1 + x^2) = sum_j (-1)^j x^(-2j-2), and the series is
+cut where a rigorous bound on the rest fits in the tolerance.  The tail
+is accurate to working precision, with guard bits for the cancellation
+a short head leaves, instead of needing the astronomically large
+truncation points an absolute-value bound would demand.
 
 Sums of sinc products over the integers work the same way: m below N
 is summed directly, and past N the summand is exactly a trigonometric
@@ -29,19 +32,12 @@ completely monotone, the remainder is at most the last term kept, so
 the tail bound is rigorous.  A frequency at z = 1 up to rounding takes
 the Hurwitz zeta(p, N) plus a bound for its drift.  N scales as
 1 / min |1 - z| and is a few hundred on the paper's examples.
-
-The non-sinc band-limited family (the (t sin t - cos t + e) kernel) has
-conditionally convergent Fourier-type integrals with 1/t tails; those
-go through mpmath.quadosc, which integrates period-by-period and
-accelerates the resulting series.  Input scales for that family are
-taken as exact rationals so a true common period exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, inf
+from math import inf
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -54,37 +50,31 @@ DEFAULT_PREC_BITS = env_precision_bits(96) or 128
 
 MAX_HEAD_TERMS = 100_000
 MAX_TRIG_FACTORS = 16
+MAX_ORACLE_WORK = 20_000  # of one integral: tail terms formed, plus 200 per head panel
+KERNEL_TAIL_START = 4
 
 
 class ToleranceUnreachableError(Exception):
     """The rigorous tail bound of a sum cannot reach the requested
-    tolerance within the head-length cap, or the quadrature's error
-    estimate exceeds the requested tolerance."""
+    tolerance within the head-length cap, an integral's error estimate
+    exceeds it, or an integral needs more work than MAX_ORACLE_WORK."""
 
 
 @dataclass(frozen=True)
 class RealScales:
-    """Positive real scales a_k of prod_k sinc(a_k t), an optional
-    cosine weight (in sampling-normalized units, frequencies (2k+1)pi),
-    and an optional sin(b t)/t kernel factor."""
+    """Positive real scales a_k of prod_k sinc(a_k t) and an optional
+    cosine weight (in sampling-normalized units, frequencies (2k+1)pi)."""
 
     scales: tuple
     weight: CosineWeightSpec | None = None
-    b: object = None
 
     def __post_init__(self):
         # keep the caller's numeric type (mpf scales stay mpf); a float()
         # round-trip here would silently cap the attainable accuracy
         scales = tuple(self.scales)
-        if not scales or not all(_positive_finite(a) for a in scales):
+        if not scales or not all(float(a) > 0 and mp.isfinite(a) for a in scales):
             raise ValueError("scales must be a nonempty list of positive finite reals")
         object.__setattr__(self, "scales", scales)
-        if self.b is not None and not _positive_finite(self.b):
-            raise ValueError("kernel parameter b must be a positive finite real")
-
-
-def _positive_finite(x) -> bool:
-    return float(x) > 0 and mp.isfinite(x)
 
 
 def _check_tol(name, tol) -> None:
@@ -121,76 +111,110 @@ def _sinc(x):
 
 
 # ---------------------------------------------------------------------------
-# integrals of sinc products
+# integrals: a head in quadrature panels plus an exact E_p tail
 # ---------------------------------------------------------------------------
 
 
-def _trig_combos(scales_mp, weight: CosineWeightSpec | None):
-    """Complex-exponential expansion of prod sin(a_k t) * weight(t).
-
-    Returns (coeff, frequency) pairs with
-    prod_k sin(a_k t) * W(t) = sum_j coeff_j * e^(i freq_j t).
-    """
-    p = len(scales_mp)
-    combos = [(mpc(1) / (2j) ** p, mpf(0))]
-    for a in scales_mp:
-        combos = [(c, w + a) for c, w in combos] + [(-c, w - a) for c, w in combos]
-    if weight is not None:
-        out = []
-        for mult in weight.multipliers():
-            nu = mult * mp.pi
-            for c, w in combos:
-                out.append((c, w + nu))
-                out.append((c, w - nu))
-        combos = out
-    return combos
+def _sinc_terms(a):
+    """sinc(a t) = (e^(i a t) - e^(-i a t)) / (2 i a t) as terms (c, w, p)
+    of c e^(i w t) t^(-p)."""
+    c = mpc(0, -1) / (2 * a)
+    return [(c, a, 1), (-c, -a, 1)]
 
 
-def _merge_frequencies(combos, period=None):
-    """Merged (coeff, frequency) pairs of a real trigonometric sum.
+def _kernel_terms(a, J):
+    """f(a t) with 1/(1 + x^2) cut to sum_{j<J} (-1)^j x^(-2j-2), x = a t:
+    five terms for each j, from s_j (a t sin(a t) - cos(a t) + e) t^(-2j-2)
+    with s_j = (-1)^j / ((e - 1) a^(2j+2))."""
+    out = []
+    for j in range(J):
+        s = (-1) ** j / ((mp.e - 1) * a ** (2 * j + 2))
+        c, h, q = mpc(0, -s * a / 2), mpc(-s / 2), 2 * j + 1
+        out += [(c, a, q), (-c, -a, q), (h, a, q + 1), (h, -a, q + 1), (s * mp.e, 0, q + 1)]
+    return out
 
-    The sum over combos of c e^(i w x) is real, so it equals the real
-    part of the sum over the returned pairs, in which equal frequencies
-    are merged and each conjugate pair shares one frequency:
-    Re(c e^(i w x)) = Re(conj(c) e^(-i w x)).  Frequencies are folded
-    onto w >= 0; with a period (2 pi, for integer x) they are first
-    reduced modulo it and folded into [0, period / 2].  Zero
-    coefficients are dropped.
+
+def _expand(factors, budget):
+    """Terms (c, w, p) of the product of factors, each a list of terms
+    (c, w, p) of c e^(i w t) t^(-p), with equal (w, p) merged.  Raises
+    ToleranceUnreachableError before more than budget terms are formed."""
+    terms, formed = {(mpf(0), 0): mpc(1)}, 0
+    for factor in factors:
+        product = {}
+        for (w, p), c in terms.items():
+            formed += len(factor)
+            if formed > budget:
+                raise ToleranceUnreachableError("the tail needs more terms than the %d the work cap leaves" % budget)
+            for c2, w2, p2 in factor:
+                product[w + w2, p + p2] = product.get((w + w2, p + p2), 0) + c * c2
+        terms = product
+    return [(c, w, p) for (w, p), c in terms.items()]
+
+
+def _merge_frequencies(terms, period=None):
+    """Merged terms (c, w, p) of a real sum of c e^(i w x) x^(-p).
+
+    The sum is real, so it equals the real part of the sum over the
+    returned terms, in which equal (w, p) are merged and each conjugate
+    pair shares one frequency: Re(c e^(i w x)) = Re(conj(c) e^(-i w x)).
+    Frequencies are folded onto w >= 0; with a period (2 pi, for integer
+    x) they are first reduced modulo it and folded into
+    [0, period / 2].  Zero coefficients are dropped.
     """
     merged = {}
-    for c, w in combos:
+    for c, w, p in terms:
         if period is not None:
             w -= period * mp.floor(w / period)
             if 2 * w > period:
                 c, w = mp.conj(c), period - w
         elif w < 0:
             c, w = mp.conj(c), -w
-        merged[w] = merged.get(w, 0) + c
-    return [(c, w) for w, c in merged.items() if c != 0]
+        merged[w, p] = merged.get((w, p), 0) + c
+    return [(c, w, p) for (w, p), c in merged.items() if c != 0]
 
 
-def _tail_exact(scales_mp, weight, T):
-    """integral_T^inf prod_k sinc(a_k t) * W(t) dt, exact to precision.
-
-    Frequencies are merged (_merge_frequencies), and
-    E_p(conj z) = conj E_p(z): each pair +-w costs one E_p call, and
-    w = 0 contributes c / (p - 1) with no call.  The terms have size
-    up to T^(1-p) / prod a_k and cancel down to the tail, so the sum
-    carries log2 of that size in guard bits, plus p.
-    """
-    p = len(scales_mp)
-    inv = mpf(1)
-    for a in scales_mp:
-        inv /= a
-    size = inv * T ** (1 - p)
-    with mp.extraprec(max(0, int(mp.ceil(mp.log(size, 2)))) + p):
+def _tail(factors, T, budget):
+    """integral_T^inf of the product of factors, exact to precision: a
+    merged term (_merge_frequencies) gives Re(c T^(1-p) E_p(-i w T)), or
+    Re(c) T^(1-p) / (p - 1) at w = 0.  Each w calls E_1 once, and
+    p E_(p+1)(z) = e^(-z) - z E_p(z) (DLMF 8.19.12) scales an error by
+    |z| / p per step, by x^K / K! at most for x >= |z| and K = min(p, x).
+    Terms of size up to T prod sum |c| T^(-p) cancel down to the tail, so
+    the guard bits are log2 of that size and of x^K / K!, plus the top p."""
+    size = T * mp.fprod(mp.fsum(abs(c) * T**-p for c, _, p in factor) for factor in factors)
+    p_max = sum(max(p for _, _, p in factor) for factor in factors)
+    x = T * mp.fsum(max(abs(w) for _, w, _ in factor) for factor in factors)
+    K = min(p_max, int(x))
+    with mp.extraprec(max(0, int(mp.log(size, 2) + K * mp.log(x + 1, 2) - mp.loggamma(K + 1) / mp.ln2)) + p_max):
+        by_w = {}
+        for c, w, p in _merge_frequencies(_expand(factors, budget)):
+            by_w.setdefault(w, {})[p] = c * T ** (1 - p)
         total = mpf(0)
-        for c, w in _merge_frequencies(_trig_combos(scales_mp, weight)):
+        for w, cs in by_w.items():
             if w == 0:
-                total += c.real / (p - 1)
-            else:
-                total += (c * mp.expint(p, -1j * w * T)).real
-        return size * total
+                total += mp.fsum(c.real / (p - 1) for p, c in cs.items())
+                continue
+            z = -1j * w * T
+            E, ez = mp.expint(1, z), mp.exp(-z)
+            for p in range(1, max(cs) + 1):
+                total += (cs[p] * E).real if p in cs else 0
+                E = (ez - z * E) / p
+        return total
+
+
+def _head_tail(factors, T, panels):
+    """(integral_0^inf prod f dt, the quadrature's error estimate) for
+    factors (f, terms), each f equal to its terms past T: the head [0, T]
+    in panels mp.quad panels, the tail by _tail.  Work past MAX_ORACLE_WORK
+    (a tail term formed counts 1, a panel costs about as much as 200
+    terms) raises ToleranceUnreachableError before it is done."""
+    budget = MAX_ORACLE_WORK - 200 * panels
+    if budget < 0:
+        raise ToleranceUnreachableError("the head [0, %s] needs %d quadrature panels, past the work cap"
+                                        % (mp.nstr(T, 5), panels))
+    tail = _tail([terms for _, terms in factors], T, budget)
+    head, err = mp.quad(lambda t: mp.fprod(f(t) for f, _ in factors), mp.linspace(0, T, panels + 1), error=True)
+    return head + tail, err
 
 
 def numeric_integral(
@@ -206,51 +230,34 @@ def numeric_integral(
     result, or abs_tol, which also serves integrals whose value is 0.
 
     A single undamped sinc factor is not absolutely integrable and is
-    rejected (the exact engine handles that case in closed form).  The
-    sin(b t)/t kernel, when present, counts as one more sinc factor
-    since sin(b t)/t = b sinc(b t).
+    rejected (the exact engine handles that case in closed form).
     """
     _check_tol("rel_tol", rel_tol)
     if abs_tol is not None:
         _check_tol("abs_tol", abs_tol)
     rs = _as_scales(scales)
-    eff = list(rs.scales) + ([rs.b] if rs.b is not None else [])
-    if len(eff) < 2:
+    if len(rs.scales) < 2:
         raise ValueError(
             "a single sinc factor is not absolutely integrable; "
             "use the exact engine for closed forms"
         )
-    if len(eff) > MAX_TRIG_FACTORS:
-        raise ValueError("too many factors for the closed-form tail (max %d)" % MAX_TRIG_FACTORS)
     prec = prec_bits or DEFAULT_PREC_BITS
     need = int(-mp.log(mpf(min(rel_tol, abs_tol or rel_tol)), 2)) + 40
     with mp.workprec(max(prec, need)):
-        a_mp = [mpf(a) for a in eff]
-        weight = rs.weight
-        omega_max = mp.fsum(a_mp) + ((2 * weight.m + 1) * mp.pi if weight is not None else 0)
-        T = mp.pi / omega_max
-
-        def f(t):
-            v = mpf(1)
-            for a in a_mp:
-                v *= _sinc(a * t)
-            if weight is not None:
-                v *= 2 * mp.fsum(mp.cos((2 * k + 1) * mp.pi * t) for k in range(weight.m + 1))
-            return v
-
-        head, err = mp.quad(f, [0, T], error=True)
-        half = head + _tail_exact(a_mp, weight, T)
-        scale = 2 * mpf(rs.b if rs.b is not None else 1)
-        if abs_tol is None and err > rel_tol * abs(half):
-            raise ToleranceUnreachableError(
-                "quadrature error estimate %s exceeds rel_tol %s of the half-line integral %s"
-                % (mp.nstr(err, 5), rel_tol, mp.nstr(half, 5))
-            )
-        if abs_tol is not None and scale * err > abs_tol:
-            raise ToleranceUnreachableError(
-                "quadrature error estimate %s of the integral exceeds abs_tol %s" % (mp.nstr(scale * err, 5), abs_tol)
-            )
-        return scale * half
+        a_mp = [mpf(a) for a in rs.scales]
+        factors = [(lambda t, a=a: _sinc(a * t), _sinc_terms(a)) for a in a_mp]
+        omega_max = mp.fsum(a_mp)
+        if rs.weight is not None:
+            ks = rs.weight.multipliers()
+            factors.append((lambda t: 2 * mp.fsum(mp.cos(k * mp.pi * t) for k in ks),
+                            [(mpc(1), s * k * mp.pi, 0) for k in ks for s in (1, -1)]))
+            omega_max += ks[-1] * mp.pi
+        half, err = _head_tail(factors, mp.pi / omega_max, 1)
+        allowed, name = (rel_tol * abs(half), "rel_tol") if abs_tol is None else (mpf(abs_tol) / 2, "abs_tol")
+        if err > allowed:
+            raise ToleranceUnreachableError("quadrature error estimate %s exceeds %s (%s), half-line integral %s"
+                                            % (mp.nstr(err, 5), mp.nstr(allowed, 5), name, mp.nstr(half, 5)))
+        return 2 * half
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +346,10 @@ def numeric_sum(
     one_sided = (two_sided + 1) / 2.
 
     m = 1 .. N - 1 are summed directly (truncation_m = N - 1).  For
-    m >= N the summand is exactly (1 / prod a_k) m^(-p) times the real
-    part of sum_j c_j z_j^m, z_j = e^(i w_j), with the frequencies of
-    _trig_combos shifted by pi when alternating, reduced modulo 2 pi
-    and merged (_merge_frequencies).  Frequencies next to z = 1 (exact
+    m >= N the summand is exactly m^(-p) times the real part of
+    sum_j c_j z_j^m, z_j = e^(i w_j), with the frequencies of the sinc
+    factors (_expand) shifted by pi when alternating, reduced modulo
+    2 pi and merged (_merge_frequencies).  Frequencies next to z = 1 (exact
     resonances, up to the rounding of the scales) take the Hurwitz
     zeta(p, N), and their drift |e^(i w m) - 1| <= min(2, w m) goes
     into the bound, as long as it fits in half of the tolerance.  The
@@ -354,8 +361,8 @@ def numeric_sum(
     """
     _check_tol("abs_tol", abs_tol)
     rs = _as_scales(scales)
-    if rs.b is not None or rs.weight is not None:
-        raise ValueError("numeric_sum takes plain scales (no kernel, no weight)")
+    if rs.weight is not None:
+        raise ValueError("numeric_sum takes plain scales (no weight)")
     p = len(rs.scales)
     if p < 3 and not (alternating and p >= 2):
         raise ValueError("need >= 3 factors (or alternating with >= 2) for a convergent sum")
@@ -364,14 +371,11 @@ def numeric_sum(
     prec = prec_bits or DEFAULT_PREC_BITS
     with mp.workprec(max(prec, int(-mp.log(mpf(abs_tol), 2)) + 40)):
         a_mp = [mpf(a) for a in rs.scales]
-        inv = mpf(1)
-        for a in a_mp:
-            inv /= a
         # the bound covers the sum over m >= 1, which the two-sided sum doubles
         tol = mpf(abs_tol) if one_sided else mpf(abs_tol) / 2
         shift = mp.pi if alternating else 0
-        combos = [(c, w + shift) for c, w in _trig_combos(a_mp, None)]
-        freqs = sorted(_merge_frequencies(combos, 2 * mp.pi), key=lambda cw: cw[1])
+        terms = [(c, w + shift, q) for c, w, q in _expand([_sinc_terms(a) for a in a_mp], inf)]
+        freqs = sorted(((c, w) for c, w, _ in _merge_frequencies(terms, 2 * mp.pi)), key=lambda cw: cw[1])
         dists = [abs(1 - mp.expj(w)) for _, w in freqs]
 
         # the longest prefix of near-1 frequencies whose drift bound,
@@ -379,13 +383,13 @@ def numeric_sum(
         near = 0
         while near < len(freqs):
             N = _head_length(p, dists[near + 1] if near + 1 < len(freqs) else 2)
-            drift = inv * mp.fsum(abs(c) * _drift_bound(p, N, w) for c, w in freqs[: near + 1])
+            drift = mp.fsum(abs(c) * _drift_bound(p, N, w) for c, w in freqs[: near + 1])
             if drift > tol / 2:
                 break
             near += 1
         N = _head_length(p, dists[near] if near < len(freqs) else 2)
         rest = freqs[near:]
-        target = tol / (2 * inv * mp.fsum(abs(c) for c, _ in rest)) if rest else 0
+        target = tol / (2 * mp.fsum(abs(c) for c, _ in rest)) if rest else 0
         tail = None
         while tail is None:
             if N - 1 > MAX_HEAD_TERMS:
@@ -410,8 +414,8 @@ def numeric_sum(
                 v = -v
             return v
 
-        body = mp.fsum(term(m) for m in range(1, N)) + inv * tail_value
-        bound = inv * tail_bound
+        body = mp.fsum(term(m) for m in range(1, N)) + tail_value
+        bound = tail_bound
         if one_sided:
             value = 1 + body
         else:
@@ -502,76 +506,69 @@ def bandlimited_kernel(t):
     return (t * mp.sin(t) - mp.cos(t) + mp.e) / ((1 + t * t) * (mp.e - 1))
 
 
-MAX_OSC_PERIOD = 400.0
+def _truncation_bound(a_mp, g_terms, T, J):
+    """Bound on integral_T^inf |g| |prod_k f(a_k t) - prod_k f_J(a_k t)| dt
+    for f_J of _kernel_terms and |g(t)| <= sum over g_terms of |c| t^(-p).
+    At x = a t > 1, |f - f_J| = |x sin x - cos x + e| x^(-2J) / ((1 + x^2)(e - 1))
+    <= E = r x^(-2J-2) and |f|, |f_J| <= M = r x^(-2) + E, r = (x + 1 + e) / (e - 1).
+    Telescoped, the difference is at most sum_k E_k prod_(i != k) M_i, which
+    falls at least as fast as t^(-2J-n) since r / x decreases; against |g|
+    its integral is at most that at T times sum |c| T^(1-p) / (p + 2J + n - 1)."""
+    r = [(a * T + 1 + mp.e) / (mp.e - 1) for a in a_mp]
+    E = [rk * (a * T) ** (-2 * J - 2) for rk, a in zip(r, a_mp)]
+    M = [rk * (a * T) ** -2 + e for rk, a, e in zip(r, a_mp, E)]
+    at_T = mp.fsum(E[k] * mp.fprod(M[:k] + M[k + 1 :]) for k in range(len(E)))
+    return at_T * mp.fsum(abs(c) * T ** (1 - p) / (p + 2 * J + len(E) - 1) for c, _, p in g_terms)
 
 
-def _common_period(freqs):
-    """Exact common period 2 pi / g, with g the gcd of the rational
-    frequency lattice spanned by the inputs."""
-    fracs = [Fraction(f.numerator, f.denominator) for f in freqs if f != 0]
-    if not fracs:
-        return 2 * mp.pi
-    lcm_den = 1
-    for f in fracs:
-        lcm_den = lcm_den * f.denominator // gcd(lcm_den, f.denominator)
-    gcd_num = 0
-    for f in fracs:
-        gcd_num = gcd(gcd_num, abs(f.numerator) * (lcm_den // f.denominator))
-    g = Fraction(gcd_num, lcm_den)
-    period = 2 * mp.pi * g.denominator / g.numerator
-    if period > MAX_OSC_PERIOD:
-        raise ToleranceUnreachableError(
-            "common oscillation period %s is too long for accelerated "
-            "integration; use scales with a coarser rational lattice" % mp.nstr(period, 5)
-        )
-    return period
+def _kernel_integral(a_mp, g, omega_max, tol):
+    """integral_0^inf g(t) prod_k f(a_k t) dt within tol, for f the kernel,
+    g = (sin(b t)/t or 2 cos(w t), its terms) and omega_max the fastest
+    frequency.  T is the first multiple of pi / omega_max past
+    KERNEL_TAIL_START / min a_k; each f is cut to the fewest terms J whose
+    _truncation_bound fits in tol / 4, and that bound plus the quadrature's
+    error estimate must stay within tol (else ToleranceUnreachableError)."""
+    panels = max(1, int(mp.ceil(KERNEL_TAIL_START * omega_max / (mp.pi * min(a_mp)))))
+    T = panels * mp.pi / omega_max
+    J = 1
+    while (bound := _truncation_bound(a_mp, g[1], T, J)) > tol / 4:
+        J += 1
+    kernels = [(lambda t, a=a: bandlimited_kernel(a * t), _kernel_terms(a, J)) for a in a_mp]
+    value, err = _head_tail([g] + kernels, T, panels)
+    if err + bound > tol:
+        raise ToleranceUnreachableError("quadrature error estimate %s plus truncation bound %s exceeds %s"
+                                        % (mp.nstr(err, 5), mp.nstr(bound, 5), mp.nstr(tol, 5)))
+    return value
 
 
 def example5_integral(a, b, tol: float = 1e-6, prec_bits: int | None = None):
     """integral over R of prod_k f(a_k t) * sin(b t)/t dt with f the
     band-limited kernel above; equals pi exactly when sum a_k < b.
 
-    Scales are taken as exact rationals (decimal strings are exact) so
-    the oscillation has a true common period for the accelerated
-    infinite integration."""
+    Scales are read exactly (decimal strings are exact) and rounded once
+    to the working precision; sin(b t)/t takes the terms of b sinc(b t)."""
     _check_tol("tol", tol)
-    a_r = [rat(x) for x in a]
-    b_r = rat(b)
-    if any(x <= 0 for x in a_r) or b_r <= 0:
-        raise ValueError("scales and b must be positive")
-    need = int(-mp.log(mpf(tol), 2)) + 30
-    prec = prec_bits or max(80, need)
-    with mp.workprec(prec):
-        period = _common_period(a_r + [b_r])
-        a_mp = [mpf(x.numerator) / mpf(x.denominator) for x in a_r]
-        b_mp = mpf(b_r.numerator) / mpf(b_r.denominator)
-
-        def g(t):
-            v = mpf(b_mp) if t == 0 else mp.sin(b_mp * t) / t
-            for x in a_mp:
-                v *= bandlimited_kernel(x * t)
-            return v
-
-        return 2 * mp.quadosc(g, [0, mp.inf], period=period)
+    a_r, b_r = [rat(x) for x in a], rat(b)
+    if not a_r or any(x <= 0 for x in a_r) or b_r <= 0:
+        raise ValueError("scales (at least one) and b must be positive")
+    with mp.workprec(prec_bits or max(80, int(-mp.log(mpf(tol), 2)) + 30)):
+        a_mp = [mp.fdiv(x.numerator, x.denominator) for x in a_r]
+        b_mp = mp.fdiv(b_r.numerator, b_r.denominator)
+        g = (lambda t: mp.sin(b_mp * t) / t if t else b_mp, [(c * b_mp, w, p) for c, w, p in _sinc_terms(b_mp)])
+        return 2 * _kernel_integral(a_mp, g, mp.fsum(a_mp) + b_mp, tol / 2)
 
 
 def verify_ft_example5(omega_samples, tol: float = 1e-6, prec_bits: int | None = None) -> list:
     """Numerically transform the band-limited kernel and compare with
     its closed form at each frequency sample."""
     _check_tol("tol", tol)
-    need = int(-mp.log(mpf(tol), 2)) + 30
-    prec = prec_bits or max(80, need)
     out = []
-    with mp.workprec(prec):
+    with mp.workprec(prec_bits or max(80, int(-mp.log(mpf(tol), 2)) + 30)):
         for omega in omega_samples:
             w_r = rat(omega)
-            w = abs(mpf(w_r.numerator) / mpf(w_r.denominator))
-            period = _common_period([rat(1), w_r] if w_r != 0 else [rat(1)])
-
-            def h(t, _w=w):
-                return 2 * mp.cos(_w * t) * bandlimited_kernel(t)
-
-            numeric = mp.quadosc(h, [0, mp.inf], period=period)
+            w = abs(mp.fdiv(w_r.numerator, w_r.denominator))
+            g = (lambda t: 2 * mp.cos(w * t), [(mpc(1), w, 0), (mpc(1), -w, 0)])
+            numeric = _kernel_integral([mpf(1)], g, 1 + w, tol)
             closed = mp.pi / (1 - mp.exp(-1)) * mp.exp(-w) if w < 1 else mpf(0)
             out.append(
                 {

@@ -110,6 +110,7 @@ def to_decimal(x, significant_digits: int) -> str:
     if a == 10**significant_digits:
         a //= 10
         e += 1
+    _allow_digits(significant_digits + 16)
     digits = str(a)
     if -4 <= e <= significant_digits - 1:
         if e >= 0:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sincprod import cli
@@ -313,6 +314,24 @@ def test_breakpoint_threshold_beyond_int_str_limit():
     assert proc.stdout.strip() == "6"
 
 
+@pytest.mark.parametrize(
+    "spec, significant", [(["--betas", "1/3,1/5"], "3"), (["--family", "odd-harmonic", "--n", "7"], 5000)]
+)
+def test_digits_beyond_int_str_limit(spec, significant):
+    # a fresh process, as above: 5,000 digits pass the 4,300-digit limit
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sincprod.cli", "--format", "json", "integral", *spec, "--digits", "5000"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    decimal = json.loads(proc.stdout)["decimal"]
+    if isinstance(significant, str):
+        assert decimal == significant  # the exact value 3 has no digits to trim back in
+    else:
+        assert decimal.startswith("0.99999") and len(decimal) - 2 == significant
+
+
 @pytest.mark.parametrize("bits, code", [("abc", 2), ("1e3", 2), ("99999", 0)])
 def test_precision_env_setting(bits, code):
     # a fresh process: the setting is read when sincprod is imported
@@ -338,15 +357,23 @@ BAD_NUMBERS = ["", "1/0", "pi/0", "nan", "inf", "1e400", "-1/2", "2/3/4"]
 numbers = st.sampled_from(BAD_NUMBERS) | st.sampled_from(["1", "1/3", "2", "3/2", "5pi/4"])
 number_lists = st.lists(numbers, min_size=1, max_size=3).map(",".join)
 tolerances = st.sampled_from(["0", "nan", "1e-30", "1e-9"])
+# a head of about 1e9 panels, one of 60, and a transform sample far outside the band
+example5_extras = st.sampled_from(["1e-9", "355/113000", "1e9"])
 
 
 @st.composite
 def cli_argv(draw):
-    """argv for every subcommand but verify and example5, whose run time is quadosc's."""
+    """argv for every subcommand but verify, which reruns the acceptance checks."""
     command = draw(st.sampled_from(
-        ["breakpoint", "integral", "weighted-integral", "deficit", "sum", "lower-bound", "spline-dump"]
+        ["breakpoint", "integral", "weighted-integral", "deficit", "sum", "lower-bound", "spline-dump", "example5"]
     ))
     argv = draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]])) + [command]
+    if command == "example5":
+        pool = numbers | example5_extras
+        tol = "--tol=" + draw(tolerances | example5_extras)
+        if draw(st.booleans()):
+            return argv + ["--ft-omegas=" + draw(st.lists(pool, min_size=1, max_size=3).map(",".join)), tol]
+        return argv + ["--a=" + draw(st.lists(pool, min_size=1, max_size=3).map(",".join)), "--b=" + draw(pool), tol]
     if command == "breakpoint":
         return argv + ["--threshold=" + draw(numbers)]
     if command == "sum":
@@ -362,13 +389,29 @@ def cli_argv(draw):
     return argv
 
 
+def _hung(signum, frame):
+    raise TimeoutError("no exit within 10 s")
+
+
+# inputs at the cost caps run on every call, as random draws may miss them
+@example(argv=["integral", "--betas=1e400,1"])
+@example(argv=["weighted-integral", "--betas=1e400", "--weights", "1000000000"])
+@example(argv=["example5", "--a=1e-9", "--b=1"])
+@example(argv=["example5", "--ft-omegas=1e9"])
 @settings(max_examples=200, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=cli_argv())
 def test_cli_argv_exit_codes(argv):
-    # every argv ends in success, a usage error or an infeasible-path report, never a traceback
+    # every argv ends in success, a usage error or an infeasible-path report, never a traceback;
+    # the deadline is checked only once a call returns, so an alarm fails a call that hangs
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -13,11 +14,14 @@ from sincprod.borwein_engine import (
     point_eval_pruned,
     weighted_integral_exact,
 )
+from sincprod import numeric_oracle
 from sincprod.numeric_oracle import (
+    MAX_ORACLE_WORK,
     RealScales,
     ToleranceUnreachableError,
-    _tail_exact,
-    _trig_combos,
+    _kernel_terms,
+    _sinc_terms,
+    _tail,
     bandlimited_kernel,
     example5_integral,
     lower_bound_check,
@@ -71,18 +75,21 @@ def test_integral_weighted_matches_exact_engine():
 
 
 def test_integral_kernel_factor_counts():
-    # sin(b t)/t = b sinc(b t): one scale plus the kernel is integrable
-    v = numeric_integral(RealScales((1.0,), b=2.0), rel_tol=1e-9)
-    # integral of sinc(t) sin(2t)/t dt = pi (kernel dominates the band)
+    # sin(2t)/t = 2 sinc(2t) is one more scale: the integral of
+    # sinc(t) sin(2t)/t dt is pi, as the wider band covers the narrower
+    v = 2 * numeric_integral([1.0, 2.0], rel_tol=1e-9)
     assert abs(v - float(mp.pi)) < 1e-7
 
 
-def _naive_tail(scales_mp, weight, T):
+def _naive_tail(factors, T):
     """The tail with one E_p call per expansion term, unmerged."""
-    p = len(scales_mp)
-    total = mp.fsum(c * mp.expint(p, -1j * w * T) for c, w in _trig_combos(scales_mp, weight))
-    inv = mp.fprod(1 / a for a in scales_mp)
-    return (inv * T ** (1 - p) * total).real
+    total = mp.mpf(0)
+    for combo in itertools.product(*factors):
+        c = mp.fprod(term[0] for term in combo)
+        w = mp.fsum(term[1] for term in combo)
+        p = sum(term[2] for term in combo)
+        total += (c * T ** (1 - p) * mp.expint(p, -1j * w * T)).real
+    return total
 
 
 @pytest.mark.parametrize(
@@ -98,9 +105,24 @@ def test_tail_merge_matches_naive_sum(scales, weight):
         a_mp = [mp.mpf(a) for a in scales]
         omega_max = mp.fsum(a_mp) + (2 * weight.m + 1) * mp.pi if weight else mp.fsum(a_mp)
         T = mp.pi / omega_max
-        got = _tail_exact(a_mp, weight, T)
+        factors = [_sinc_terms(a) for a in a_mp]
+        if weight:  # 2 cos(k pi t) = e^(i k pi t) + e^(-i k pi t)
+            factors.append([(mp.mpc(1), s * k * mp.pi, 0) for k in weight.multipliers() for s in (1, -1)])
+        got = _tail(factors, T, MAX_ORACLE_WORK)
         with mp.extraprec(128):
-            want = _naive_tail(a_mp, weight, T)
+            want = _naive_tail(factors, T)
+        assert abs(got - want) <= mp.mpf("1e-30") * abs(want)
+
+
+@pytest.mark.parametrize("a, T, J", [([mp.mpf(1) / 2], 9, 2), ([mp.mpf(1) / 2, mp.mpf(3) / 10], 14, 1)])
+def test_kernel_tail_merge_matches_naive_sum(a, T, J):
+    # sin(t)/t times f_J(a_k t): terms of several p share each frequency,
+    # and E_p past E_1 comes from the recurrence
+    with mp.workprec(128):
+        factors = [_sinc_terms(mp.mpf(1))] + [_kernel_terms(x, J) for x in a]
+        got = _tail(factors, mp.mpf(T), MAX_ORACLE_WORK)
+        with mp.extraprec(128):
+            want = _naive_tail(factors, mp.mpf(T))
         assert abs(got - want) <= mp.mpf("1e-30") * abs(want)
 
 
@@ -126,14 +148,14 @@ def _exact_float(x):
         (RealScales(_pi_times([1] * 12)), integral_exact(SincProductSpec.sinc_power(12)).exact_value),
         (RealScales(tuple(_pi_scales(5)), weight=CosineWeightSpec(3)),
          weighted_integral_exact(SincProductSpec.odd_harmonic(5), CosineWeightSpec(3)).exact_value),
-        (RealScales((1,), b=2), None),  # integral of sinc(t) sin(2t)/t is pi
+        (RealScales((1, 2)), None),  # integral of sinc(t) sinc(2t) is pi / 2
     ],
 )
 def test_short_head_tail_keeps_working_precision(scales, want):
     # T = pi / omega_max makes the tail terms cancel by up to 2^26; at
     # 106 working bits, 1e-25 needs the tail's guard bits
     with mp.workprec(200):
-        want = +mp.pi if want is None else _exact_float(want)
+        want = mp.pi / 2 if want is None else _exact_float(want)
     v = numeric_integral(scales, rel_tol=1e-20, prec_bits=106)
     assert abs(v - want) <= mp.mpf("1e-25") * abs(want)
 
@@ -183,8 +205,6 @@ def test_integral_rejects_single_factor():
 def test_real_scales_reject_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         RealScales((bad, 1.0))
-    with pytest.raises(ValueError, match="finite"):
-        RealScales((1.0, 1.0), b=bad)
 
 
 # -- sums ---------------------------------------------------------------------
@@ -398,6 +418,7 @@ def test_example5_integral_is_pi():
 def test_example5_violated_hypothesis_departs_from_pi():
     v = example5_integral(["0.9"], "0.5", tol=1e-4)
     assert abs(v - mp.pi) > 0.5
+    assert abs(v - mp.mpf("2.11841412737914")) < 1e-4
 
 
 def test_ft_closed_form():
@@ -415,5 +436,51 @@ def test_ft_vanishes_outside_band():
 def test_example5_rejects_bad_inputs():
     with pytest.raises(ValueError):
         example5_integral(["-1"], 1)
-    with pytest.raises(ToleranceUnreachableError):
-        example5_integral(["355/113000"], rat(1, 7), tol=1e-4)  # absurdly long period
+    with pytest.raises(ValueError):
+        example5_integral([], 1)
+    # scales on a fine rational lattice need no common period: 60 head panels
+    assert abs(example5_integral(["355/113000"], rat(1, 7), tol=1e-4) - mp.pi) < 1e-4
+    # a head of 4e9 / pi panels is refused before any of them is integrated
+    for a, b, omegas in [(["1e-9"], 1, None), (None, None, ["1e9"])]:
+        t0 = time.perf_counter()
+        with pytest.raises(ToleranceUnreachableError, match="panels"):
+            example5_integral(a, b) if omegas is None else verify_ft_example5(omegas)
+        assert time.perf_counter() - t0 < 1
+
+
+# each kernel case: the value at a tolerance, and the factor from the half-line to it
+KERNEL_CASES = {
+    "example5-0.5,0.3": (lambda tol: example5_integral(["0.5", "0.3"], 1, tol=tol), 2),
+    "example5-0.9": (lambda tol: example5_integral(["0.9"], "0.5", tol=tol), 2),
+    **{
+        "ft-" + w: (lambda tol, w=w: mp.mpf(verify_ft_example5([w], tol=tol)[0]["numeric"]), 1)
+        for w in ["0", "1/2", "3/2"]
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_kernel_tail_start_moves_value_within_tol(monkeypatch, case):
+    run, _ = KERNEL_CASES[case]
+    v = run(1e-6)
+    monkeypatch.setattr(numeric_oracle, "KERNEL_TAIL_START", 8)
+    assert abs(run(1e-6) - v) <= 1e-6
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_kernel_series_cut_within_truncation_bound(monkeypatch, case):
+    # eight more terms of 1/(1 + x^2) move the value by no more than the
+    # bound reported for the first cut
+    run, half_to_value = KERNEL_CASES[case]
+    bound = numeric_oracle._truncation_bound
+    seen = []
+
+    def spy(*args):
+        seen.append((args[3], bound(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(numeric_oracle, "_truncation_bound", spy)
+    v = run(1e-4)
+    J, b = seen[-1]
+    monkeypatch.setattr(numeric_oracle, "_truncation_bound", lambda *args: mp.inf if args[3] < J + 8 else bound(*args))
+    assert abs(run(1e-4) - v) <= half_to_value * b
