@@ -43,25 +43,14 @@ from .rational import Rat, rat, rat_str, to_decimal
 from .spline_engine import SIZE_GUARD_DEFAULT, PiecewisePolynomial, SplineSizeError
 
 NODE_BUDGET_DEFAULT = 10**8
-MAX_SAMPLE_POINTS = 10**4  # sample points of F per request, each at least one DP
+MAX_SAMPLE_POINTS = 10**4  # sample points of F per request, each one pruned DP
 _LAYER_CAP = 1 << 16  # DP entries held at once per chunk, which bounds memory
 
 
-class NodeBudgetError(Exception):
-    """The pruned knot DP expanded more entries than its node budget."""
-
-    def __init__(self, visited, surviving, budget):
-        self.visited = visited
-        self.surviving = surviving
-        self.budget = budget
-        super().__init__(
-            "pruned knot DP exceeded the node budget "
-            "(%d entries expanded, %d surviving knots, budget %d)" % (visited, surviving, budget)
-        )
-
-
 class ExactPathUnavailableError(Exception):
-    """Neither the spline nor pruned evaluation can produce the exact value.
+    """The exact value needs more sample points than MAX_SAMPLE_POINTS,
+    or a point needs more pruned knot entries than its node budget; a
+    budget breach carries visited, surviving and budget.
 
     The numeric oracle (sincprod.numeric_oracle) is the fallback for
     these inputs.
@@ -167,10 +156,18 @@ def _integer_scales(spec: SincProductSpec):
     return L, scales, math.factorial(n) * 2**n * math.prod(scales)
 
 
-def _check_size(spec: SincProductSpec, size_guard: int) -> None:
-    """Refuse a full knot measure whose projected knot count exceeds the
-    size guard: a scale appearing m times contributes a factor m+1, so
-    the projection is prod (m_i + 1) over distinct scales, up to 2^(n+1)."""
+def fourier_spline(spec: SincProductSpec, size_guard: int = SIZE_GUARD_DEFAULT) -> PiecewisePolynomial:
+    """Normalized transform F of the sinc product, as an exact spline.
+
+    Breakpoints are all signed sums of the scales, weight-0 knots
+    included.  Walking the knots right to left, the piece left of knot
+    s_j has the coefficient of x^k equal to
+    C binom(n, k) (-1)^k m_(n-k) / L^(n-k), with the integer suffix
+    moments m_i = sum_{s >= s_j} w_s s^i.  A build whose projected knot
+    count exceeds the size guard is refused up front: a scale appearing
+    m times contributes a factor m+1, so the projection is
+    prod (m_i + 1) over distinct scales, up to 2^(n+1).
+    """
     projected = 1
     for mult in Counter(spec.betas).values():
         projected *= mult + 1
@@ -179,19 +176,6 @@ def _check_size(spec: SincProductSpec, size_guard: int) -> None:
                 "projected breakpoint count %s exceeds the size guard %d; "
                 "use point_eval_pruned for single points" % (projected, size_guard)
             )
-
-
-def fourier_spline(spec: SincProductSpec, size_guard: int = SIZE_GUARD_DEFAULT) -> PiecewisePolynomial:
-    """Normalized transform F of the sinc product, as an exact spline.
-
-    Breakpoints are all signed sums of the scales, weight-0 knots
-    included.  Walking the knots right to left, the piece left of knot
-    s_j has the coefficient of x^k equal to
-    C binom(n, k) (-1)^k m_(n-k) / L^(n-k), with the integer suffix
-    moments m_i = sum_{s >= s_j} w_s s^i.  Oversized builds are
-    refused up front (see _check_size).
-    """
-    _check_size(spec, size_guard)
     L, scales, D = _integer_scales(spec)
     n = len(scales) - 1
     knots = {0: 1}
@@ -264,7 +248,12 @@ def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
                     continue
                 stats.visited += 1
                 if stats.visited > node_budget:
-                    raise NodeBudgetError(stats.visited, stats.surviving, node_budget)
+                    err = ExactPathUnavailableError(
+                        "exact path unavailable: F(%s) needs more than %d pruned knot entries; use the "
+                        "numeric oracle (sincprod.numeric_oracle) instead" % (x, node_budget)
+                    )
+                    err.visited, err.surviving, err.budget = stats.visited, stats.surviving, node_budget
+                    raise err
                 # a child that cannot pass x L with every remaining scale added contributes 0
                 if s + b + rest > floor:
                     merged[s + b] += w
@@ -287,48 +276,26 @@ def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
 # ---------------------------------------------------------------------------
 
 
-def _eval_points(spec, points, node_budget, size_guard):
-    """Exact F at each point by the pruned DP.  Once a point runs out of
-    node budget, the rest run unbudgeted if the full knot measure fits
-    the size guard, whose knot count bounds every DP layer."""
-    values = []
-    for p in points:
-        try:
-            value, _ = _point_eval_pruned_stats(spec, p, node_budget=node_budget)
-        except NodeBudgetError as exc:
-            try:
-                _check_size(spec, size_guard)
-            except SplineSizeError:
-                raise ExactPathUnavailableError(
-                    "exact path unavailable: F(%s) needs more than %d pruned knot entries and the "
-                    "full knot measure exceeds the size guard; use the numeric oracle "
-                    "(sincprod.numeric_oracle.numeric_integral) instead" % (p, exc.budget)
-                ) from exc
-            node_budget = math.inf
-            value, _ = _point_eval_pruned_stats(spec, p, node_budget=node_budget)
-        values.append(value)
-    return values
-
-
-def _sample_report(spec, top, digits, node_budget, size_guard) -> EvalReport:
+def _sample_report(spec, top, digits, node_budget) -> EvalReport:
     """Integral of W f for the weight W = 1 (top = 0) or W_m (top = 2m+1).
 
     With a unit scale the value is 1 - 2 sum F(q) over q = top+2,
     top+4, ... inside the support, and radius < top+2 certifies 1
     outright.  Otherwise it is F(0), or 2 (F(1) + F(3) + ... + F(top)),
     where the points past the radius, at which F vanishes, are skipped.
+    Each point is one pruned DP within node_budget entries.
     """
     radius = spec.support_radius()
     edge = math.floor(radius)  # a point exactly at the radius may carry a jump
-    if spec.has_unit_scale():
-        if radius < top + 2:
-            return _report(rat(1), digits, radius, deficit=rat(0), certified=True)
-        points = _sample_points(top + 2, edge)
-        values = _eval_points(spec, points, node_budget, size_guard)
-        deficit = 2 * sum(values, rat(0))
-        return _report(1 - deficit, digits, radius, deficit=deficit, terms=zip(points, values))
-    values = _eval_points(spec, _sample_points(top % 2, min(top, edge)), node_budget, size_guard)
-    return _report(values[0] if top == 0 else 2 * sum(values, rat(0)), digits, radius)
+    unit = spec.has_unit_scale()
+    if unit and radius < top + 2:
+        return _report(rat(1), digits, radius, deficit=rat(0), certified=True)
+    points = _sample_points(top + 2, edge) if unit else _sample_points(top % 2, min(top, edge))
+    values = [_point_eval_pruned_stats(spec, x, node_budget)[0] for x in points]
+    if not unit:
+        return _report(values[0] if top == 0 else 2 * sum(values, rat(0)), digits, radius)
+    deficit = 2 * sum(values, rat(0))
+    return _report(1 - deficit, digits, radius, deficit=deficit, terms=zip(points, values))
 
 
 def _sample_points(start, stop):
@@ -356,7 +323,6 @@ def integral_exact(
     spec: SincProductSpec,
     digits: int = 12,
     node_budget: int = NODE_BUDGET_DEFAULT,
-    size_guard: int = SIZE_GUARD_DEFAULT,
 ) -> EvalReport:
     """Exact integral of prod_k sinc(beta_k pi t) over the real line.
 
@@ -366,7 +332,7 @@ def integral_exact(
     scale the value is F(0), which needs the whole knot measure above 0
     and may be infeasible for large specs.
     """
-    return _sample_report(spec, 0, digits, node_budget, size_guard)
+    return _sample_report(spec, 0, digits, node_budget)
 
 
 def weighted_integral_exact(
@@ -374,7 +340,6 @@ def weighted_integral_exact(
     weights: CosineWeightSpec,
     digits: int = 12,
     node_budget: int = NODE_BUDGET_DEFAULT,
-    size_guard: int = SIZE_GUARD_DEFAULT,
 ) -> EvalReport:
     """Exact integral of W_m(t) * prod_k sinc(beta_k pi t), which equals
     2 (F(1) + F(3) + ... + F(2m+1)).
@@ -383,7 +348,7 @@ def weighted_integral_exact(
     1 - 2 sum F(q) over odd q > 2m+1 inside the support; radius < 2m+3
     certifies the value 1 outright.
     """
-    return _sample_report(spec, 2 * weights.m + 1, digits, node_budget, size_guard)
+    return _sample_report(spec, 2 * weights.m + 1, digits, node_budget)
 
 
 def deficit_report(
@@ -391,7 +356,6 @@ def deficit_report(
     weights: CosineWeightSpec | None = None,
     digits: int = 10,
     node_budget: int = NODE_BUDGET_DEFAULT,
-    size_guard: int = SIZE_GUARD_DEFAULT,
 ) -> EvalReport:
     """Report whose exact_value IS the deficit 1 - integral.
 
@@ -403,9 +367,9 @@ def deficit_report(
     if not spec.has_unit_scale():
         raise ValueError("deficit is defined only for specs containing a unit scale")
     base = (
-        integral_exact(spec, digits, node_budget, size_guard)
+        integral_exact(spec, digits, node_budget)
         if weights is None
-        else weighted_integral_exact(spec, weights, digits, node_budget, size_guard)
+        else weighted_integral_exact(spec, weights, digits, node_budget)
     )
     return replace(base, exact_value=base.deficit, decimal=to_decimal(base.deficit, digits))
 

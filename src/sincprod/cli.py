@@ -24,7 +24,6 @@ from .borwein_engine import (
     NODE_BUDGET_DEFAULT,
     CosineWeightSpec,
     ExactPathUnavailableError,
-    NodeBudgetError,
     SincProductSpec,
     deficit_report,
     fourier_spline,
@@ -43,6 +42,7 @@ from .exact_core import (
 from .numeric_oracle import (
     ToleranceUnreachableError,
     example5_integral,
+    kernel_prec_bits,
     lower_bound_check,
     numeric_sum,
     verify_ft_example5,
@@ -56,7 +56,6 @@ EXIT_INFEASIBLE = 3
 
 INFEASIBLE_ERRORS = (
     SplineSizeError,
-    NodeBudgetError,
     ExactPathUnavailableError,
     NonTerminatingSearchError,
     ToleranceUnreachableError,
@@ -142,11 +141,13 @@ def _add_spec_flags(p):
     p.add_argument("--betas", help='comma list of rational scales, e.g. "1,1/3,1/5"')
     p.add_argument("--family", choices=["odd-harmonic", "sinc-power"])
     p.add_argument("--n", type=int, help="family size parameter")
+
+
+def _add_eval_flags(p, digits):
+    _add_spec_flags(p)
     p.add_argument("--node-budget", type=_positive_int, default=NODE_BUDGET_DEFAULT,
-                   help="cap on the knot entries the pruned DP expands per sample point "
-                        "before it falls back to the full knot measure")
-    p.add_argument("--size-guard", type=_positive_int, default=SIZE_GUARD_DEFAULT,
-                   help="knot-count cap for the full knot measure and spline builds")
+                   help="cap on the knot entries the pruned DP expands per sample point")
+    p.add_argument("--digits", type=int, default=digits)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,24 +167,21 @@ def build_parser() -> argparse.ArgumentParser:
                         % MAX_PRECISION_BITS)
 
     p = sub.add_parser("integral", help="exact integral of the sinc product")
-    _add_spec_flags(p)
-    p.add_argument("--digits", type=int, default=12)
+    _add_eval_flags(p, digits=12)
 
     p = sub.add_parser("weighted-integral", help="exact odd-cosine weighted integral")
-    _add_spec_flags(p)
+    _add_eval_flags(p, digits=12)
     p.add_argument(
         "--weights", type=int, required=True,
         help="number of cosine terms: 1 means 2cos(pi t), 2 adds 2cos(3 pi t), ...",
     )
-    p.add_argument("--digits", type=int, default=12)
 
     p = sub.add_parser("deficit", help="exact deficit 1 - integral")
-    _add_spec_flags(p)
+    _add_eval_flags(p, digits=10)
     p.add_argument(
         "--weights", type=int, default=0,
         help="number of cosine terms (0 = plain unweighted integral)",
     )
-    p.add_argument("--digits", type=int, default=10)
 
     p = sub.add_parser("sum", help="numeric integer-sample sum with rigorous tail bound")
     p.add_argument("--scales", required=True, help='comma list, e.g. "5pi/4,1,1"')
@@ -206,6 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spline-dump", help="emit the transform spline as CSV pieces")
     _add_spec_flags(p)
+    p.add_argument("--size-guard", type=_positive_int, default=SIZE_GUARD_DEFAULT,
+                   help="cap on the projected knot count of the spline")
     p.add_argument("--output", help="file path, default stdout")
 
     p = sub.add_parser("verify", help="run the acceptance self-checks")
@@ -241,20 +241,19 @@ def _run(args) -> int:
 
     if args.command in ("integral", "weighted-integral", "deficit"):
         spec = _parse_spec(args)
-        limits = {"node_budget": args.node_budget, "size_guard": args.size_guard}
         if args.command == "integral":
-            report = integral_exact(spec, digits=args.digits, **limits)
+            report = integral_exact(spec, digits=args.digits, node_budget=args.node_budget)
             weights = None
         elif args.command == "weighted-integral":
             if args.weights < 1:
                 raise _UsageError("--weights must be >= 1 for weighted-integral")
             weights = CosineWeightSpec(args.weights - 1)
-            report = weighted_integral_exact(spec, weights, digits=args.digits, **limits)
+            report = weighted_integral_exact(spec, weights, digits=args.digits, node_budget=args.node_budget)
         else:
             if args.weights < 0:
                 raise _UsageError("--weights must be >= 0")
             weights = CosineWeightSpec(args.weights - 1) if args.weights else None
-            report = deficit_report(spec, weights, digits=args.digits, **limits)
+            report = deficit_report(spec, weights, digits=args.digits, node_budget=args.node_budget)
         _emit(report.to_dict(args.command, spec, weights), fmt)
         return EXIT_OK
 
@@ -283,13 +282,15 @@ def _run(args) -> int:
         if not args.a or not args.b:
             raise _UsageError("example5 needs --a and --b (or --ft-omegas)")
         value = example5_integral(args.a.split(","), args.b, tol=args.tol)
+        with mp.workprec(kernel_prec_bits(args.tol)):
+            pi_difference = value - mp.pi
         _emit(
             {
                 "command": "example5",
                 "a": args.a,
                 "b": args.b,
                 "value": mp.nstr(value, 17),
-                "pi_difference": mp.nstr(value - mp.pi, 5),
+                "pi_difference": mp.nstr(pi_difference, 5),
             },
             fmt,
         )

@@ -36,6 +36,7 @@ the Hurwitz zeta(p, N) plus a bound for its drift.  N scales as
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from math import inf
 
@@ -285,6 +286,20 @@ def _head_length(p, dist):
     return int(mp.ceil(4 * (p + 8) / dist))
 
 
+def _near_prefix(freqs, dists, p, limit):
+    """Length of the longest prefix of near-1 frequencies whose drift
+    bound, at the N the rest would need, stays within limit.  freqs are
+    sorted by their distances |1 - z|, so a longer prefix leaves a
+    larger next distance and a smaller N, and its drift bound cannot
+    fall: the length is found by bisection."""
+
+    def drift(k):
+        N = _head_length(p, dists[k] if k < len(freqs) else 2)
+        return mp.fsum(abs(c) * _drift_bound(p, N, w) for c, w in freqs[:k])
+
+    return bisect.bisect_right(range(1, len(freqs) + 1), limit, key=drift)
+
+
 def _by_parts(freqs, p, N, target):
     """sum_{m>=N} z^m m^(-p) for each z = e^(i w) of freqs, by
     summation by parts (DLMF 2.10(ii)) taken K times:
@@ -378,15 +393,7 @@ def numeric_sum(
         freqs = sorted(((c, w) for c, w, _ in _merge_frequencies(terms, 2 * mp.pi)), key=lambda cw: cw[1])
         dists = [abs(1 - mp.expj(w)) for _, w in freqs]
 
-        # the longest prefix of near-1 frequencies whose drift bound,
-        # at the N the rest would need, fits in half the tolerance
-        near = 0
-        while near < len(freqs):
-            N = _head_length(p, dists[near + 1] if near + 1 < len(freqs) else 2)
-            drift = mp.fsum(abs(c) * _drift_bound(p, N, w) for c, w in freqs[: near + 1])
-            if drift > tol / 2:
-                break
-            near += 1
+        near = _near_prefix(freqs, dists, p, tol / 2)
         N = _head_length(p, dists[near] if near < len(freqs) else 2)
         rest = freqs[near:]
         target = tol / (2 * mp.fsum(abs(c) for c, _ in rest)) if rest else 0
@@ -541,6 +548,11 @@ def _kernel_integral(a_mp, g, omega_max, tol):
     return value
 
 
+def kernel_prec_bits(tol) -> int:
+    """Working precision of the kernel integrals at tol: 30 bits past it, at least 80."""
+    return max(80, int(-mp.log(mpf(tol), 2)) + 30)
+
+
 def example5_integral(a, b, tol: float = 1e-6, prec_bits: int | None = None):
     """integral over R of prod_k f(a_k t) * sin(b t)/t dt with f the
     band-limited kernel above; equals pi exactly when sum a_k < b.
@@ -551,7 +563,7 @@ def example5_integral(a, b, tol: float = 1e-6, prec_bits: int | None = None):
     a_r, b_r = [rat(x) for x in a], rat(b)
     if not a_r or any(x <= 0 for x in a_r) or b_r <= 0:
         raise ValueError("scales (at least one) and b must be positive")
-    with mp.workprec(prec_bits or max(80, int(-mp.log(mpf(tol), 2)) + 30)):
+    with mp.workprec(prec_bits or kernel_prec_bits(tol)):
         a_mp = [mp.fdiv(x.numerator, x.denominator) for x in a_r]
         b_mp = mp.fdiv(b_r.numerator, b_r.denominator)
         g = (lambda t: mp.sin(b_mp * t) / t if t else b_mp, [(c * b_mp, w, p) for c, w, p in _sinc_terms(b_mp)])
@@ -563,7 +575,7 @@ def verify_ft_example5(omega_samples, tol: float = 1e-6, prec_bits: int | None =
     its closed form at each frequency sample."""
     _check_tol("tol", tol)
     out = []
-    with mp.workprec(prec_bits or max(80, int(-mp.log(mpf(tol), 2)) + 30)):
+    with mp.workprec(prec_bits or kernel_prec_bits(tol)):
         for omega in omega_samples:
             w_r = rat(omega)
             w = abs(mp.fdiv(w_r.numerator, w_r.denominator))

@@ -8,7 +8,6 @@ from sincprod import borwein_engine
 from sincprod.borwein_engine import (
     CosineWeightSpec,
     ExactPathUnavailableError,
-    NodeBudgetError,
     SincProductSpec,
     _point_eval_pruned_stats,
     deficit_report,
@@ -121,31 +120,27 @@ def test_pruned_matches_spline_randomized(monkeypatch):
 
 def test_pruned_budget_error_reports_counts():
     spec = SincProductSpec(tuple(rat(1, k + 2) for k in range(12)))
-    with pytest.raises(NodeBudgetError) as err:
+    with pytest.raises(ExactPathUnavailableError) as err:
         point_eval_pruned(spec, 0, node_budget=50)
     assert err.value.visited > 50
     assert err.value.budget == 50
 
 
-def test_budget_exhaustion_falls_back_once(monkeypatch):
-    # one point out of budget switches every later point to the
-    # unbudgeted DP, instead of burning the budget again at each
-    spec = SincProductSpec.sinc_power(30)
-    exhausted = []
+def test_budget_exhaustion_refuses_after_one_dp(monkeypatch):
+    # the first point over budget refuses the request; no point is rerun
+    calls = []
     real = borwein_engine._point_eval_pruned_stats
 
     def counting(*args, **kwargs):
-        try:
-            return real(*args, **kwargs)
-        except NodeBudgetError as exc:
-            exhausted.append(exc)
-            raise
+        calls.append(args[1])
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(borwein_engine, "_point_eval_pruned_stats", counting)
-    rep = deficit_report(spec, node_budget=20)
-    assert len(exhausted) == 1
-    assert len(rep.deficit_terms) == 15
-    assert rep.exact_value == deficit_report(spec).exact_value
+    with pytest.raises(ExactPathUnavailableError) as err:
+        deficit_report(SincProductSpec.sinc_power(30), node_budget=20)
+    assert err.value.visited > 20 and err.value.budget == 20
+    assert "numeric oracle" in str(err.value)
+    assert len(calls) == 1
 
 
 def test_pruned_evenness():

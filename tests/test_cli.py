@@ -3,11 +3,13 @@ import io
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -154,14 +156,12 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_infeasible_exact_path_exits_three(capsys):
-    code, out, _ = run_cli(
-        capsys, "--format", "json", "integral", "--betas",
-        ",".join("1/%d" % (k + 2) for k in range(25)),
-        "--node-budget", "10000",
-    )
-    assert code == 3
-    d = json.loads(out)
-    assert d["error"]["type"] == "ExactPathUnavailableError"
+    # a sample point over its node budget refuses the request, however few knots the spec has
+    for betas, budget in [(",".join("1/%d" % (k + 2) for k in range(25)), "10000"), ("1/2,1/3", "1")]:
+        code, out, _ = run_cli(capsys, "--format", "json", "integral", "--betas", betas, "--node-budget", budget)
+        assert code == 3
+        d = json.loads(out)
+        assert d["error"]["type"] == "ExactPathUnavailableError"
 
 
 def test_former_budget_fallbacks_are_fast(capsys):
@@ -248,6 +248,9 @@ def test_bad_example5_tol_exits_two(capsys, command, tol):
         (["integral", "--betas", "1,1", "--node-budget", "-1"], "--node-budget"),
         (["integral", "--betas", "1,1", "--size-guard", "0"], "--size-guard"),
         (["spline-dump", "--betas", "1,1", "--size-guard", "0"], "--size-guard"),
+        # each limit belongs to one kind of operation
+        (["integral", "--betas", "1,1", "--size-guard", "5"], "--size-guard"),
+        (["spline-dump", "--betas", "1,1", "--node-budget", "1"], "--node-budget"),
     ],
 )
 def test_bad_inputs_exit_two_with_a_message(capsys, argv, message):
@@ -383,7 +386,7 @@ def cli_argv(draw):
         return argv + ["--a0=" + draw(numbers), "--rest=" + draw(number_lists), "--abs-tol=" + draw(tolerances)]
     family = ["--family", draw(st.sampled_from(["odd-harmonic", "sinc-power"])), "--n", str(draw(st.integers(-1, 12)))]
     argv += draw(st.sampled_from([family, ["--betas=" + draw(number_lists)]]))
-    argv += draw(st.sampled_from([[], ["--node-budget", "1"]]))
+    argv += draw(st.sampled_from([[], ["--size-guard" if command == "spline-dump" else "--node-budget", "1"]]))
     if command in ("weighted-integral", "deficit"):
         argv += ["--weights", str(draw(st.sampled_from([-1, 0, 1, 2, 7, 10**9])))]
     return argv
@@ -422,6 +425,34 @@ def test_csv_format(capsys):
     assert code == 0
     assert lines[0].startswith("command,")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, gap",
+    [(["--a", "0.5,0.3", "--b", "1"], "1.2199e-9"), (["--a", "1", "--b", "1", "--tol", "1e-30"], "-5.5256e-33")],
+)
+def test_example5_pi_difference_at_working_precision(capsys, argv, gap):
+    # at 53 bits the second gap would read as the rounding of pi, 1.2246e-16
+    code, out, _ = run_cli(capsys, "--format", "json", "example5", *argv)
+    assert code == 0 and json.loads(out)["pi_difference"] == gap
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sincprod ")]
+    return [line for line in lines if shlex.split(line)[1] != "verify"]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_lines_run(capsys, monkeypatch, tmp_path, line):
+    # every documented command but verify exits 0, and prints the value its "# -> value" comment names
+    monkeypatch.chdir(tmp_path)
+    command, _, comment = line.partition("#")
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+    if comment.strip().startswith("->"):
+        assert out.strip() == comment.strip()[2:].strip()
 
 
 @pytest.mark.slow

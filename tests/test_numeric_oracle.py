@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 
 import mpmath as mp
@@ -19,7 +20,10 @@ from sincprod.numeric_oracle import (
     MAX_ORACLE_WORK,
     RealScales,
     ToleranceUnreachableError,
+    _drift_bound,
+    _head_length,
     _kernel_terms,
+    _near_prefix,
     _sinc_terms,
     _tail,
     bandlimited_kernel,
@@ -259,6 +263,35 @@ def test_sum_near_resonance_refused_at_once():
     with pytest.raises(ToleranceUnreachableError):
         numeric_sum([1.0, 1.0, 2 * float(mp.pi) - 2 + 1e-7], abs_tol=1e-14)
     assert time.perf_counter() - t0 < 1
+
+
+def _near_prefix_linear(freqs, dists, p, limit):
+    """The reference for _near_prefix: grow the prefix one frequency at
+    a time until its drift bound passes limit."""
+    near = 0
+    while near < len(freqs):
+        N = _head_length(p, dists[near + 1] if near + 1 < len(freqs) else 2)
+        if mp.fsum(abs(c) * _drift_bound(p, N, w) for c, w in freqs[: near + 1]) > limit:
+            break
+        near += 1
+    return near
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 7, 12])
+def test_near_prefix_bisection_matches_linear_scan(p):
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(60):
+        # merged frequencies are distinct, at distances to resonance over many decades, one of them maybe 0
+        ws = sorted({mp.mpf(10) ** rng.uniform(-12, 0.49) for _ in range(rng.randint(0, 30))})
+        ws = [mp.mpf(0)] * (rng.random() < 0.3) + ws
+        freqs = [(mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)), w) for w in ws]
+        dists = [abs(1 - mp.expj(w)) for w in ws]
+        limit = mp.mpf(10) ** rng.uniform(-8 * p, -2)
+        near = _near_prefix(freqs, dists, p, limit)
+        assert near == _near_prefix_linear(freqs, dists, p, limit), (ws, limit)
+        seen.add(0 < near < len(ws))
+    assert seen == {False, True}  # both whole and partial prefixes occur
 
 
 def _poisson(betas, alternating):
