@@ -8,9 +8,10 @@ arbitrary precision arithmetic; the working precision defaults to
 SINCPROD_PRECISION_BITS (clamped to 96 ... 16384 bits) so that ten
 matching decimal digits can be certified comfortably.
 
-Every integral is a head [0, T], integrated directly in mp.quad panels
-half a period of the fastest frequency wide, plus a closed-form tail:
-past T each factor is a finite sum of terms c e^(i w t) t^(-p), and
+Every integral is a head [0, T], integrated directly in Gauss-Legendre
+mp.quad panels half a period of the fastest frequency wide (the
+integrand is entire, so the rule converges fast), plus a closed-form
+tail: past T each factor is a finite sum of terms c e^(i w t) t^(-p), and
 each term integral_T^inf e^(i w t) t^(-p) dt equals T^(1-p) E_p(-i w T),
 with E_p the generalized exponential integral (DLMF 8.19), for any
 T > 0.  Equal (w, p) are merged and each conjugate pair +-w shares one
@@ -21,13 +22,17 @@ x = a T >= 4 in 1/(1 + x^2) = sum_j (-1)^j x^(-2j-2), and the series is
 cut where a rigorous bound on the rest fits in the tolerance.  The tail
 is accurate to working precision, with guard bits for the cancellation
 a short head leaves, instead of needing the astronomically large
-truncation points an absolute-value bound would demand.
+truncation points an absolute-value bound would demand.  The error
+estimate held to rel_tol or abs_tol is the quadrature's plus the
+rounding of head + tail, which is all that is left of an integral
+that is exactly 0.
 
 Sums of sinc products over the integers work the same way: m below N
 is summed directly, and past N the summand is exactly a trigonometric
 sum over m^p whose frequencies, reduced modulo 2 pi, are merged and
 conjugate-paired as for integrals.  Each term sum_{m>=N} z^m m^(-p)
-takes a few steps of summation by parts (DLMF 2.10(ii)); as m^(-p) is
+takes a few steps of summation by parts (DLMF 2.10(ii)), from forward
+differences of m^(-p) formed exactly in integers; as m^(-p) is
 completely monotone, the remainder is at most the last term kept, so
 the tail bound is rigorous.  A frequency at z = 1 up to rounding takes
 the Hurwitz zeta(p, N) plus a bound for its drift.  N scales as
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from math import inf
+from math import inf, lcm
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -204,18 +209,22 @@ def _tail(factors, T, budget):
 
 
 def _head_tail(factors, T, panels):
-    """(integral_0^inf prod f dt, the quadrature's error estimate) for
-    factors (f, terms), each f equal to its terms past T: the head [0, T]
-    in panels mp.quad panels, the tail by _tail.  Work past MAX_ORACLE_WORK
-    (a tail term formed counts 1, a panel costs about as much as 200
-    terms) raises ToleranceUnreachableError before it is done."""
+    """(integral_0^inf prod f dt, an error estimate) for factors
+    (f, terms), each f equal to its terms past T: the head [0, T] in
+    panels Gauss-Legendre panels of mp.quad, the tail by _tail.  The
+    estimate is the quadrature's plus one rounding of |head| + |tail|,
+    so a head and tail that cancel to noise do not pass as accurate.
+    Work past MAX_ORACLE_WORK (a tail term formed counts 1, a panel
+    costs about as much as 200 terms) raises ToleranceUnreachableError
+    before it is done."""
     budget = MAX_ORACLE_WORK - 200 * panels
     if budget < 0:
         raise ToleranceUnreachableError("the head [0, %s] needs %d quadrature panels, past the work cap"
                                         % (mp.nstr(T, 5), panels))
     tail = _tail([terms for _, terms in factors], T, budget)
-    head, err = mp.quad(lambda t: mp.fprod(f(t) for f, _ in factors), mp.linspace(0, T, panels + 1), error=True)
-    return head + tail, err
+    head, err = mp.quad(lambda t: mp.fprod(f(t) for f, _ in factors), mp.linspace(0, T, panels + 1),
+                        method="gauss-legendre", error=True)
+    return head + tail, err + mp.eps * (abs(head) + abs(tail))
 
 
 def numeric_integral(
@@ -300,6 +309,21 @@ def _near_prefix(freqs, dists, p, limit):
     return bisect.bisect_right(range(1, len(freqs) + 1), limit, key=drift)
 
 
+def _differences(p, N, K):
+    """[Delta^k g(N) for k < K], g(m) = m^(-p), each the exact rational
+    rounded once to the working precision.  The table is formed in
+    integers over P = lcm(N, ..., N + K - 1)^p, the common denominator
+    of g(N), ..., g(N + K - 1), because the differences cancel by up to
+    (2N)^K."""
+    P = lcm(*range(N, N + K)) ** p
+    row = [P // (N + j) ** p for j in range(K)]
+    diffs = []
+    for _ in range(K):
+        diffs.append(mp.fdiv(row[0], P))
+        row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
+    return diffs
+
+
 def _by_parts(freqs, p, N, target):
     """sum_{m>=N} z^m m^(-p) for each z = e^(i w) of freqs, by
     summation by parts (DLMF 2.10(ii)) taken K times:
@@ -311,40 +335,33 @@ def _by_parts(freqs, p, N, target):
     the size of the last term kept.  The terms shrink by about
     (p + k) / (N |1 - z|), so they are added while they shrink, up to
     K ~ N min|1 - z| of them, which costs nothing past the table of
-    differences.  Returns sum_j Re(c_j * tail_j) and
-    sum_j |c_j| * size_j, or None when the last term kept for some
-    frequency is above target (a longer head is then needed).
-
-    The forward differences cancel by up to (2N)^K, so they are
-    formed with K log2(2 (N + K)) guard bits."""
+    differences (_differences, exact up to one rounding each).  Returns
+    sum_j Re(c_j * tail_j) and sum_j |c_j| * size_j, or None when the
+    last term kept for some frequency is above target (a longer head
+    is then needed)."""
     K = int(N * min(abs(1 - mp.expj(w)) for _, w in freqs)) + 1
-    with mp.extraprec(K * (int(mp.log(N + K, 2)) + 2)):
-        row = [mpf(N + j) ** -p for j in range(K)]
-        diffs = []
-        for _ in range(K):
-            diffs.append(row[0])
-            row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
-        value = bound = mpf(0)
-        for c, w in freqs:
-            z = mp.expj(w)
-            step = z / (1 - z)
-            t = mp.expj(w * N) / (1 - z)
-            # |term_k| = |Delta^k g(N)| / |1 - z|^(k+1), as |z| = 1
-            inv_dist = 1 / abs(1 - z)
-            s, last, scale = mpc(0), mp.inf, inv_dist
-            for d in diffs:
-                size = abs(d) * scale
-                if size >= last:
-                    break
-                s += t * d
-                last = size
-                t *= step
-                scale *= inv_dist
-            if last > target:
-                return None
-            value += (c * s).real
-            bound += abs(c) * last
-        return +value, +bound
+    diffs = _differences(p, N, K)
+    value = bound = mpf(0)
+    for c, w in freqs:
+        z = mp.expj(w)
+        step = z / (1 - z)
+        t = mp.expj(w * N) / (1 - z)
+        # |term_k| = |Delta^k g(N)| / |1 - z|^(k+1), as |z| = 1
+        inv_dist = 1 / abs(1 - z)
+        s, last, scale = mpc(0), mp.inf, inv_dist
+        for d in diffs:
+            size = abs(d) * scale
+            if size >= last:
+                break
+            s += t * d
+            last = size
+            t *= step
+            scale *= inv_dist
+        if last > target:
+            return None
+        value += (c * s).real
+        bound += abs(c) * last
+    return value, bound
 
 
 def numeric_sum(
@@ -409,8 +426,9 @@ def numeric_sum(
             if tail is None:
                 N *= 2
         tail_value, tail_bound = tail
+        zeta = mp.zeta(p, N) if near else 0
         for c, w in freqs[:near]:
-            tail_value += c.real * mp.zeta(p, N)
+            tail_value += c.real * zeta
             tail_bound += abs(c) * _drift_bound(p, N, w)
 
         def term(m):

@@ -20,6 +20,7 @@ from sincprod.numeric_oracle import (
     MAX_ORACLE_WORK,
     RealScales,
     ToleranceUnreachableError,
+    _differences,
     _drift_bound,
     _head_length,
     _kernel_terms,
@@ -188,16 +189,35 @@ def test_bad_tolerances_rejected(bad):
         verify_ft_example5([0], tol=bad)
 
 
-def test_zero_integral_checked_to_an_absolute_tolerance():
-    # sinc(2t) sinc(t) has its transform in |w| <= 3 < pi, so against
-    # 2 cos(pi t) the integral is exactly 0: no relative check can pass
-    scales = RealScales((2, 1), weight=CosineWeightSpec(0))
+@pytest.mark.parametrize(
+    "scales",
+    [
+        # sinc(2t) sinc(t) has its transform in |w| <= 3 < pi, so against
+        # 2 cos(pi t) the integral is exactly 0: no relative check can pass
+        RealScales((2, 1), weight=CosineWeightSpec(0)),
+        # in sampling-normalized units the support is 1/100 + 1/3 < 1, so F(1) = 0
+        RealScales((mp.pi / 100, mp.pi / 3), weight=CosineWeightSpec(0)),
+    ],
+)
+def test_zero_integral_checked_to_an_absolute_tolerance(scales):
     with pytest.raises(ToleranceUnreachableError, match="rel_tol"):
         numeric_integral(scales, rel_tol=1.25e-8)
     assert abs(numeric_integral(scales, rel_tol=1.25e-8, abs_tol=1.25e-8)) < 1e-30
-    rep = verify_theorem1([2, 1], alternating=True)
+    rep = verify_theorem1(scales.scales, alternating=True)
     assert rep["hypothesis_holds"] and rep["equal_within_tol"]
     assert mp.mpf(rep["tail_bound"]) <= 1e-7 / 8
+
+
+def test_head_takes_at_most_48_evaluations(monkeypatch):
+    # a count, not a time: one Gauss-Legendre panel on the entire head
+    # converges by degree 4, after 3 + 6 + 12 + 24 nodes
+    calls = []
+    sinc = numeric_oracle._sinc
+    monkeypatch.setattr(numeric_oracle, "_sinc", lambda x: calls.append(x) or sinc(x))
+    scales = _pi_scales(4)
+    v = numeric_integral(scales, rel_tol=1e-12)
+    assert 0 < len(calls) <= 48 * len(scales)
+    assert abs(v - 1) < 1e-12
 
 
 def test_integral_rejects_single_factor():
@@ -294,6 +314,31 @@ def test_near_prefix_bisection_matches_linear_scan(p):
     assert seen == {False, True}  # both whole and partial prefixes occur
 
 
+def _differences_reference(p, N, K):
+    """Delta^k g(N) = sum_j (-1)^(k-j) C(k, j) (N+j)^(-p) for k < K,
+    each as an exact numerator over D, the product of the (N+j)^p."""
+    powers = [(N + j) ** p for j in range(K)]
+    D = math.prod(powers)
+    over = [D // q for q in powers]
+    return [sum((-1) ** (k - j) * math.comb(k, j) * over[j] for j in range(k + 1)) for k in range(K)], D
+
+
+def test_difference_table_rounds_the_exact_differences():
+    rng = random.Random(16)
+    cases = [(10**5, 16, 193), (4 * 10**4, 8, 257), (1, 2, 40)]
+    cases += [(rng.randint(1, 5000), rng.randint(2, 16), rng.randint(1, 80)) for _ in range(12)]
+    for N, p, K in cases:
+        numerators, D = _differences_reference(p, N, K)
+        for prec in (128, 300):
+            with mp.workprec(prec):
+                table = _differences(p, N, K)
+                assert len(table) == K
+                for k, (d, n) in enumerate(zip(table, numerators)):
+                    want = mp.fdiv(n, D)
+                    ulp = mp.ldexp(1, mp.frexp(want)[1] - prec)
+                    assert abs(d - want) <= 2 * ulp, (N, p, K, k, prec)
+
+
 def _poisson(betas, alternating):
     """The exact sum over all integers m of prod sinc(beta_k pi m), by
     Poisson summation over the exact transform F: 2 sum_j F(2j + 1)
@@ -338,14 +383,14 @@ def test_sum_resonant_frequency_takes_hurwitz_zeta(monkeypatch, betas):
     zeta = mp.zeta
     monkeypatch.setattr(mp, "zeta", lambda *args: calls.append(args) or zeta(*args))
     s = numeric_sum(_pi_times(betas), alternating=True, abs_tol=1e-12)
-    assert calls and all(args[0] == len(betas) for args in calls)
+    assert [args[0] for args in calls] == [len(betas)]
     want = _poisson(betas, True)
     with mp.workprec(200):
         assert abs(s.value - _exact_float(want)) <= s.tail_bound <= 1e-12
     # the same scales in floats miss the resonance by about 1e-16 more
     calls.clear()
     s53 = numeric_sum([float(a) for a in _pi_times(betas)], alternating=True, abs_tol=1e-12)
-    assert calls
+    assert len(calls) == 1
     with mp.workprec(200):
         assert abs(s53.value - _exact_float(want)) <= s53.tail_bound + 1e-15
 
