@@ -3,7 +3,8 @@
 One subcommand per engine operation, reports as JSON, CSV or plain
 text.  Exact rationals are always serialized as "p/q" strings, never as
 floats.  Exit codes: 0 success, 2 usage error, 3 exact path infeasible
-(the error report is emitted as JSON so callers can machine-parse it).
+or an oracle call past its work cap MAX_ORACLE_WORK (the error report is
+emitted as JSON so callers can machine-parse it).
 
 SINCPROD_PRECISION_BITS sets the default working precision for both
 the breaking-point enclosures and the numeric oracle; a value that is
@@ -137,6 +138,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _digit_count(text: str) -> int:
+    # the decimal is one str() of an integer that many digits long, quadratic
+    # in its length: 10^5 digits take 0.2 s, 10^6 about 19 s on a 2-CPU host
+    value = _positive_int(text)
+    if value > 100_000:
+        raise argparse.ArgumentTypeError("at most 100000 digits, got %r" % text)
+    return value
+
+
 def _add_spec_flags(p):
     p.add_argument("--betas", help='comma list of rational scales, e.g. "1,1/3,1/5"')
     p.add_argument("--family", choices=["odd-harmonic", "sinc-power"])
@@ -147,7 +157,7 @@ def _add_eval_flags(p, digits):
     _add_spec_flags(p)
     p.add_argument("--node-budget", type=_positive_int, default=NODE_BUDGET_DEFAULT,
                    help="cap on the knot entries the pruned DP expands per sample point")
-    p.add_argument("--digits", type=int, default=digits)
+    p.add_argument("--digits", type=_digit_count, default=digits, help="significant digits, 1 to 100000")
 
 
 def build_parser() -> argparse.ArgumentParser:

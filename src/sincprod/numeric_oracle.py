@@ -41,7 +41,6 @@ the Hurwitz zeta(p, N) plus a bound for its drift.  N scales as
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from math import inf, lcm
 
@@ -54,16 +53,13 @@ from .rational import rat
 
 DEFAULT_PREC_BITS = env_precision_bits(96) or 128
 
-MAX_HEAD_TERMS = 100_000
-MAX_TRIG_FACTORS = 16
-MAX_ORACLE_WORK = 20_000  # of one integral: tail terms formed, plus 200 per head panel
+MAX_ORACLE_WORK = 120_000  # work units of one integral or sum, charged where the work is counted
 KERNEL_TAIL_START = 4
 
 
 class ToleranceUnreachableError(Exception):
-    """The rigorous tail bound of a sum cannot reach the requested
-    tolerance within the head-length cap, an integral's error estimate
-    exceeds it, or an integral needs more work than MAX_ORACLE_WORK."""
+    """An integral's error estimate exceeds the requested tolerance, or
+    an integral or a sum needs more work than MAX_ORACLE_WORK."""
 
 
 @dataclass(frozen=True)
@@ -142,19 +138,20 @@ def _kernel_terms(a, J):
 
 def _expand(factors, budget):
     """Terms (c, w, p) of the product of factors, each a list of terms
-    (c, w, p) of c e^(i w t) t^(-p), with equal (w, p) merged.  Raises
-    ToleranceUnreachableError before more than budget terms are formed."""
+    (c, w, p) of c e^(i w t) t^(-p), with equal (w, p) merged, and the
+    number of terms formed.  Raises ToleranceUnreachableError before a
+    factor's terms would take that number past budget."""
     terms, formed = {(mpf(0), 0): mpc(1)}, 0
     for factor in factors:
+        formed += len(terms) * len(factor)
+        if formed > budget:
+            raise ToleranceUnreachableError("the tail needs more terms than the %d the work cap leaves" % budget)
         product = {}
         for (w, p), c in terms.items():
-            formed += len(factor)
-            if formed > budget:
-                raise ToleranceUnreachableError("the tail needs more terms than the %d the work cap leaves" % budget)
             for c2, w2, p2 in factor:
                 product[w + w2, p + p2] = product.get((w + w2, p + p2), 0) + c * c2
         terms = product
-    return [(c, w, p) for (w, p), c in terms.items()]
+    return [(c, w, p) for (w, p), c in terms.items()], formed
 
 
 def _merge_frequencies(terms, period=None):
@@ -193,7 +190,7 @@ def _tail(factors, T, budget):
     K = min(p_max, int(x))
     with mp.extraprec(max(0, int(mp.log(size, 2) + K * mp.log(x + 1, 2) - mp.loggamma(K + 1) / mp.ln2)) + p_max):
         by_w = {}
-        for c, w, p in _merge_frequencies(_expand(factors, budget)):
+        for c, w, p in _merge_frequencies(_expand(factors, budget)[0]):
             by_w.setdefault(w, {})[p] = c * T ** (1 - p)
         total = mpf(0)
         for w, cs in by_w.items():
@@ -214,14 +211,13 @@ def _head_tail(factors, T, panels):
     panels Gauss-Legendre panels of mp.quad, the tail by _tail.  The
     estimate is the quadrature's plus one rounding of |head| + |tail|,
     so a head and tail that cancel to noise do not pass as accurate.
-    Work past MAX_ORACLE_WORK (a tail term formed counts 1, a panel
-    costs about as much as 200 terms) raises ToleranceUnreachableError
-    before it is done."""
-    budget = MAX_ORACLE_WORK - 200 * panels
+    Work past MAX_ORACLE_WORK (a tail term formed is charged 6, a panel
+    1,200) raises ToleranceUnreachableError before it is done."""
+    budget = MAX_ORACLE_WORK - 1200 * panels
     if budget < 0:
         raise ToleranceUnreachableError("the head [0, %s] needs %d quadrature panels, past the work cap"
                                         % (mp.nstr(T, 5), panels))
-    tail = _tail([terms for _, terms in factors], T, budget)
+    tail = _tail([terms for _, terms in factors], T, budget // 6)
     head, err = mp.quad(lambda t: mp.fprod(f(t) for f, _ in factors), mp.linspace(0, T, panels + 1),
                         method="gauss-legendre", error=True)
     return head + tail, err + mp.eps * (abs(head) + abs(tail))
@@ -296,17 +292,21 @@ def _head_length(p, dist):
 
 
 def _near_prefix(freqs, dists, p, limit):
-    """Length of the longest prefix of near-1 frequencies whose drift
-    bound, at the N the rest would need, stays within limit.  freqs are
-    sorted by their distances |1 - z|, so a longer prefix leaves a
-    larger next distance and a smaller N, and its drift bound cannot
-    fall: the length is found by bisection."""
-
-    def drift(k):
+    """(near, N): the longest prefix of near-1 frequencies whose drift
+    bound, at the head length N the rest would need, stays within limit.
+    freqs are sorted by |1 - z|, so one pass grows the prefix until the
+    bound passes limit.  For p >= 3 the bound is linear in w, so a
+    prefix's is that of the running sum of |c| w; p = 2 (at most three
+    merged frequencies) sums a logarithm per frequency."""
+    total = mpf(0)
+    for k, (c, w) in enumerate(freqs, 1):
         N = _head_length(p, dists[k] if k < len(freqs) else 2)
-        return mp.fsum(abs(c) * _drift_bound(p, N, w) for c, w in freqs[:k])
-
-    return bisect.bisect_right(range(1, len(freqs) + 1), limit, key=drift)
+        total += abs(c) * w
+        drift = (_drift_bound(p, N, total) if p >= 3
+                 else mp.fsum(abs(c) * _drift_bound(p, N, w) for c, w in freqs[:k]))
+        if drift > limit:
+            return k - 1, _head_length(p, dists[k - 1])
+    return len(freqs), _head_length(p, 2)
 
 
 def _differences(p, N, K):
@@ -386,10 +386,10 @@ def numeric_sum(
     zeta(p, N), and their drift |e^(i w m) - 1| <= min(2, w m) goes
     into the bound, as long as it fits in half of the tolerance.  The
     others take the summation-by-parts expansion of _by_parts, and N
-    is set by the smallest |1 - z| among them.  A near resonance that
-    would need a head of more than MAX_HEAD_TERMS raises
-    ToleranceUnreachableError before any term is summed; a head near
-    the cap takes a few seconds.
+    is set by the smallest |1 - z| among them.  Work past
+    MAX_ORACLE_WORK raises ToleranceUnreachableError before it is done:
+    each term _expand forms is charged 2, and each head length N tried
+    (N - 1) p, one per term per factor; a sum at the cap takes ~3 s.
     """
     _check_tol("abs_tol", abs_tol)
     rs = _as_scales(scales)
@@ -398,29 +398,28 @@ def numeric_sum(
     p = len(rs.scales)
     if p < 3 and not (alternating and p >= 2):
         raise ValueError("need >= 3 factors (or alternating with >= 2) for a convergent sum")
-    if p > MAX_TRIG_FACTORS:
-        raise ValueError("too many factors for the trigonometric tail (max %d)" % MAX_TRIG_FACTORS)
     prec = prec_bits or DEFAULT_PREC_BITS
     with mp.workprec(max(prec, int(-mp.log(mpf(abs_tol), 2)) + 40)):
         a_mp = [mpf(a) for a in rs.scales]
         # the bound covers the sum over m >= 1, which the two-sided sum doubles
         tol = mpf(abs_tol) if one_sided else mpf(abs_tol) / 2
         shift = mp.pi if alternating else 0
-        terms = [(c, w + shift, q) for c, w, q in _expand([_sinc_terms(a) for a in a_mp], inf)]
+        terms, formed = _expand([_sinc_terms(a) for a in a_mp], MAX_ORACLE_WORK // 2)
+        budget = MAX_ORACLE_WORK - 2 * formed
+        terms = [(c, w + shift, q) for c, w, q in terms]
         freqs = sorted(((c, w) for c, w, _ in _merge_frequencies(terms, 2 * mp.pi)), key=lambda cw: cw[1])
         dists = [abs(1 - mp.expj(w)) for _, w in freqs]
 
-        near = _near_prefix(freqs, dists, p, tol / 2)
-        N = _head_length(p, dists[near] if near < len(freqs) else 2)
+        near, N = _near_prefix(freqs, dists, p, tol / 2)
         rest = freqs[near:]
         target = tol / (2 * mp.fsum(abs(c) for c, _ in rest)) if rest else 0
         tail = None
         while tail is None:
-            if N - 1 > MAX_HEAD_TERMS:
+            if (N - 1) * p > budget:
                 raise ToleranceUnreachableError(
-                    "a tail within abs_tol %s needs a direct head of %d terms, past the %d-term cap "
-                    "(a frequency of the summand is %s from resonance)"
-                    % (abs_tol, N - 1, MAX_HEAD_TERMS, mp.nstr(dists[near], 5))
+                    "a tail within abs_tol %s needs a direct head of %d terms, past the %d-term cap%s"
+                    % (abs_tol, N - 1, budget // p,
+                       " (a frequency of the summand is %s from resonance)" % mp.nstr(dists[near], 5) if rest else "")
                 )
             tail = _by_parts(rest, p, N, target) if rest else (mpf(0), mpf(0))
             if tail is None:

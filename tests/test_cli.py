@@ -389,6 +389,8 @@ def cli_argv(draw):
     argv += draw(st.sampled_from([[], ["--size-guard" if command == "spline-dump" else "--node-budget", "1"]]))
     if command in ("weighted-integral", "deficit"):
         argv += ["--weights", str(draw(st.sampled_from([-1, 0, 1, 2, 7, 10**9])))]
+    if command != "spline-dump":
+        argv += draw(st.sampled_from([[], ["--digits", draw(st.sampled_from(["x", "-1", "0", "40", "100000", "100001"]))]]))
     return argv
 
 
@@ -401,6 +403,10 @@ def _hung(signum, frame):
 @example(argv=["weighted-integral", "--betas=1e400", "--weights", "1000000000"])
 @example(argv=["example5", "--a=1e-9", "--b=1"])
 @example(argv=["example5", "--ft-omegas=1e9"])
+@example(argv=["sum", "--scales=" + ",".join(["pi"] + ["pi/%d" % (2 * k + 1) for k in range(1, 20)])])
+@example(argv=["sum", "--scales=" + ",".join(["1"] * 17)])
+@example(argv=["lower-bound", "--a0=1", "--rest=" + ",".join(["1"] * 16)])
+@example(argv=["integral", "--betas=1", "--digits", "1000000000"])
 @settings(max_examples=200, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=cli_argv())
 def test_cli_argv_exit_codes(argv):

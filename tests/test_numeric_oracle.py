@@ -274,8 +274,15 @@ def test_sum_preconditions():
     # 2 + a + pi is 1e-9 past 2 pi: the tail needs a head of about 4e10 terms
     with pytest.raises(ToleranceUnreachableError, match="cap"):
         numeric_sum([2.0, float(mp.pi) - 2 + 1e-9], alternating=True, abs_tol=1e-14)
-    with pytest.raises(ValueError, match="too many factors"):
-        numeric_sum([1.0] * 17)
+    # no factor count is refused: equal scales merge, and 20 distinct ones pass the work cap at once
+    assert numeric_sum([1.0] * 17).truncation_m > 0
+    t0 = time.perf_counter()
+    with pytest.raises(ToleranceUnreachableError, match="cap"):
+        numeric_sum(_pi_scales(19))
+    assert time.perf_counter() - t0 < 1
+    # every frequency of 200 equal scales is summed as a resonance, and the head alone passes the cap
+    with pytest.raises(ToleranceUnreachableError, match="cap"):
+        numeric_sum([1.0] * 200)
 
 
 def test_sum_near_resonance_refused_at_once():
@@ -308,8 +315,9 @@ def test_near_prefix_bisection_matches_linear_scan(p):
         freqs = [(mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)), w) for w in ws]
         dists = [abs(1 - mp.expj(w)) for w in ws]
         limit = mp.mpf(10) ** rng.uniform(-8 * p, -2)
-        near = _near_prefix(freqs, dists, p, limit)
+        near, N = _near_prefix(freqs, dists, p, limit)
         assert near == _near_prefix_linear(freqs, dists, p, limit), (ws, limit)
+        assert N == _head_length(p, dists[near] if near < len(ws) else 2)
         seen.add(0 < near < len(ws))
     assert seen == {False, True}  # both whole and partial prefixes occur
 
@@ -430,8 +438,9 @@ def test_sum_agrees_with_long_direct_sum(eighths, alternating):
 # -- identity checks ----------------------------------------------------------
 
 
-def test_theorem1_inside_support():
-    rep = verify_theorem1([2.0, 1.5, 1.0], tol=1e-7)
+@pytest.mark.parametrize("scales", [[2.0, 1.5, 1.0], [1 / 3] * 17])  # 17 / 3 < 2 pi
+def test_theorem1_inside_support(scales):
+    rep = verify_theorem1(scales, tol=1e-7)
     assert rep["hypothesis_holds"] and rep["equal_within_tol"]
 
 
