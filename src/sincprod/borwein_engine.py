@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from .rational import Rat, rat, rat_str, to_decimal
 from .spline_engine import SIZE_GUARD_DEFAULT, PiecewisePolynomial, SplineSizeError
 
-NODE_BUDGET_DEFAULT = 10**8
+NODE_BUDGET_DEFAULT = 4 * 10**6  # pruned knot entries per sample point, 2-3 us each on a 2-CPU host
 MAX_SAMPLE_POINTS = 10**4  # sample points of F per request, each one pruned DP
 _LAYER_CAP = 1 << 16  # DP entries held at once per chunk, which bounds memory
 
@@ -374,7 +374,7 @@ def deficit_report(
     return replace(base, exact_value=base.deficit, decimal=to_decimal(base.deficit, digits))
 
 
-def sinc_power_breaking(m: int, n_max: int, digits: int = 12) -> list:
+def sinc_power_breaking(m: int, n_max: int) -> list:
     """For f = sinc^n(pi t), whether the weighted integral with weight
     count m is exactly 1, for n = 1..n_max.  The law is: unit exactly
     for n <= 2m+3 (the boundary holds because F vanishes continuously at
@@ -384,6 +384,6 @@ def sinc_power_breaking(m: int, n_max: int, digits: int = 12) -> list:
     weights = CosineWeightSpec(m)
     out = []
     for n in range(1, n_max + 1):
-        report = weighted_integral_exact(SincProductSpec.sinc_power(n), weights, digits=digits)
+        report = weighted_integral_exact(SincProductSpec.sinc_power(n), weights)
         out.append((n, report.exact_value == 1))
     return out

@@ -2,20 +2,20 @@
 
 One subcommand per engine operation, reports as JSON, CSV or plain
 text.  Exact rationals are always serialized as "p/q" strings, never as
-floats.  Exit codes: 0 success, 2 usage error, 3 exact path infeasible
-or an oracle call past its work cap MAX_ORACLE_WORK (the error report is
-emitted as JSON so callers can machine-parse it).
+floats.  Exit codes: 0 success, 1 a failed ``verify`` check, 2 usage
+error, 3 exact path infeasible or an oracle call past its work cap
+MAX_ORACLE_WORK (the error report is emitted as JSON so callers can
+machine-parse it).
 
-SINCPROD_PRECISION_BITS sets the default working precision for both
-the breaking-point enclosures and the numeric oracle; a value that is
-not an integer is a usage error.
+No precision is set from outside: the breaking-point search starts at
+128 bits and doubles while an enclosure straddles the threshold, and
+the oracle works out its precision from the requested tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import mpmath as mp
@@ -32,13 +32,10 @@ from .borwein_engine import (
     weighted_integral_exact,
 )
 from .exact_core import (
-    DEFAULT_PRECISION_BITS,
     MAX_PRECISION_BITS,
-    PRECISION_ENV,
     HarmonicFamily,
     NonTerminatingSearchError,
     breaking_point_report,
-    env_precision_bits,
 )
 from .numeric_oracle import (
     ToleranceUnreachableError,
@@ -171,10 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("breakpoint", help="largest n keeping the partial scale sum below a threshold")
     p.add_argument("--family", choices=["odd-harmonic"], default="odd-harmonic")
     p.add_argument("--threshold", required=True)
-    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS,
-                   help="starting precision of the closed-form enclosure of the partial sum, "
-                        "53 to %d bits; it doubles while an enclosure straddles the threshold"
-                        % MAX_PRECISION_BITS)
 
     p = sub.add_parser("integral", help="exact integral of the sinc product")
     _add_eval_flags(p, digits=12)
@@ -229,9 +222,7 @@ PARSER = build_parser()  # built once per process: it costs about as much as a m
 def _run(args) -> int:
     fmt = args.format
     if args.command == "breakpoint":
-        rep = breaking_point_report(
-            HarmonicFamily.odd_harmonic(), rat(args.threshold), precision_bits=args.precision_bits
-        )
+        rep = breaking_point_report(HarmonicFamily.odd_harmonic(), rat(args.threshold))
         digits = int_str(rep.n)  # also lifts the int/str digit limit for json.dumps
         if fmt == "plain":
             print(digits)
@@ -337,10 +328,6 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    if env_precision_bits(53) is None:
-        print("usage error: %s must be an integer number of bits, got %r"
-              % (PRECISION_ENV, os.environ[PRECISION_ENV]), file=sys.stderr)
-        return EXIT_USAGE
     try:
         args = PARSER.parse_args(argv)
     except SystemExit as exc:

@@ -35,7 +35,6 @@ whether it lies strictly below or strictly above a rational.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, floor, gcd
@@ -50,23 +49,7 @@ EXACT_TERM_CUTOFF = 10_000      # a straddling enclosure is settled by the exact
 MAX_PRECISION_BITS = 1 << 14
 MAX_EXACT_TERMS = 100_000       # past MAX_PRECISION_BITS, the exact S_n is summed only up to here
 MAX_SERIES_TERMS = 128          # Bernoulli terms per enclosure; caps its cost, not its rigour
-
-PRECISION_ENV = "SINCPROD_PRECISION_BITS"
-
-
-def env_precision_bits(floor: int) -> int | None:
-    """The SINCPROD_PRECISION_BITS setting clamped into
-    [floor, MAX_PRECISION_BITS]: 128 when unset, None when it is not an
-    integer.  It never raises, so a bad setting cannot break the import;
-    the CLI refuses it with a usage error."""
-    try:
-        bits = int(os.environ.get(PRECISION_ENV, "128"))
-    except ValueError:
-        return None
-    return min(MAX_PRECISION_BITS, max(floor, bits))
-
-
-DEFAULT_PRECISION_BITS = env_precision_bits(53) or 128
+DEFAULT_PRECISION_BITS = 128    # the closed form's starting precision
 
 
 class NonTerminatingSearchError(Exception):
@@ -275,31 +258,26 @@ class BreakingPointResult:
     terms_scanned: int
 
 
-def breaking_point(family: HarmonicFamily, threshold, **kwargs) -> int:
+def breaking_point(family: HarmonicFamily, threshold) -> int:
     """Largest n with Sum_{k=0..n} beta_k < threshold (strict).
 
     The decision is rigorous: see the module docstring for the
     odd-harmonic paths; the constant and custom families are exact.
     """
-    return breaking_point_report(family, threshold, **kwargs).n
+    return breaking_point_report(family, threshold).n
 
 
-def breaking_point_report(
-    family: HarmonicFamily,
-    threshold,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> BreakingPointResult:
+def breaking_point_report(family: HarmonicFamily, threshold) -> BreakingPointResult:
     """The breaking point, how it was decided and the work it took.
 
     The odd-harmonic exact scan hands over to the closed form past
-    ``SCAN_TERM_CUTOFF`` terms, read at call time; ``precision_bits``
-    is the closed form's starting precision.
+    ``SCAN_TERM_CUTOFF`` terms, read at call time.  The closed form
+    starts at ``DEFAULT_PRECISION_BITS`` and doubles while an enclosure
+    straddles the threshold; ``precision_bits`` reports where it ended.
     """
     threshold = rat(threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    if not 53 <= precision_bits <= MAX_PRECISION_BITS:
-        raise ValueError("precision_bits must be between 53 and %d" % MAX_PRECISION_BITS)
 
     if family.kind == "constant":
         # (n+1) * beta < t  <=>  n + 1 <= ceil(t/beta) - 1
@@ -325,7 +303,7 @@ def breaking_point_report(
 
     estimate = _estimate_breaking_point(threshold)
     if estimate >= SCAN_TERM_CUTOFF:
-        return _closed_form_search(threshold, estimate, precision_bits, 0)
+        return _closed_form_search(threshold, estimate, 0)
 
     # odd_harmonic exact scan, with lcm denominators
     t_p, t_q = threshold.numerator, threshold.denominator
@@ -341,7 +319,7 @@ def breaking_point_report(
                 raise NonTerminatingSearchError("first scale already reaches the threshold")
             return BreakingPointResult(k - 1, "exact", None, k + 1)
         k += 1
-    return _closed_form_search(threshold, k - 1, precision_bits, k)
+    return _closed_form_search(threshold, k - 1, k)
 
 
 _GAMMA_2LN2 = 1.9635100260214235  # gamma + 2 ln 2
@@ -373,14 +351,14 @@ def _estimate_breaking_point(threshold) -> int:
         return int(mp.floor(mp.exp(y()) - 1))
 
 
-def _closed_form_search(threshold, start: int, precision_bits: int, terms: int) -> BreakingPointResult:
+def _closed_form_search(threshold, start: int, terms: int) -> BreakingPointResult:
     """Gallop from ``start``, then bisect, until S_n < t <= S_(n+1).
 
     ``terms`` counts the exact terms summed before the call; each exact
     straddle decision adds its n + 1.
     """
     t_p, t_q = threshold.numerator, threshold.denominator
-    bits = precision_bits
+    bits = DEFAULT_PRECISION_BITS
 
     def below(n: int) -> bool:
         """S_n < t, decided rigorously."""

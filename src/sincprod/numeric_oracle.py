@@ -4,9 +4,10 @@ Everything here deliberately avoids the exact engine's machinery: the
 head of every sum is summed term by term and the head of every
 integral is integrated; only tails are special functions or
 expansions, never a closed form for a whole sum.  mpmath supplies the
-arbitrary precision arithmetic; the working precision defaults to
-SINCPROD_PRECISION_BITS (clamped to 96 ... 16384 bits) so that ten
-matching decimal digits can be certified comfortably.
+arbitrary precision arithmetic.  Integrals and sums work at
+max(128, -log2(tol) + 40) bits, so that ten matching decimal digits
+can be certified comfortably; the band-limited kernel works at
+kernel_prec_bits(tol).
 
 Every integral is a head [0, T], integrated directly in Gauss-Legendre
 mp.quad panels half a period of the fastest frequency wide (the
@@ -48,10 +49,9 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from .borwein_engine import CosineWeightSpec
-from .exact_core import env_precision_bits
 from .rational import rat
 
-DEFAULT_PREC_BITS = env_precision_bits(96) or 128
+DEFAULT_PREC_BITS = 128
 
 MAX_ORACLE_WORK = 120_000  # work units of one integral or sum, charged where the work is counted
 KERNEL_TAIL_START = 4
@@ -223,9 +223,7 @@ def _head_tail(factors, T, panels):
     return head + tail, err + mp.eps * (abs(head) + abs(tail))
 
 
-def numeric_integral(
-    scales, rel_tol: float = 1e-12, prec_bits: int | None = None, abs_tol: float | None = None
-):
+def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = None):
     """integral over R of W(t) prod_k sinc(a_k t) dt within rel_tol of
     the result, or within abs_tol when that is given.
 
@@ -247,9 +245,8 @@ def numeric_integral(
             "a single sinc factor is not absolutely integrable; "
             "use the exact engine for closed forms"
         )
-    prec = prec_bits or DEFAULT_PREC_BITS
     need = int(-mp.log(mpf(min(rel_tol, abs_tol or rel_tol)), 2)) + 40
-    with mp.workprec(max(prec, need)):
+    with mp.workprec(max(DEFAULT_PREC_BITS, need)):
         a_mp = [mpf(a) for a in rs.scales]
         factors = [(lambda t, a=a: _sinc(a * t), _sinc_terms(a)) for a in a_mp]
         omega_max = mp.fsum(a_mp)
@@ -369,7 +366,6 @@ def numeric_sum(
     alternating: bool = False,
     abs_tol: float = 1e-10,
     one_sided: bool = False,
-    prec_bits: int | None = None,
 ) -> SumResult:
     """sum over integers m of prod_k sinc(a_k m) (times (-1)^m when
     alternating), within a rigorous bound tail_bound <= abs_tol.
@@ -398,8 +394,7 @@ def numeric_sum(
     p = len(rs.scales)
     if p < 3 and not (alternating and p >= 2):
         raise ValueError("need >= 3 factors (or alternating with >= 2) for a convergent sum")
-    prec = prec_bits or DEFAULT_PREC_BITS
-    with mp.workprec(max(prec, int(-mp.log(mpf(abs_tol), 2)) + 40)):
+    with mp.workprec(max(DEFAULT_PREC_BITS, int(-mp.log(mpf(abs_tol), 2)) + 40)):
         a_mp = [mpf(a) for a in rs.scales]
         # the bound covers the sum over m >= 1, which the two-sided sum doubles
         tol = mpf(abs_tol) if one_sided else mpf(abs_tol) / 2
@@ -452,7 +447,7 @@ def numeric_sum(
 # ---------------------------------------------------------------------------
 
 
-def verify_theorem1(scales, alternating: bool = False, tol: float = 1e-7, prec_bits: int | None = None) -> dict:
+def verify_theorem1(scales, alternating: bool = False, tol: float = 1e-7) -> dict:
     """Compare the integer-sample sum against the (possibly weighted)
     integral through two independent numeric paths.
 
@@ -468,13 +463,13 @@ def verify_theorem1(scales, alternating: bool = False, tol: float = 1e-7, prec_b
         }
     total = mp.fsum(mpf(a) for a in rs.scales)
     hypothesis = total < (3 if alternating else 2) * mp.pi
-    sum_res = numeric_sum(rs.scales, alternating=alternating, abs_tol=float(tol) / 8, prec_bits=prec_bits)
+    sum_res = numeric_sum(rs.scales, alternating=alternating, abs_tol=float(tol) / 8)
     weight = CosineWeightSpec(0) if alternating else None
     # tol is absolute, and an integral can be exactly 0 (a transform
     # supported inside the first sample point), so the quadrature is
     # held to an absolute tolerance too
     integral = numeric_integral(
-        RealScales(rs.scales, weight=weight), rel_tol=float(tol) / 8, prec_bits=prec_bits, abs_tol=float(tol) / 8
+        RealScales(rs.scales, weight=weight), rel_tol=float(tol) / 8, abs_tol=float(tol) / 8
     )
     diff = sum_res.value - integral
     return {
@@ -489,7 +484,7 @@ def verify_theorem1(scales, alternating: bool = False, tol: float = 1e-7, prec_b
     }
 
 
-def lower_bound_check(a0, rest, abs_tol: float = 5e-10, prec_bits: int | None = None) -> dict:
+def lower_bound_check(a0, rest, abs_tol: float = 5e-10) -> dict:
     """Sum-side analog of the dominated lower bound: compare
     sum_{m>=0} prod sinc(a_k m) against sum_{m>=0} sinc^(n+1)(a0 m).
 
@@ -501,8 +496,8 @@ def lower_bound_check(a0, rest, abs_tol: float = 5e-10, prec_bits: int | None = 
     if any(float(a) > float(a0) or float(a) <= 0 for a in rest) or float(a0) <= 0:
         raise ValueError("requires a0 >= a_k > 0")
     n = len(rest)
-    lhs = numeric_sum([a0] + rest, abs_tol=abs_tol, one_sided=True, prec_bits=prec_bits)
-    rhs = numeric_sum([a0] * (n + 1), abs_tol=abs_tol, one_sided=True, prec_bits=prec_bits)
+    lhs = numeric_sum([a0] + rest, abs_tol=abs_tol, one_sided=True)
+    rhs = numeric_sum([a0] * (n + 1), abs_tol=abs_tol, one_sided=True)
     slack = lhs.tail_bound + rhs.tail_bound
     hypothesis = (n + 1) * mpf(a0) < 2 * mp.pi
     return {
@@ -570,7 +565,7 @@ def kernel_prec_bits(tol) -> int:
     return max(80, int(-mp.log(mpf(tol), 2)) + 30)
 
 
-def example5_integral(a, b, tol: float = 1e-6, prec_bits: int | None = None):
+def example5_integral(a, b, tol: float = 1e-6):
     """integral over R of prod_k f(a_k t) * sin(b t)/t dt with f the
     band-limited kernel above; equals pi exactly when sum a_k < b.
 
@@ -580,19 +575,19 @@ def example5_integral(a, b, tol: float = 1e-6, prec_bits: int | None = None):
     a_r, b_r = [rat(x) for x in a], rat(b)
     if not a_r or any(x <= 0 for x in a_r) or b_r <= 0:
         raise ValueError("scales (at least one) and b must be positive")
-    with mp.workprec(prec_bits or kernel_prec_bits(tol)):
+    with mp.workprec(kernel_prec_bits(tol)):
         a_mp = [mp.fdiv(x.numerator, x.denominator) for x in a_r]
         b_mp = mp.fdiv(b_r.numerator, b_r.denominator)
         g = (lambda t: mp.sin(b_mp * t) / t if t else b_mp, [(c * b_mp, w, p) for c, w, p in _sinc_terms(b_mp)])
         return 2 * _kernel_integral(a_mp, g, mp.fsum(a_mp) + b_mp, tol / 2)
 
 
-def verify_ft_example5(omega_samples, tol: float = 1e-6, prec_bits: int | None = None) -> list:
+def verify_ft_example5(omega_samples, tol: float = 1e-6) -> list:
     """Numerically transform the band-limited kernel and compare with
     its closed form at each frequency sample."""
     _check_tol("tol", tol)
     out = []
-    with mp.workprec(prec_bits or kernel_prec_bits(tol)):
+    with mp.workprec(kernel_prec_bits(tol)):
         for omega in omega_samples:
             w_r = rat(omega)
             w = abs(mp.fdiv(w_r.numerator, w_r.denominator))

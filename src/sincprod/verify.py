@@ -295,7 +295,7 @@ def check_cross_oracle():
         exact = integral_exact(SincProductSpec.odd_harmonic(7)).exact_value
         with mp.workprec(220):
             scales = [mp.pi / (2 * k + 1) for k in range(8)]
-            numeric = numeric_integral(scales, rel_tol=1e-20, prec_bits=220)
+            numeric = numeric_integral(scales, rel_tol=1e-20)
             exact_f = mp.mpf(exact.numerator) / mp.mpf(exact.denominator)
             rel = abs((1 - numeric) - (1 - exact_f)) / (1 - exact_f)
             ok = rel < mp.mpf("1e-6")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sincprod import exact_core
 from sincprod.exact_core import (
     EXACT_TERM_CUTOFF,
-    MAX_PRECISION_BITS,
     SCAN_TERM_CUTOFF,
     HarmonicFamily,
     Interval,
@@ -197,15 +196,6 @@ def test_closed_form_enclosure_contains_exact_sum():
             assert _contains(enclosure, odd_harmonic_sum(n)), (n, bits)
             if n >= 250:
                 assert not limited and enclosure.hi - enclosure.lo < rat(1, 2**(bits - 10)), (n, bits)
-
-
-def test_breaking_point_precision_bounds():
-    fam = HarmonicFamily.odd_harmonic()
-    for bits in (0, -5, 52, MAX_PRECISION_BITS + 1):
-        with pytest.raises(ValueError):
-            breaking_point_report(fam, 7, precision_bits=bits)
-    for bits in (53, MAX_PRECISION_BITS):
-        assert breaking_point_report(fam, 7, precision_bits=bits).n == 168802
 
 
 def test_breaking_point_beyond_max_precision_refused():

@@ -156,12 +156,13 @@ def _exact_float(x):
         (RealScales((1, 2)), None),  # integral of sinc(t) sinc(2t) is pi / 2
     ],
 )
-def test_short_head_tail_keeps_working_precision(scales, want):
+def test_short_head_tail_keeps_working_precision(monkeypatch, scales, want):
     # T = pi / omega_max makes the tail terms cancel by up to 2^26; at
     # 106 working bits, 1e-25 needs the tail's guard bits
+    monkeypatch.setattr(numeric_oracle, "DEFAULT_PREC_BITS", 106)
     with mp.workprec(200):
         want = mp.pi / 2 if want is None else _exact_float(want)
-    v = numeric_integral(scales, rel_tol=1e-20, prec_bits=106)
+    v = numeric_integral(scales, rel_tol=1e-20)
     assert abs(v - want) <= mp.mpf("1e-25") * abs(want)
 
 
@@ -369,7 +370,7 @@ def _poisson(betas, alternating):
 )
 @pytest.mark.parametrize("tol", [1e-10, 1e-20])
 def test_sum_known_values_within_tail_bound(scales, alternating, one_sided, want, tol):
-    s = numeric_sum(scales, alternating=alternating, one_sided=one_sided, abs_tol=tol, prec_bits=160)
+    s = numeric_sum(scales, alternating=alternating, one_sided=one_sided, abs_tol=tol)
     with mp.workprec(200):
         assert abs(s.value - _exact_float(want)) <= s.tail_bound <= tol
     assert s.truncation_m < 1000
