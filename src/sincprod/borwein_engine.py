@@ -11,7 +11,9 @@ form of a B-spline).  This signed knot measure {S: w_S} is the one
 representation of F here.  Scaled by L, the lcm of the scale
 denominators, knots and weights are integers; merging the +-beta_k L
 shifts of each factor into a dict coalesces equal sums, so sinc^n has
-n + 1 knots, not 2^n.  Here integral(F) = 2 (that is f(0) = 1) and
+n + 1 knots, not 2^n.  A spec works out L, its integer scales beta_k L
+and D = n! 2^n prod_k beta_k L = L^(n+1) / C once each, from integers
+alone.  Here integral(F) = 2 (that is f(0) = 1) and
 
     integral of f dt             = F(0)
     integral of W_m(t) f(t) dt   = 2 * (F(1) + F(3) + ... + F(2m+1))
@@ -37,7 +39,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from .rational import Rat, rat, rat_str, to_decimal
 from .spline_engine import SIZE_GUARD_DEFAULT, PiecewisePolynomial, SplineSizeError
@@ -72,7 +75,7 @@ class SincProductSpec:
         betas = tuple(rat(b) for b in self.betas)
         if not betas:
             raise ValueError("at least one scale factor is required")
-        if any(b <= 0 for b in betas):
+        if any(b.numerator <= 0 for b in betas):
             raise ValueError("scale factors must be positive")
         object.__setattr__(self, "betas", betas)
 
@@ -80,7 +83,7 @@ class SincProductSpec:
     def odd_harmonic(cls, n: int) -> "SincProductSpec":
         if n < 0:
             raise ValueError("n must be >= 0")
-        return cls(tuple(rat(1, 2 * k + 1) for k in range(n + 1)))
+        return cls(tuple(Rat(1, 2 * k + 1) for k in range(n + 1)))
 
     @classmethod
     def sinc_power(cls, n: int) -> "SincProductSpec":
@@ -88,8 +91,22 @@ class SincProductSpec:
             raise ValueError("n must be >= 1")
         return cls((rat(1),) * n)
 
+    @cached_property
+    def integer_form(self):
+        """(L, scales): the lcm L of the scale denominators, the integers beta_k L."""
+        L = math.lcm(*(b.denominator for b in self.betas))
+        return L, tuple(b.numerator * (L // b.denominator) for b in self.betas)
+
+    @cached_property
+    def knot_denominator(self):
+        """D = n! 2^n prod_k beta_k L (apart from integer_form: no support check needs it).
+        C = L^(n+1) / D, and F(x) = L sum_{s > xL} w_s (q s - p)^n / (q^n D) for xL = p/q."""
+        n = len(self.betas) - 1
+        return math.factorial(n) * 2**n * math.prod(self.integer_form[1])
+
     def support_radius(self):
-        return sum(self.betas, rat(0))
+        L, scales = self.integer_form
+        return Rat(sum(scales), L)
 
     def has_unit_scale(self) -> bool:
         return any(b == 1 for b in self.betas)
@@ -128,14 +145,15 @@ class EvalReport:
     certified_by_support: bool = False
 
     def to_dict(self, command: str, spec: SincProductSpec, weights: CosineWeightSpec | None = None) -> dict:
+        exact, deficit = rat_str(self.exact_value), self.deficit  # a deficit report renders its value once
         return {
             "command": command,
             "spec": [rat_str(b) for b in spec.betas],
             "weights": weights.m if weights is not None else None,
-            "exact": rat_str(self.exact_value),
+            "exact": exact,
             "decimal": self.decimal,
             "support_radius": rat_str(self.support_radius),
-            "deficit": rat_str(self.deficit) if self.deficit is not None else None,
+            "deficit": exact if deficit == self.exact_value else None if deficit is None else rat_str(deficit),
             "deficit_terms": [[int(x), rat_str(v)] for x, v in self.deficit_terms],
             "certified_by_support": self.certified_by_support,
         }
@@ -144,16 +162,6 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # the signed knot measure
 # ---------------------------------------------------------------------------
-
-
-def _integer_scales(spec: SincProductSpec):
-    """(L, scales, D): L the lcm of the scale denominators, scales the
-    integers beta_k L, D = n! 2^n prod_k beta_k L.  So C = L^(n+1) / D,
-    and F(x) = L sum_{s > xL} w_s (q s - p)^n / (q^n D) for xL = p/q."""
-    L = math.lcm(*(int(b.denominator) for b in spec.betas))
-    scales = [int(b * L) for b in spec.betas]
-    n = len(scales) - 1
-    return L, scales, math.factorial(n) * 2**n * math.prod(scales)
 
 
 def fourier_spline(spec: SincProductSpec, size_guard: int = SIZE_GUARD_DEFAULT) -> PiecewisePolynomial:
@@ -176,7 +184,7 @@ def fourier_spline(spec: SincProductSpec, size_guard: int = SIZE_GUARD_DEFAULT) 
                 "projected breakpoint count %s exceeds the size guard %d; "
                 "use point_eval_pruned for single points" % (projected, size_guard)
             )
-    L, scales, D = _integer_scales(spec)
+    (L, scales), D = spec.integer_form, spec.knot_denominator
     n = len(scales) - 1
     knots = {0: 1}
     for b in scales:
@@ -204,9 +212,9 @@ def edge_polynomial(spec: SincProductSpec):
     R is the support radius; the edge region ends at R - 2 min(beta),
     the largest signed subset sum below R.
     """
-    L, scales, D = _integer_scales(spec)
+    L, scales = spec.integer_form
     n = len(scales) - 1
-    return Rat(L ** (n + 1), D), n, spec.support_radius() - 2 * min(spec.betas)
+    return Rat(L ** (n + 1), spec.knot_denominator), n, Rat(sum(scales) - 2 * min(scales), L)
 
 
 @dataclass
@@ -229,11 +237,11 @@ def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
     x = abs(rat(x))
     if spec.betas == (x,):  # the one jump of F, at the edge of a single box
         return 1 / (2 * x), _PruneStats(visited=1, surviving=1)
-    L, scales, D = _integer_scales(spec)
+    (L, scales), D = spec.integer_form, spec.knot_denominator
     n = len(scales) - 1
     p, q = x.numerator * L, x.denominator
     floor = p // q
-    scales.sort(reverse=True)
+    scales = sorted(scales, reverse=True)
     stats = _PruneStats()
     acc = 0
     chunks = [({0: 1}, 0, sum(scales))]  # (entries, layers merged, sum of the scales left)
@@ -276,8 +284,9 @@ def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
 # ---------------------------------------------------------------------------
 
 
-def _sample_report(spec, top, digits, node_budget) -> EvalReport:
-    """Integral of W f for the weight W = 1 (top = 0) or W_m (top = 2m+1).
+def _sample_report(spec, top, digits, node_budget, as_deficit=False) -> EvalReport:
+    """Integral of W f for the weight W = 1 (top = 0) or W_m (top = 2m+1),
+    or with as_deficit its deficit 1 - integral.
 
     With a unit scale the value is 1 - 2 sum F(q) over q = top+2,
     top+4, ... inside the support, and radius < top+2 certifies 1
@@ -289,13 +298,14 @@ def _sample_report(spec, top, digits, node_budget) -> EvalReport:
     edge = math.floor(radius)  # a point exactly at the radius may carry a jump
     unit = spec.has_unit_scale()
     if unit and radius < top + 2:
-        return _report(rat(1), digits, radius, deficit=rat(0), certified=True)
+        return _report(rat(0) if as_deficit else rat(1), digits, radius, deficit=rat(0), certified=True)
     points = _sample_points(top + 2, edge) if unit else _sample_points(top % 2, min(top, edge))
     values = [_point_eval_pruned_stats(spec, x, node_budget)[0] for x in points]
     if not unit:
         return _report(values[0] if top == 0 else 2 * sum(values, rat(0)), digits, radius)
     deficit = 2 * sum(values, rat(0))
-    return _report(1 - deficit, digits, radius, deficit=deficit, terms=zip(points, values))
+    value = deficit if as_deficit else 1 - deficit
+    return _report(value, digits, radius, deficit=deficit, terms=zip(points, values))
 
 
 def _sample_points(start, stop):
@@ -366,12 +376,8 @@ def deficit_report(
     """
     if not spec.has_unit_scale():
         raise ValueError("deficit is defined only for specs containing a unit scale")
-    base = (
-        integral_exact(spec, digits, node_budget)
-        if weights is None
-        else weighted_integral_exact(spec, weights, digits, node_budget)
-    )
-    return replace(base, exact_value=base.deficit, decimal=to_decimal(base.deficit, digits))
+    top = 0 if weights is None else 2 * weights.m + 1
+    return _sample_report(spec, top, digits, node_budget, as_deficit=True)
 
 
 def sinc_power_breaking(m: int, n_max: int) -> list:

@@ -56,15 +56,21 @@ def _allow_digits(need: int) -> None:
 
 def int_str(n: int) -> str:
     """Decimal string of an int of any size."""
-    _allow_digits(int(abs(n).bit_length() * 0.30103) + 16)
-    return str(n)
+    try:
+        return str(n)
+    except ValueError:  # past the live int/str digit limit: lift it, then retry
+        _allow_digits(int(abs(n).bit_length() * 0.30103) + 16)
+        return str(n)
 
 
 def rat_str(x) -> str:
     """Serialize as "p/q", always including the denominator."""
-    x = rat(x)
-    _allow_digits(int(max(abs(x.numerator), x.denominator).bit_length() * 0.30103) + 16)
-    return "%d/%d" % (x.numerator, x.denominator)
+    if type(x) is not Rat:
+        x = rat(x)
+    try:
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:  # past the int/str digit limit
+        return int_str(x.numerator) + "/" + int_str(x.denominator)
 
 
 def _decimal_exponent(p: int, q: int) -> int:
@@ -110,8 +116,7 @@ def to_decimal(x, significant_digits: int) -> str:
     if a == 10**significant_digits:
         a //= 10
         e += 1
-    _allow_digits(significant_digits + 16)
-    digits = str(a)
+    digits = int_str(a)
     if -4 <= e <= significant_digits - 1:
         if e >= 0:
             int_part, frac = digits[: e + 1], digits[e + 1 :]

@@ -98,7 +98,7 @@ def reference_spline(spec):
 
 def _edge_matches_spline(spec, spline) -> bool:
     C, n, valid_from = edge_polynomial(spec)
-    R = spec.support_radius()
+    R = sum(spec.betas, rat(0))  # plain rational sum, not the spec's integer form
     if spline.breakpoints[-2] != valid_from:
         return False
     piece = list(spline.pieces[-1])
@@ -312,7 +312,7 @@ def check_poisson_consistency():
                 continue
             hits += 1
             F = fourier_spline(spec)
-            R = spec.support_radius()
+            R = sum(spec.betas, rat(0))  # plain rational sum, not the spec's integer form
             even = sum((F.evaluate(2 * k) for k in range(1, int(R // 2) + 2)), rat(0))
             odd = sum((F.evaluate(2 * k + 1) for k in range(0, int(R // 2) + 2)), rat(0))
             if F.evaluate(0) + 2 * even != 1:

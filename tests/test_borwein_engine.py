@@ -1,8 +1,12 @@
 import math
+import operator
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sincprod import borwein_engine
 from sincprod.borwein_engine import (
@@ -33,6 +37,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SincProductSpec((rat(1), rat(0)))
     with pytest.raises(ValueError):
+        SincProductSpec((rat(1), rat(-1, 3)))
+    with pytest.raises(ValueError):
         CosineWeightSpec(-1)
     assert CosineWeightSpec(2).multipliers() == (1, 3, 5)
 
@@ -42,6 +48,26 @@ def test_odd_harmonic_spec():
     assert spec.betas[-1] == rat(1, 15)
     assert spec.support_radius() == odd_harmonic_sum(7)
     assert spec.has_unit_scale()
+
+
+# 1-12 scales p/q drawn from a pool of up to 6, so repeats occur
+scale_lists = st.lists(st.tuples(st.integers(1, 50), st.integers(1, 10**6)), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scale_lists, st.integers(0, 60))
+def test_integer_form_matches_plain_fractions(pairs, m):
+    betas = tuple(Fraction(p, q) for p, q in pairs)
+    spec = SincProductSpec(betas)
+    L, scales = spec.integer_form
+    assert L == math.lcm(*(b.denominator for b in betas))
+    assert [operator.index(s) for s in scales] == [b * L for b in betas]
+    n = len(betas) - 1
+    assert spec.knot_denominator == math.factorial(n) * 2**n * math.prod(b * L for b in betas)
+    assert spec.support_radius() == sum(betas, Fraction(0))
+    assert SincProductSpec.odd_harmonic(m).betas == tuple(Fraction(1, 2 * k + 1) for k in range(m + 1))
 
 
 # -- fourier spline -----------------------------------------------------------

@@ -74,6 +74,27 @@ def test_deficit_weights_one_means_single_cosine(capsys):
     assert d["deficit_terms"][0][0] == 3
 
 
+@pytest.mark.parametrize("n", [56, 57])
+def test_heaviest_deficit_matches_the_edge_polynomial(capsys, n):
+    # x = 3 is the one sample point, and it lies in the edge region
+    # R - 2/(2n+1) < 3 <= R, where F(x) = (R - x)^n / (n! 2^n prod beta_k);
+    # the expected deficit 2 F(3) is worked out here in plain Fractions
+    betas = [Fraction(1, 2 * k + 1) for k in range(n + 1)]
+    R = sum(betas, Fraction(0))
+    assert R - Fraction(2, 2 * n + 1) < 3 <= R
+    expected = 2 * (R - 3) ** n / (math.factorial(n) * 2**n * math.prod(betas))
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "deficit", "--family", "odd-harmonic", "--n", str(n), "--weights", "1"
+    )
+    d = json.loads(out)
+    assert code == 0
+    assert [x for x, _ in d["deficit_terms"]] == [3]
+    assert Fraction(d["exact"]) == expected
+    assert d["deficit"] == d["exact"]
+    if n == 56:
+        assert d["decimal"] == "1.484870809e-138"
+
+
 def test_weighted_integral_cli(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "weighted-integral",
@@ -352,6 +373,19 @@ def test_digits_beyond_int_str_limit(spec, significant):
         assert decimal == significant  # the exact value 3 has no digits to trim back in
     else:
         assert decimal.startswith("0.99999") and len(decimal) - 2 == significant
+
+
+def test_deficit_output_does_not_depend_on_the_int_str_limit():
+    # fresh processes: one at a 640-digit limit, below the deficit's own
+    # digit count, must lift it and print what one at the default prints
+    argv = [sys.executable, "-m", "sincprod.cli", "--format", "json", "deficit",
+            "--family", "odd-harmonic", "--n", "56", "--weights", "1"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    default = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    low = subprocess.run(argv, capture_output=True, env=dict(env, PYTHONINTMAXSTRDIGITS="640"), timeout=120)
+    assert default.returncode == 0 and low.returncode == 0, low.stderr
+    assert low.stdout == default.stdout
 
 
 BAD_NUMBERS = ["", "1/0", "pi/0", "nan", "inf", "1e400", "-1/2", "2/3/4"]

@@ -23,6 +23,13 @@ def test_rat_str_always_has_denominator():
     assert rat_str(rat(-88069, 45045)) == "-88069/45045"
 
 
+def test_rat_str_accepts_int_and_str():
+    assert rat_str(7) == "7/1"
+    assert rat_str(-2) == "-2/1"
+    assert rat_str("-3/9") == "-1/3"
+    assert rat_str("0.25") == "1/4"
+
+
 def test_rat_str_huge_numerator():
     x = rat(10**6000 + 1, 3)
     s = rat_str(x)
