@@ -29,19 +29,23 @@ rounding of head + tail, which is all that is left of an integral
 that is exactly 0.
 
 Sums of sinc products over the integers work the same way: m below N
-is summed directly, and past N the summand is exactly a trigonometric
+is summed directly, term by term in fixed point on Python integers
+(each e^(i a_k m) is turned by e^(i a_k) once per m, with no sine
+call per term), and past N the summand is exactly a trigonometric
 sum over m^p whose frequencies, reduced modulo 2 pi, are merged and
 conjugate-paired as for integrals.  Each term sum_{m>=N} z^m m^(-p)
-takes a few steps of summation by parts (DLMF 2.10(ii)), from forward
-differences of m^(-p) formed exactly in integers; as m^(-p) is
-completely monotone, the remainder is at most the last term kept, so
-the tail bound is rigorous.  A frequency at z = 1 up to rounding takes
-the Hurwitz zeta(p, N) plus a bound for its drift.  N scales as
-1 / min |1 - z| and is a few hundred on the paper's examples.
+takes a few steps of summation by parts (DLMF 2.10(ii)), in fixed
+point over forward differences of m^(-p) formed exactly in integers;
+as m^(-p) is completely monotone, the remainder is at most the last
+term kept, so the tail bound is rigorous.  A frequency at z = 1 up to
+rounding takes the Hurwitz zeta(p, N) plus a bound for its drift.  N
+scales as 1 / min |1 - z| and is a few hundred on the paper's
+examples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import inf, lcm
 
@@ -307,23 +311,29 @@ def _near_prefix(freqs, dists, p, limit):
 
 
 def _differences(p, N, K):
-    """[Delta^k g(N) for k < K], g(m) = m^(-p), each the exact rational
-    rounded once to the working precision.  The table is formed in
-    integers over P = lcm(N, ..., N + K - 1)^p, the common denominator
-    of g(N), ..., g(N + K - 1), because the differences cancel by up to
-    (2N)^K."""
+    """([P Delta^k g(N) for k < K], P), g(m) = m^(-p): the forward
+    differences as exact integer numerators over their common
+    denominator P = lcm(N, ..., N + K - 1)^p, that of g(N), ...,
+    g(N + K - 1).  They are kept exact because the differences cancel
+    by up to (2N)^K."""
     P = lcm(*range(N, N + K)) ** p
     row = [P // (N + j) ** p for j in range(K)]
     diffs = []
     for _ in range(K):
-        diffs.append(mp.fdiv(row[0], P))
+        diffs.append(row[0])
         row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
-    return diffs
+    return diffs, P
 
 
-def _by_parts(freqs, p, N, target):
-    """sum_{m>=N} z^m m^(-p) for each z = e^(i w) of freqs, by
-    summation by parts (DLMF 2.10(ii)) taken K times:
+def _fixed(z, bits):
+    """The complex number z as a pair of integers, its parts times 2^bits
+    rounded to the nearest."""
+    return int(mp.nint(mp.ldexp(z.real, bits))), int(mp.nint(mp.ldexp(z.imag, bits)))
+
+
+def _by_parts(freqs, dists, p, N, target):
+    """sum_{m>=N} z^m m^(-p) for each z = e^(i w) of freqs, at distance
+    |1 - z| of dists, by summation by parts (DLMF 2.10(ii)) taken K times:
 
         sum_{k<K} z^(N+k) Delta^k g(N) / (1 - z)^(k+1) + R_K,  g(m) = m^(-p).
 
@@ -332,33 +342,73 @@ def _by_parts(freqs, p, N, target):
     the size of the last term kept.  The terms shrink by about
     (p + k) / (N |1 - z|), so they are added while they shrink, up to
     K ~ N min|1 - z| of them, which costs nothing past the table of
-    differences (_differences, exact up to one rounding each).  Returns
-    sum_j Re(c_j * tail_j) and sum_j |c_j| * size_j, or None when the
-    last term kept for some frequency is above target (a longer head
-    is then needed)."""
-    K = int(N * min(abs(1 - mp.expj(w)) for _, w in freqs)) + 1
-    diffs = _differences(p, N, K)
+    differences (_differences, exact integers over one denominator P).
+    The factors t_k = z^(N+k) / (1 - z)^(k+1) are turned by z / (1 - z)
+    in fixed point at Q = prec + K + bitlength(K) + 8 bits, which keep
+    each t_k to the working precision although |1 - z| <= 2 shrinks it
+    by up to 2^-K; sum_k t_k P Delta^k g(N) is formed exactly and
+    divided by P 2^Q once.  Returns sum_j Re(c_j * tail_j) and
+    sum_j |c_j| * size_j, or None when the last term kept for some
+    frequency is above target (a longer head is then needed)."""
+    K = int(N * min(dists)) + 1
+    diffs, P = _differences(p, N, K)
+    Q = mp.mp.prec + K + K.bit_length() + 8
+    den = P << Q
     value = bound = mpf(0)
-    for c, w in freqs:
-        z = mp.expj(w)
-        step = z / (1 - z)
-        t = mp.expj(w * N) / (1 - z)
-        # |term_k| = |Delta^k g(N)| / |1 - z|^(k+1), as |z| = 1
-        inv_dist = 1 / abs(1 - z)
-        s, last, scale = mpc(0), mp.inf, inv_dist
+    for (c, w), dist in zip(freqs, dists):
+        with mp.workprec(Q + 10):
+            z = mp.expj(w)
+            (tr, ti), (qr, qi) = _fixed(mp.expj(w * N) / (1 - z), Q), _fixed(z / (1 - z), Q)
+        # |term_k| = |Delta^k g(N)| / |1 - z|^(k+1), as |z| = 1, stops shrinking
+        # when |Delta^k g(N)| >= |Delta^(k-1) g(N)| |1 - z|
+        sr = si = kept = 0
         for d in diffs:
-            size = abs(d) * scale
-            if size >= last:
+            if kept and abs(d) >= abs(diffs[kept - 1]) * dist:
                 break
-            s += t * d
-            last = size
-            t *= step
-            scale *= inv_dist
+            sr, si = sr + tr * d, si + ti * d
+            tr, ti = (tr * qr - ti * qi) >> Q, (tr * qi + ti * qr) >> Q
+            kept += 1
+        last = mp.fdiv(abs(diffs[kept - 1]), P) / dist**kept
         if last > target:
             return None
-        value += (c * s).real
+        value += (c * mpc(mp.fdiv(sr, den), mp.fdiv(si, den))).real
         bound += abs(c) * last
     return value, bound
+
+
+def _head(a_mp, N, alternating):
+    """sum_{m=1}^{N-1} prod_k sinc(a_k m), times (-1)^m when alternating,
+    as an mpf of P bits.
+
+    Each e^(i a m) is carried as a pair of integers scaled by 2^P and
+    turned by round(e^(i a) 2^P) once per m; equal scales share one
+    turn, raised to their multiplicity.  The sines are multiplied in
+    fixed point, floor-divided by m^p and summed exactly, and the sum is
+    divided by prod_k a_k once, at P bits.  A turn adds at most 3 ulp
+    (units of 2^-P) to a sine, so the sine at m is off by at most 3m
+    ulp, the product at m by 3pm + p and its quotient by m^p by
+    (3pm + p) / m^p + 1.  Summed, the head is off by at most
+
+        (N + 3p (ln N + 2)) 2^-P / prod_k a_k + (p + 1) 2^-P |head|,
+
+    and P = prec + bitlength(N) + ceil(log2(1 / prod_k min(a_k, 1))) + 8
+    keeps that below 2^-prec for N >= 2p + 16, as numeric_sum's are."""
+    p = len(a_mp)
+    P = mp.mp.prec + N.bit_length() + int(mp.ceil(-mp.log(mp.fprod(min(a, 1) for a in a_mp), 2))) + 8
+    with mp.workprec(P + 10):
+        turns = [(*_fixed(mp.expj(a), P), e) for a, e in Counter(a_mp).items()]
+    cs, sn = [1 << P] * len(turns), [0] * len(turns)
+    total = 0
+    for m in range(1, N):
+        v = 1 << P
+        for j, (rc, rs, e) in enumerate(turns):
+            c, s = cs[j], sn[j]
+            cs[j], sn[j] = c, s = (c * rc - s * rs) >> P, (c * rs + s * rc) >> P
+            v = v * s**e >> P * e
+        v //= m**p
+        total += -v if alternating and m & 1 else v
+    with mp.workprec(P):
+        return mp.ldexp(total, -P) / mp.fprod(a_mp)
 
 
 def numeric_sum(
@@ -385,7 +435,7 @@ def numeric_sum(
     is set by the smallest |1 - z| among them.  Work past
     MAX_ORACLE_WORK raises ToleranceUnreachableError before it is done:
     each term _expand forms is charged 2, and each head length N tried
-    (N - 1) p, one per term per factor; a sum at the cap takes ~3 s.
+    (N - 1) p, one per term per factor; a sum at the cap takes ~0.2 s.
     """
     _check_tol("abs_tol", abs_tol)
     rs = _as_scales(scales)
@@ -416,7 +466,7 @@ def numeric_sum(
                     % (abs_tol, N - 1, budget // p,
                        " (a frequency of the summand is %s from resonance)" % mp.nstr(dists[near], 5) if rest else "")
                 )
-            tail = _by_parts(rest, p, N, target) if rest else (mpf(0), mpf(0))
+            tail = _by_parts(rest, dists[near:], p, N, target) if rest else (mpf(0), mpf(0))
             if tail is None:
                 N *= 2
         tail_value, tail_bound = tail
@@ -425,15 +475,7 @@ def numeric_sum(
             tail_value += c.real * zeta
             tail_bound += abs(c) * _drift_bound(p, N, w)
 
-        def term(m):
-            v = mpf(1)
-            for a in a_mp:
-                v *= _sinc(a * m)
-            if alternating and m & 1:
-                v = -v
-            return v
-
-        body = mp.fsum(term(m) for m in range(1, N)) + tail_value
+        body = _head(a_mp, N, alternating) + tail_value
         bound = tail_bound
         if one_sided:
             value = 1 + body

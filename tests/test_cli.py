@@ -318,6 +318,16 @@ def test_sum_near_resonance_exits_three_at_once(capsys):
     assert code == 3 and json.loads(out)["error"]["type"] == "ToleranceUnreachableError"
 
 
+def test_sum_refusal_keeps_its_message(capsys):
+    code, out, err = run_cli(capsys, "sum", "--scales", "2,1.1415926535", "--alternating", "--abs-tol", "1e-12")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"error": {
+        "type": "ToleranceUnreachableError",
+        "message": "a tail within abs_tol 1e-12 needs a direct head of 445467840171 terms, past the 59994-term cap "
+                   "(a frequency of the summand is 8.9793e-11 from resonance)",
+    }}
+
+
 @pytest.mark.parametrize("threshold, digits", [("11", 9), ("100", 87)])
 def test_breakpoint_large_threshold_is_fast(capsys, threshold, digits):
     t0 = time.perf_counter()

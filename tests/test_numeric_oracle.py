@@ -5,7 +5,7 @@ import time
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sincprod.borwein_engine import (
@@ -20,6 +20,7 @@ from sincprod.numeric_oracle import (
     MAX_ORACLE_WORK,
     RealScales,
     ToleranceUnreachableError,
+    _by_parts,
     _differences,
     _drift_bound,
     _head_length,
@@ -286,6 +287,25 @@ def test_sum_preconditions():
         numeric_sum([1.0] * 200)
 
 
+@pytest.mark.parametrize(
+    "scales, kwargs, message",
+    [
+        ([2.0, float(mp.pi) - 2 + 1e-9], dict(alternating=True, abs_tol=1e-14),
+         "a tail within abs_tol 1e-14 needs a direct head of 40000001588 terms, past the 59994-term cap "
+         "(a frequency of the summand is 1.0e-9 from resonance)"),
+        (_pi_scales(19), {}, "the tail needs more terms than the 60000 the work cap leaves"),
+        ([1.0] * 200, {}, "a tail within abs_tol 1e-10 needs a direct head of 415 terms, past the 198-term cap"),
+        ([1.0, 1.0, 2 * float(mp.pi) - 2 + 1e-7], dict(abs_tol=1e-14),
+         "a tail within abs_tol 1e-14 needs a direct head of 439999999 terms, past the 39992-term cap "
+         "(a frequency of the summand is 1.0e-7 from resonance)"),
+    ],
+)
+def test_sum_refusals_keep_their_messages(scales, kwargs, message):
+    with pytest.raises(ToleranceUnreachableError) as info:
+        numeric_sum(scales, **kwargs)
+    assert str(info.value) == message
+
+
 def test_sum_near_resonance_refused_at_once():
     t0 = time.perf_counter()
     with pytest.raises(ToleranceUnreachableError):
@@ -332,20 +352,105 @@ def _differences_reference(p, N, K):
     return [sum((-1) ** (k - j) * math.comb(k, j) * over[j] for j in range(k + 1)) for k in range(K)], D
 
 
-def test_difference_table_rounds_the_exact_differences():
+def test_difference_table_is_exact():
     rng = random.Random(16)
     cases = [(10**5, 16, 193), (4 * 10**4, 8, 257), (1, 2, 40)]
     cases += [(rng.randint(1, 5000), rng.randint(2, 16), rng.randint(1, 80)) for _ in range(12)]
     for N, p, K in cases:
         numerators, D = _differences_reference(p, N, K)
-        for prec in (128, 300):
-            with mp.workprec(prec):
-                table = _differences(p, N, K)
-                assert len(table) == K
-                for k, (d, n) in enumerate(zip(table, numerators)):
-                    want = mp.fdiv(n, D)
-                    ulp = mp.ldexp(1, mp.frexp(want)[1] - prec)
-                    assert abs(d - want) <= 2 * ulp, (N, p, K, k, prec)
+        table, P = _differences(p, N, K)
+        # the same differences over the reference's denominator, a multiple of P
+        assert D % P == 0 and [n * (D // P) for n in table] == numerators, (N, p, K)
+
+
+def _head_reference(scales, N, alternating):
+    """sum_{m=1}^{N-1} (+-1)^m prod_k sin(a_k m) / (a_k m), one mp.sin per
+    factor per term at the current precision."""
+    return mp.fsum((-1) ** (m * alternating) * mp.fprod(mp.sin(a * m) / (a * m) for a in scales)
+                   for m in range(1, N))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pool=st.lists(st.floats(min_value=-3, max_value=1).map(lambda e: 10**e), min_size=1, max_size=6),
+    picks=st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=6),
+    N=st.integers(min_value=1, max_value=300),
+    alternating=st.booleans(),
+)
+@example(pool=[1.0], picks=[0, 0, 0], N=1, alternating=False)  # an empty head
+@example(pool=[0.5, 3.0], picks=[0, 1, 1], N=2, alternating=True)
+@example(pool=[2.0, 1.14], picks=[0, 1], N=25_116, alternating=True)  # numeric_sum's head at 1e-10
+@example(pool=[1e-3, 0.01], picks=[0, 1, 1], N=300, alternating=False)
+def test_fixed_point_head_within_its_bound(pool, picks, N, alternating):
+    # the bound of _head's docstring, against a sum of mp.sin terms at twice the precision
+    scales = [mp.mpf(pool[i % len(pool)]) for i in picks]
+    p, prec = len(scales), 128
+    with mp.workprec(prec):
+        head = numeric_oracle._head(scales, N, alternating)
+    with mp.workprec(2 * prec):
+        want = _head_reference(scales, N, alternating)
+        P = prec + N.bit_length() + int(mp.ceil(-mp.log(mp.fprod(min(a, 1) for a in scales), 2))) + 8
+        bound = (N + 3 * p * (mp.log(N) + 2)) / mp.fprod(scales) + (p + 1) * abs(want)
+        assert abs(head - want) <= mp.ldexp(bound, -P) + N * mp.ldexp(1, 4 - 2 * prec)
+
+
+def _by_parts_reference(freqs, p, N, K):
+    """_by_parts's sums and bounds by the mpc loop over the rounded
+    differences: t_k = z^(N+k) / (1 - z)^(k+1) turned in mpc arithmetic."""
+    numerators, D = _differences_reference(p, N, K)
+    value = bound = mp.mpf(0)
+    for c, w in freqs:
+        z = mp.expj(w)
+        t, s, last = mp.expj(w * N) / (1 - z), mp.mpc(0), mp.inf
+        for k, n in enumerate(numerators):
+            d = mp.fdiv(n, D)
+            if abs(d) / abs(1 - z) ** (k + 1) >= last:
+                break
+            s, t, last = s + t * d, t * z / (1 - z), abs(d) / abs(1 - z) ** (k + 1)
+        value, bound = value + (c * s).real, bound + abs(c) * last
+    return value, bound
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 9])
+def test_by_parts_matches_the_mpc_loop(p):
+    rng = random.Random(p)
+    for _ in range(4):
+        prec = rng.choice([128, 200])
+        with mp.workprec(prec):
+            ws = sorted(mp.mpf(10) ** rng.uniform(-3, 0.49) for _ in range(rng.randint(1, 4)))
+            freqs = [(mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)), w) for w in ws]
+            dists = [abs(1 - mp.expj(w)) for w in ws]
+            N = _head_length(p, dists[0])
+            value, bound = _by_parts(freqs, dists, p, N, mp.inf)
+        K = int(N * dists[0]) + 1
+        with mp.workprec(2 * prec):
+            want, want_bound = _by_parts_reference(freqs, p, N, K)
+            # each sum is within a few roundings of its first term, |c| N^(-p) / |1 - z|
+            scale = mp.fsum(abs(c) / dist for (c, _), dist in zip(freqs, dists)) * mp.mpf(N) ** -p
+            assert abs(value - want) <= mp.ldexp(scale, 4 - prec), (ws, N)
+            # a bound is a power up to K of |1 - z| rounded to prec bits
+            assert abs(bound - want_bound) <= (K + 2) * mp.ldexp(want_bound, 1 - prec)
+
+
+@pytest.mark.parametrize(
+    "scales, alternating, merged, head",
+    [
+        ([5 * mp.pi / 4, 1.0, 1.0], False, 3, 124),
+        # pi - 3.14 and 2 pi - (pi + 3.14), both 0.0016, stay one rounding
+        # apart, and so do the two at 2.28: four merged frequencies
+        ([2.0, 1.14], True, 4, 25_115),
+    ],
+)
+def test_sum_makes_no_transcendental_call_per_term(monkeypatch, scales, alternating, merged, head):
+    # a count, not a time: e^(i a) once per distinct scale, and |1 - e^(i w)|,
+    # e^(i w) and e^(i w N) once per merged frequency, whatever the head length
+    calls = []
+    for name in ("sin", "cos", "expj", "exp"):
+        f = getattr(mp, name)
+        monkeypatch.setattr(mp, name, lambda *args, f=f: calls.append(args) or f(*args))
+    s = numeric_sum(scales, alternating=alternating)
+    assert s.truncation_m == head
+    assert len(calls) == len(set(scales)) + 3 * merged
 
 
 def _poisson(betas, alternating):
