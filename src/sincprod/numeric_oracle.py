@@ -9,10 +9,16 @@ max(128, -log2(tol) + 40) bits, so that ten matching decimal digits
 can be certified comfortably; the band-limited kernel works at
 kernel_prec_bits(tol).
 
-Every integral is a head [0, T], integrated directly in Gauss-Legendre
-mp.quad panels half a period of the fastest frequency wide (the
-integrand is entire, so the rule converges fast), plus a closed-form
-tail: past T each factor is a finite sum of terms c e^(i w t) t^(-p), and
+Every integral is a head [0, T], integrated directly in equal panels
+half a period of the fastest frequency wide, plus a closed-form tail.
+Each panel takes one Gauss-Legendre rule whose degree is fixed before
+any evaluation: every factor is band-limited with an even nonnegative
+transform, so |f(x + i y)| <= f(0) cosh(omega y) (Paley-Wiener), and the
+product is bounded on the Bernstein ellipses around a panel; the rule's
+error is then at most (h/2) (64/15) M rho^(2-2n) / (rho^2 - 1)
+(Trefethen, ATAP Thm 19.3), and n is the fewest mpmath nodes that put
+this below 2^-(prec+20) h: 24 from 80 to 190 bits, 48 from 200 to 500.
+Past T each factor is a finite sum of terms c e^(i w t) t^(-p), and
 each term integral_T^inf e^(i w t) t^(-p) dt equals T^(1-p) E_p(-i w T),
 with E_p the generalized exponential integral (DLMF 8.19), for any
 T > 0.  Equal (w, p) are merged and each conjugate pair +-w shares one
@@ -24,9 +30,9 @@ cut where a rigorous bound on the rest fits in the tolerance.  The tail
 is accurate to working precision, with guard bits for the cancellation
 a short head leaves, instead of needing the astronomically large
 truncation points an absolute-value bound would demand.  The error
-estimate held to rel_tol or abs_tol is the quadrature's plus the
-rounding of head + tail, which is all that is left of an integral
-that is exactly 0.
+bound held to rel_tol or abs_tol is the quadrature's plus the rounding
+of head + tail, which is all that is left of an integral that is
+exactly 0.
 
 Sums of sinc products over the integers work the same way: m below N
 is summed directly, term by term in fixed point on Python integers
@@ -62,7 +68,7 @@ KERNEL_TAIL_START = 4
 
 
 class ToleranceUnreachableError(Exception):
-    """An integral's error estimate exceeds the requested tolerance, or
+    """An integral's error bound exceeds the requested tolerance, or
     an integral or a sum needs more work than MAX_ORACLE_WORK."""
 
 
@@ -81,6 +87,22 @@ class RealScales:
         if not scales or not all(float(a) > 0 and mp.isfinite(a) for a in scales):
             raise ValueError("scales must be a nonempty list of positive finite reals")
         object.__setattr__(self, "scales", scales)
+
+
+def _working_prec(tol) -> int:
+    """Working precision of the integrals and sums at tol: 40 bits past
+    it, at least DEFAULT_PREC_BITS."""
+    return max(DEFAULT_PREC_BITS, int(-mp.log(mpf(tol), 2)) + 40)
+
+
+def _sum_below(scales, multiple, tol) -> bool:
+    """Whether sum(scales) < multiple * pi, decided on the scales as the
+    oracle sees them at tol, rounded to _working_prec(tol) bits: the gap
+    must pass the rounding of both sides, so scales that meet the bound
+    exactly (three times 2 pi / 3 against 2 pi) do not count as below."""
+    with mp.workprec(_working_prec(tol)):
+        total, bound = mp.fsum(mpf(a) for a in scales), multiple * mp.pi
+        return bound - total > mp.eps * (total + bound)
 
 
 def _check_tol(name, tol) -> None:
@@ -209,22 +231,69 @@ def _tail(factors, T, budget):
         return total
 
 
+def _gauss_bound(n, C, omega_h, h):
+    """Bound on the error of n-point Gauss-Legendre on a panel of width
+    h, for an entire integrand with |f(x + i y)| <= C e^(omega |y|) and
+    omega h = omega_h.  Mapped onto [-1, 1], f is bounded on the
+    Bernstein ellipse E_rho by M = C e^(omega_h (rho - 1/rho) / 4), and
+    the rule is off by at most (h/2) (64/15) M rho^(2-2n) / (rho^2 - 1)
+    (Trefethen, Approximation Theory and Approximation Practice,
+    Thm 19.3, whose n + 1 points are n here); rho = max(2, 8 n / omega_h)
+    nearly minimizes that."""
+    rho = max(mpf(2), 8 * n / omega_h)
+    return h * 32 * C * mp.exp(omega_h * (rho - 1 / rho) / 4) * rho ** (2 - 2 * n) / (15 * (rho**2 - 1))
+
+
+def _gauss_rule(C, omega_h, h):
+    """(d, bound): the smallest degree d of mpmath's Gauss-Legendre rule,
+    n = 3 2^(d-1) nodes, whose _gauss_bound on a panel of width h is at
+    most 2^-(prec+20) h, and that bound; the top degree mp.quad would
+    try, guess_degree(prec), and its bound if none is."""
+    prec = mp.mp.prec
+    for d in range(1, mp.mp._gauss_legendre.guess_degree(prec) + 1):
+        bound = _gauss_bound(3 << (d - 1), C, omega_h, h)
+        if bound <= mp.ldexp(h, -prec - 20):
+            break
+    return d, bound
+
+
+def _quad_head(factors, T, panels):
+    """(integral_0^T prod f dt, a bound on its error) for factors
+    (f, terms, C, omega), each f entire and bounded off the real line by
+    |f(x + i y)| <= C cosh(omega y), as f is, with C = f(0), when its
+    transform is even, nonnegative and zero past omega (sinc, sin(b t)/t,
+    the kernel and cosines alike).
+    [0, T] is cut into equal panels, each summed by one Gauss-Legendre
+    rule whose degree _gauss_rule fixes before any evaluation, from
+    prod C and the fastest frequency sum omega.  The rule is summed at
+    prec + 20 bits over mpmath's own cached nodes and rounded once, as
+    mp.quad sums the last rung of its ladder; the bound is the rule's,
+    summed over panels."""
+    prec, h = mp.mp.prec, T / panels
+    degree, bound = _gauss_rule(mp.fprod(c for *_, c, _ in factors), h * mp.fsum(w for *_, w in factors), h)
+    points, head = mp.linspace(0, T, panels + 1), mpf(0)
+    with mp.extraprec(20):
+        for a, b in zip(points, points[1:]):
+            nodes = mp.mp._gauss_legendre.get_nodes(a, b, degree, prec)
+            head += mp.fdot((w, mp.fprod(f(x) for f, *_ in factors)) for x, w in nodes)
+    return +head, panels * bound
+
+
 def _head_tail(factors, T, panels):
-    """(integral_0^inf prod f dt, an error estimate) for factors
-    (f, terms), each f equal to its terms past T: the head [0, T] in
-    panels Gauss-Legendre panels of mp.quad, the tail by _tail.  The
-    estimate is the quadrature's plus one rounding of |head| + |tail|,
-    so a head and tail that cancel to noise do not pass as accurate.
-    Work past MAX_ORACLE_WORK (a tail term formed is charged 6, a panel
-    1,200) raises ToleranceUnreachableError before it is done."""
+    """(integral_0^inf prod f dt, an error bound) for factors
+    (f, terms, C, omega), each f equal to its terms past T: the head
+    [0, T] by _quad_head, the tail by _tail.  The bound is the head's
+    plus one rounding of |head| + |tail|, so a head and tail that cancel
+    to noise do not pass as accurate.  Work past MAX_ORACLE_WORK (a tail
+    term formed is charged 6, a panel 1,200) raises
+    ToleranceUnreachableError before it is done."""
     budget = MAX_ORACLE_WORK - 1200 * panels
     if budget < 0:
         raise ToleranceUnreachableError("the head [0, %s] needs %d quadrature panels, past the work cap"
                                         % (mp.nstr(T, 5), panels))
-    tail = _tail([terms for _, terms in factors], T, budget // 6)
-    head, err = mp.quad(lambda t: mp.fprod(f(t) for f, _ in factors), mp.linspace(0, T, panels + 1),
-                        method="gauss-legendre", error=True)
-    return head + tail, err + mp.eps * (abs(head) + abs(tail))
+    tail = _tail([terms for _, terms, _, _ in factors], T, budget // 6)
+    head, bound = _quad_head(factors, T, panels)
+    return head + tail, bound + mp.eps * (abs(head) + abs(tail))
 
 
 def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = None):
@@ -234,7 +303,7 @@ def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = Non
     The head [0, T] is one half period of the fastest frequency,
     T = pi / omega_max, integrated directly; the tail past T is exact
     at any T.  ToleranceUnreachableError is raised when the
-    quadrature's error estimate exceeds the tolerance: rel_tol of the
+    quadrature's error bound exceeds the tolerance: rel_tol of the
     result, or abs_tol, which also serves integrals whose value is 0.
 
     A single undamped sinc factor is not absolutely integrable and is
@@ -249,20 +318,19 @@ def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = Non
             "a single sinc factor is not absolutely integrable; "
             "use the exact engine for closed forms"
         )
-    need = int(-mp.log(mpf(min(rel_tol, abs_tol or rel_tol)), 2)) + 40
-    with mp.workprec(max(DEFAULT_PREC_BITS, need)):
+    with mp.workprec(_working_prec(min(rel_tol, abs_tol or rel_tol))):
         a_mp = [mpf(a) for a in rs.scales]
-        factors = [(lambda t, a=a: _sinc(a * t), _sinc_terms(a)) for a in a_mp]
+        factors = [(lambda t, a=a: _sinc(a * t), _sinc_terms(a), 1, a) for a in a_mp]
         omega_max = mp.fsum(a_mp)
         if rs.weight is not None:
             ks = rs.weight.multipliers()
             factors.append((lambda t: 2 * mp.fsum(mp.cos(k * mp.pi * t) for k in ks),
-                            [(mpc(1), s * k * mp.pi, 0) for k in ks for s in (1, -1)]))
+                            [(mpc(1), s * k * mp.pi, 0) for k in ks for s in (1, -1)], 2 * len(ks), ks[-1] * mp.pi))
             omega_max += ks[-1] * mp.pi
         half, err = _head_tail(factors, mp.pi / omega_max, 1)
         allowed, name = (rel_tol * abs(half), "rel_tol") if abs_tol is None else (mpf(abs_tol) / 2, "abs_tol")
         if err > allowed:
-            raise ToleranceUnreachableError("quadrature error estimate %s exceeds %s (%s), half-line integral %s"
+            raise ToleranceUnreachableError("quadrature error bound %s exceeds %s (%s), half-line integral %s"
                                             % (mp.nstr(err, 5), mp.nstr(allowed, 5), name, mp.nstr(half, 5)))
         return 2 * half
 
@@ -444,7 +512,7 @@ def numeric_sum(
     p = len(rs.scales)
     if p < 3 and not (alternating and p >= 2):
         raise ValueError("need >= 3 factors (or alternating with >= 2) for a convergent sum")
-    with mp.workprec(max(DEFAULT_PREC_BITS, int(-mp.log(mpf(abs_tol), 2)) + 40)):
+    with mp.workprec(_working_prec(abs_tol)):
         a_mp = [mpf(a) for a in rs.scales]
         # the bound covers the sum over m >= 1, which the two-sided sum doubles
         tol = mpf(abs_tol) if one_sided else mpf(abs_tol) / 2
@@ -495,16 +563,16 @@ def verify_theorem1(scales, alternating: bool = False, tol: float = 1e-7) -> dic
 
     The two sides agree whenever the scales sum below 2 pi (plain) or
     3 pi (alternating); the report records whether that hypothesis
-    holds and whether the sides agree within tol."""
+    holds, decided by _sum_below at the working precision of the two
+    sides, and whether the sides agree within tol."""
     rs = _as_scales(scales)
+    hypothesis = _sum_below(rs.scales, 3 if alternating else 2, float(tol) / 8)
     if len(rs.scales) < 2:
         return {
             "excluded": True,
             "reason": "single-factor specs are handled by the exact engine only",
-            "hypothesis_holds": float(sum(rs.scales)) < float((3 if alternating else 2) * mp.pi),
+            "hypothesis_holds": hypothesis,
         }
-    total = mp.fsum(mpf(a) for a in rs.scales)
-    hypothesis = total < (3 if alternating else 2) * mp.pi
     sum_res = numeric_sum(rs.scales, alternating=alternating, abs_tol=float(tol) / 8)
     weight = CosineWeightSpec(0) if alternating else None
     # tol is absolute, and an integral can be exactly 0 (a transform
@@ -519,7 +587,7 @@ def verify_theorem1(scales, alternating: bool = False, tol: float = 1e-7) -> dic
         "rhs": mp.nstr(integral, 17),
         "difference": mp.nstr(diff, 8),
         "tolerance": float(tol),
-        "hypothesis_holds": bool(hypothesis),
+        "hypothesis_holds": hypothesis,
         "equal_within_tol": bool(abs(diff) <= mpf(tol)),
         "truncation_m": sum_res.truncation_m,
         "tail_bound": mp.nstr(sum_res.tail_bound, 5),
@@ -531,7 +599,8 @@ def lower_bound_check(a0, rest, abs_tol: float = 5e-10) -> dict:
     sum_{m>=0} prod sinc(a_k m) against sum_{m>=0} sinc^(n+1)(a0 m).
 
     The analog is guaranteed only under (n+1) a0 < 2 pi; the report
-    states whether the hypothesis holds and whether the inequality came
+    states whether the hypothesis holds, decided by _sum_below at the
+    sums' working precision, and whether the inequality came
     out true, so hypothesis violations with a failing inequality are
     visible counterexamples."""
     rest = list(rest)
@@ -541,13 +610,12 @@ def lower_bound_check(a0, rest, abs_tol: float = 5e-10) -> dict:
     lhs = numeric_sum([a0] + rest, abs_tol=abs_tol, one_sided=True)
     rhs = numeric_sum([a0] * (n + 1), abs_tol=abs_tol, one_sided=True)
     slack = lhs.tail_bound + rhs.tail_bound
-    hypothesis = (n + 1) * mpf(a0) < 2 * mp.pi
     return {
         "lhs": mp.nstr(lhs.value, 17),
         "rhs": mp.nstr(rhs.value, 17),
         "lhs_truncation_m": lhs.truncation_m,
         "rhs_truncation_m": rhs.truncation_m,
-        "hypothesis_holds": bool(hypothesis),
+        "hypothesis_holds": _sum_below([a0] * (n + 1), 2, abs_tol),
         "inequality_holds": bool(lhs.value >= rhs.value - slack),
         "margin": mp.nstr(lhs.value - rhs.value, 10),
     }
@@ -559,9 +627,11 @@ def lower_bound_check(a0, rest, abs_tol: float = 5e-10) -> dict:
 
 
 def bandlimited_kernel(t):
-    """f(t) = (t sin t - cos t + e) / ((1 + t^2)(e - 1)); f(0) = 1 and
-    its transform is pi e^(-|w|) / (1 - 1/e) on |w| < 1, zero beyond."""
-    t = mpf(t)
+    """f(t) = (t sin t - cos t + e) / ((1 + t^2)(e - 1)), for real or
+    complex t; f(0) = 1 and its transform is pi e^(-|w|) / (1 - 1/e) on
+    |w| < 1, zero beyond.  The poles at t = +-i cancel: the numerator
+    vanishes there."""
+    t = mp.mpmathify(t)
     if t == 0:
         return mpf(1)
     return (t * mp.sin(t) - mp.cos(t) + mp.e) / ((1 + t * t) * (mp.e - 1))
@@ -582,22 +652,24 @@ def _truncation_bound(a_mp, g_terms, T, J):
     return at_T * mp.fsum(abs(c) * T ** (1 - p) / (p + 2 * J + len(E) - 1) for c, _, p in g_terms)
 
 
-def _kernel_integral(a_mp, g, omega_max, tol):
-    """integral_0^inf g(t) prod_k f(a_k t) dt within tol, for f the kernel,
-    g = (sin(b t)/t or 2 cos(w t), its terms) and omega_max the fastest
-    frequency.  T is the first multiple of pi / omega_max past
-    KERNEL_TAIL_START / min a_k; each f is cut to the fewest terms J whose
-    _truncation_bound fits in tol / 4, and that bound plus the quadrature's
-    error estimate must stay within tol (else ToleranceUnreachableError)."""
+def _kernel_integral(a_mp, g, tol):
+    """integral_0^inf g(t) prod_k f(a_k t) dt within tol, for f the kernel
+    and g = (sin(b t)/t or 2 cos(w t), its terms, C, omega) as
+    _head_tail takes it.  T is the first multiple of pi / omega_max, the
+    fastest frequency sum a_k + omega, past KERNEL_TAIL_START / min a_k;
+    each f is cut to the fewest terms J whose _truncation_bound fits in
+    tol / 4, and that bound plus the quadrature's error bound must stay
+    within tol (else ToleranceUnreachableError)."""
+    omega_max = mp.fsum(a_mp) + g[3]
     panels = max(1, int(mp.ceil(KERNEL_TAIL_START * omega_max / (mp.pi * min(a_mp)))))
     T = panels * mp.pi / omega_max
     J = 1
     while (bound := _truncation_bound(a_mp, g[1], T, J)) > tol / 4:
         J += 1
-    kernels = [(lambda t, a=a: bandlimited_kernel(a * t), _kernel_terms(a, J)) for a in a_mp]
+    kernels = [(lambda t, a=a: bandlimited_kernel(a * t), _kernel_terms(a, J), 1, a) for a in a_mp]
     value, err = _head_tail([g] + kernels, T, panels)
     if err + bound > tol:
-        raise ToleranceUnreachableError("quadrature error estimate %s plus truncation bound %s exceeds %s"
+        raise ToleranceUnreachableError("quadrature error bound %s plus truncation bound %s exceeds %s"
                                         % (mp.nstr(err, 5), mp.nstr(bound, 5), mp.nstr(tol, 5)))
     return value
 
@@ -620,8 +692,9 @@ def example5_integral(a, b, tol: float = 1e-6):
     with mp.workprec(kernel_prec_bits(tol)):
         a_mp = [mp.fdiv(x.numerator, x.denominator) for x in a_r]
         b_mp = mp.fdiv(b_r.numerator, b_r.denominator)
-        g = (lambda t: mp.sin(b_mp * t) / t if t else b_mp, [(c * b_mp, w, p) for c, w, p in _sinc_terms(b_mp)])
-        return 2 * _kernel_integral(a_mp, g, mp.fsum(a_mp) + b_mp, tol / 2)
+        g = (lambda t: mp.sin(b_mp * t) / t if t else b_mp, [(c * b_mp, w, p) for c, w, p in _sinc_terms(b_mp)],
+             b_mp, b_mp)
+        return 2 * _kernel_integral(a_mp, g, tol / 2)
 
 
 def verify_ft_example5(omega_samples, tol: float = 1e-6) -> list:
@@ -633,8 +706,8 @@ def verify_ft_example5(omega_samples, tol: float = 1e-6) -> list:
         for omega in omega_samples:
             w_r = rat(omega)
             w = abs(mp.fdiv(w_r.numerator, w_r.denominator))
-            g = (lambda t: 2 * mp.cos(w * t), [(mpc(1), w, 0), (mpc(1), -w, 0)])
-            numeric = _kernel_integral([mpf(1)], g, 1 + w, tol)
+            g = (lambda t: 2 * mp.cos(w * t), [(mpc(1), w, 0), (mpc(1), -w, 0)], 2, w)
+            numeric = _kernel_integral([mpf(1)], g, tol)
             closed = mp.pi / (1 - mp.exp(-1)) * mp.exp(-w) if w < 1 else mpf(0)
             out.append(
                 {

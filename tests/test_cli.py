@@ -162,6 +162,72 @@ def test_lower_bound_cli(capsys):
     assert d["hypothesis_holds"] is False and d["inequality_holds"] is False
 
 
+@pytest.mark.parametrize(
+    "a0, holds",
+    [
+        # 3 a0 = 2 pi (1 - 1e-26): below 2 pi at the sums' 128 bits, equal at 53
+        ("0.66666666666666666666666666pi", True),
+        # 3 a0 = 2 pi exactly: a gap of a rounding or two must not count
+        ("2pi/3", False),
+        ("5pi/4", False),
+    ],
+)
+def test_lower_bound_hypothesis_at_working_precision(capsys, a0, holds):
+    code, out, _ = run_cli(capsys, "--format", "json", "lower-bound", "--a0", a0, "--rest", "1,1")
+    assert code == 0 and json.loads(out)["hypothesis_holds"] is holds
+
+
+# stdout, plain and JSON, of oracle commands whose renderings stay fixed
+ORACLE_OUTPUTS = [
+    ("sum --scales 5pi/4,1,1 --one-sided",
+     'command: sum\nscales: 5pi/4,1,1\nvalue: 0.9\ntruncation_m: 124\ntail_bound: 5.5048e-26\n'
+     'requested_tol: 1e-10\none_sided: True\n',
+     '{"command": "sum", "scales": "5pi/4,1,1", "value": "0.9", "truncation_m": 124, "tail_bound": "5.5048e-26", '
+     '"requested_tol": 1e-10, "one_sided": true}\n'),
+    ("lower-bound --a0 5pi/4 --rest 1,1",
+     'command: lower-bound\na0: 5pi/4\nrest: 1,1\nlhs: 0.9\nrhs: 0.996\nlhs_truncation_m: 124\n'
+     'rhs_truncation_m: 57\nhypothesis_holds: False\ninequality_holds: False\nmargin: -0.096\n',
+     '{"command": "lower-bound", "a0": "5pi/4", "rest": "1,1", "lhs": "0.9", "rhs": "0.996", "lhs_truncation_m": 124, '
+     '"rhs_truncation_m": 57, "hypothesis_holds": false, "inequality_holds": false, "margin": "-0.096"}\n'),
+    ("example5 --a 0.5,0.3 --b 1",
+     'command: example5\na: 0.5,0.3\nb: 1\nvalue: 3.1415926548097012\npi_difference: 1.2199e-9\n',
+     '{"command": "example5", "a": "0.5,0.3", "b": "1", "value": "3.1415926548097012", '
+     '"pi_difference": "1.2199e-9"}\n'),
+    ("example5 --a 0.5,0.3 --b 1 --tol 1e-12",
+     'command: example5\na: 0.5,0.3\nb: 1\nvalue: 3.1415926535897922\npi_difference: -9.9407e-16\n',
+     '{"command": "example5", "a": "0.5,0.3", "b": "1", "value": "3.1415926535897922", '
+     '"pi_difference": "-9.9407e-16"}\n'),
+    ("example5 --a 0.9 --b 0.5 --tol 1e-4",
+     'command: example5\na: 0.9\nb: 0.5\nvalue: 2.1184129104192162\npi_difference: -1.0232\n',
+     '{"command": "example5", "a": "0.9", "b": "0.5", "value": "2.1184129104192162", "pi_difference": "-1.0232"}\n'),
+    ("example5 --ft-omegas 0,1/2,-1/2,3/2",
+     'omega: 0\nnumeric: 4.9699263558324856\nclosed_form: 4.9699264004508497\ndifference: -4.4618e-8\n'
+     'within_tol: True\nomega: 1/2\nnumeric: 3.0144127508196633\nclosed_form: 3.0144127383886874\n'
+     'difference: 1.2431e-8\nwithin_tol: True\nomega: -1/2\nnumeric: 3.0144127508196633\n'
+     'closed_form: 3.0144127383886874\ndifference: 1.2431e-8\nwithin_tol: True\nomega: 3/2\n'
+     'numeric: -1.0735150411768412e-10\nclosed_form: 0.0\ndifference: -1.0735e-10\nwithin_tol: True\n',
+     '{"command": "example5-ft", "samples": [{"omega": "0", "numeric": "4.9699263558324856", '
+     '"closed_form": "4.9699264004508497", "difference": "-4.4618e-8", "within_tol": true}, '
+     '{"omega": "1/2", "numeric": "3.0144127508196633", "closed_form": "3.0144127383886874", '
+     '"difference": "1.2431e-8", "within_tol": true}, {"omega": "-1/2", "numeric": "3.0144127508196633", '
+     '"closed_form": "3.0144127383886874", "difference": "1.2431e-8", "within_tol": true}, '
+     '{"omega": "3/2", "numeric": "-1.0735150411768412e-10", "closed_form": "0.0", "difference": "-1.0735e-10", '
+     '"within_tol": true}]}\n'),
+    ("example5 --a 355/113000 --b 1/7 --tol 1e-4",
+     'command: example5\na: 355/113000\nb: 1/7\nvalue: 3.1415926544043327\npi_difference: 8.1454e-10\n',
+     '{"command": "example5", "a": "355/113000", "b": "1/7", "value": "3.1415926544043327", '
+     '"pi_difference": "8.1454e-10"}\n'),
+]
+
+
+@pytest.mark.parametrize("json_format", [False, True])
+@pytest.mark.parametrize("line, plain, as_json", ORACLE_OUTPUTS, ids=[o[0] for o in ORACLE_OUTPUTS])
+def test_oracle_outputs_are_pinned(capsys, line, plain, as_json, json_format):
+    argv = ["--format", "json"] * json_format + line.split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, as_json if json_format else plain)
+
+
 def test_spline_dump_round_trips(capsys, tmp_path):
     target = tmp_path / "spline.csv"
     code, out, _ = run_cli(

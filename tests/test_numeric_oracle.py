@@ -5,7 +5,7 @@ import time
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sincprod.borwein_engine import (
@@ -168,12 +168,12 @@ def test_short_head_tail_keeps_working_precision(monkeypatch, scales, want):
 
 
 def test_integral_error_estimate_checked(monkeypatch):
-    quad = mp.quad
-    monkeypatch.setattr(mp, "quad", lambda *args, **kwargs: (quad(*args, **kwargs)[0], mp.mpf("1e-3")))
+    rule = numeric_oracle._gauss_rule
+    monkeypatch.setattr(numeric_oracle, "_gauss_rule", lambda *args: (rule(*args)[0], mp.mpf("1e-3")))
     with pytest.raises(ToleranceUnreachableError, match="rel_tol"):
         numeric_integral([1, 1], rel_tol=1e-12)
     assert numeric_integral([1, 1], rel_tol=1e-2) > 0
-    # abs_tol replaces the relative check; the estimate counts twice, for both half-lines
+    # abs_tol replaces the relative check; the bound counts twice, for both half-lines
     assert numeric_integral([1, 1], rel_tol=1e-12, abs_tol=2e-3) > 0
     with pytest.raises(ToleranceUnreachableError, match="abs_tol"):
         numeric_integral([1, 1], rel_tol=1e-2, abs_tol=1e-3)
@@ -210,16 +210,131 @@ def test_zero_integral_checked_to_an_absolute_tolerance(scales):
     assert mp.mpf(rep["tail_bound"]) <= 1e-7 / 8
 
 
-def test_head_takes_at_most_48_evaluations(monkeypatch):
-    # a count, not a time: one Gauss-Legendre panel on the entire head
-    # converges by degree 4, after 3 + 6 + 12 + 24 nodes
+@pytest.mark.parametrize("rel_tol, nodes", [(1e-12, 24), (1e-60, 48)])
+def test_head_evaluations_per_factor_are_fixed(monkeypatch, rel_tol, nodes):
+    # a count, not a time: one Gauss-Legendre rule on the entire head,
+    # its degree fixed by the band-limit bound, 24 nodes at 128 bits and
+    # 48 at 239 bits (the ladder of mp.quad evaluated 3 + 6 + 12 + 24 = 45
+    # and 93)
     calls = []
     sinc = numeric_oracle._sinc
     monkeypatch.setattr(numeric_oracle, "_sinc", lambda x: calls.append(x) or sinc(x))
     scales = _pi_scales(4)
-    v = numeric_integral(scales, rel_tol=1e-12)
-    assert 0 < len(calls) <= 48 * len(scales)
-    assert abs(v - 1) < 1e-12
+    v = numeric_integral(scales, rel_tol=rel_tol)
+    assert len(calls) == nodes * len(scales)
+    assert abs(v - 1) < rel_tol
+
+
+def _heads(run):
+    """(factors, T, panels, prec, head, bound) of each _quad_head call run() makes."""
+    seen, quad_head = [], numeric_oracle._quad_head
+
+    def spy(factors, T, panels):
+        out = quad_head(factors, T, panels)
+        seen.append((factors, T, panels, mp.mp.prec) + out)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numeric_oracle, "_quad_head", spy)
+        run()
+    return seen
+
+
+def _integrand(factors):
+    return lambda t: mp.fprod(f(t) for f, *_ in factors)
+
+
+@pytest.fixture(scope="module")
+def factor_kinds():
+    """Each kind of factor the head integrates, as (f, C, omega), from the
+    oracle's own calls: sinc(a t), 2 sum cos(k pi t), sin(b t)/t, the
+    kernel f(a t) and 2 cos(w t)."""
+    def run():
+        numeric_integral(RealScales(tuple(_pi_scales(2)), weight=CosineWeightSpec(1)), rel_tol=1e-12)
+        example5_integral(["0.5", "0.3"], "3/2", tol=1e-6)
+        verify_ft_example5(["1/2"], tol=1e-6)
+
+    return [(f, C, omega) for factors, *_ in _heads(run) for f, _, C, omega in factors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    x=st.floats(min_value=-40, max_value=40),
+    y=st.floats(min_value=-8, max_value=8),
+    near=st.sampled_from([None, 1, -1]),
+    shrink=st.integers(min_value=0, max_value=30),
+)
+def test_factors_are_bounded_off_the_real_line(factor_kinds, data, x, y, near, shrink):
+    # the premise of _gauss_bound: |f(x + i y)| <= C cosh(omega y); near
+    # picks a point 10^-3 to 57 times 10^-shrink from t = +-i / omega, where
+    # the kernel's denominator 1 + (omega t)^2 vanishes and its numerator too
+    f, C, omega = data.draw(st.sampled_from(factor_kinds))
+    with mp.workprec(300):
+        z = mp.mpc(x, y)
+        if near is not None:
+            assume(abs(z) >= 1e-3)  # 10^-33 at the nearest, far above 2^-300
+            z = near * mp.mpc(0, 1) / omega + z * mp.mpf(10) ** -shrink
+        assert abs(f(z)) <= C * mp.cosh(omega * z.imag) * (1 + mp.mpf(2) ** -250)
+
+
+def _check_heads(heads, degrees=()):
+    """Each head within its bound plus one rounding of it, against tanh-sinh
+    at twice its precision; and, for each mpmath degree in degrees, that
+    rule, summed at twice the precision, within panels * _gauss_bound."""
+    for factors, T, panels, prec, head, bound in heads:
+        F, C, omega = _integrand(factors), mp.fprod(c for *_, c, _ in factors), mp.fsum(w for *_, w in factors)
+        with mp.workprec(2 * prec):
+            points = mp.linspace(0, T, panels + 1)
+            ref = mp.quad(F, points)
+            assert abs(head - ref) <= bound + mp.ldexp(abs(head), 1 - prec), (prec, panels)
+            for d in degrees:
+                nodes = [mp.mp._gauss_legendre.get_nodes(a, b, d, 2 * prec) for a, b in zip(points, points[1:])]
+                rule = mp.fsum(mp.fdot((w, F(x)) for x, w in panel) for panel in nodes)
+                # the rule's bound, plus a rounding of each of its n evaluations, |f| <= C
+                n, h = 3 << (d - 1), T / panels
+                assert abs(rule - ref) <= panels * numeric_oracle._gauss_bound(n, C, omega * h, h) + \
+                    mp.ldexp(n * C * T, -2 * prec), d
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    betas=st.lists(st.fractions(min_value=rat(1, 8), max_value=2, max_denominator=12), min_size=2, max_size=6),
+    m=st.sampled_from([None, 0, 1, 2]),
+    rel_tol=st.sampled_from([1e-12, 1e-40]),
+)
+@example(betas=[rat(1)] * 2, m=None, rel_tol=1e-12)
+@example(betas=[rat(1, 8)] * 6, m=2, rel_tol=1e-40)
+def test_head_within_its_bound(betas, m, rel_tol):
+    spec = RealScales(_pi_times(betas), weight=None if m is None else CosineWeightSpec(m))
+    heads = _heads(lambda: numeric_integral(spec, rel_tol=rel_tol, abs_tol=rel_tol))
+    _check_heads(heads, degrees=(1, 2, 3, 4, 5) if rel_tol == 1e-12 else ())
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: example5_integral(["0.5", "0.3"], 1, tol=1e-6),
+        lambda: example5_integral(["0.9"], "0.5", tol=1e-4),
+        lambda: example5_integral(["355/113000"], rat(1, 7), tol=1e-4),  # 60 panels
+        lambda: verify_ft_example5([0], tol=1e-6),
+        lambda: verify_ft_example5(["3/2"], tol=1e-6),
+    ],
+    ids=["0.5,0.3", "0.9", "355/113000", "ft-0", "ft-3/2"],
+)
+def test_kernel_heads_within_their_bound(run):
+    _check_heads(_heads(run), degrees=(2, 3, 4))
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-40, 1e-60])
+@pytest.mark.parametrize("p", range(2, 9))
+def test_head_matches_the_gauss_legendre_ladder(p, rel_tol):
+    # bit for bit the head mp.quad's ladder of degrees 1, 2, ... returns,
+    # which stops at the degree the bound fixes, or one below it with the
+    # same rounded value
+    ((factors, T, panels, prec, head, _),) = _heads(lambda: numeric_integral(_pi_scales(p - 1), rel_tol=rel_tol))
+    with mp.workprec(prec):
+        assert head == mp.quad(_integrand(factors), mp.linspace(0, T, panels + 1), method="gauss-legendre")
 
 
 def test_integral_rejects_single_factor():
@@ -571,6 +686,23 @@ def test_theorem1_alternating():
 def test_theorem1_single_factor_excluded():
     rep = verify_theorem1([float(mp.pi)])
     assert rep["excluded"]
+
+
+@pytest.mark.parametrize(
+    "scales, alternating, holds",
+    [
+        # 1e-25 pi below 2 pi: lost at 53 bits, kept at the oracle's 128
+        (lambda: [mp.pi * (1 - mp.mpf(10) ** -25), mp.pi / 2, mp.pi / 2], False, True),
+        (lambda: [2 * mp.pi * (1 - mp.mpf(10) ** -25)], False, True),  # one factor: excluded, decided alike
+        # exactly on the bound: a gap of a rounding or two does not count
+        (lambda: [2 * mp.pi / 3] * 3, False, False),
+        (lambda: [mp.pi] * 3, True, False),
+    ],
+)
+def test_theorem1_hypothesis_at_working_precision(scales, alternating, holds):
+    with mp.workprec(400):
+        scales = scales()
+    assert verify_theorem1(scales, alternating=alternating, tol=1e-3)["hypothesis_holds"] is holds
 
 
 def test_lower_bound_counterexample():
