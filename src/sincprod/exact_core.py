@@ -5,27 +5,23 @@ odd-harmonic family is 1/(2k+1), so the thresholds of interest are the
 small integers 2, 3, 5, 7 rather than multiples of pi.
 
 The odd-harmonic breaking point, the largest n with
-S_n = sum_{k<=n} 1/(2k+1) < t, is found on one of two paths, picked
-by the float estimate n ~ e^(2t - gamma - 2 ln 2) - 1:
+S_n = sum_{k<=n} 1/(2k+1) < t, is found by one search: a gallop from
+the float estimate n ~ e^(2t - gamma - 2 ln 2) - 1, then a bisection,
+each probe deciding S_n < t rigorously.  A probe with n below
+``EXACT_PROBE_CUTOFF`` sums S_n exactly by binary splitting.  Any other
+probe encloses the closed form S_n = (psi(n + 3/2) + gamma + 2 ln 2) / 2:
+ln, gamma and ln 2 come from ``mpmath.iv``, psi's asymptotic series
+(DLMF 5.11.2) uses exact Bernoulli numbers, and its remainder is
+bounded by the first omitted term (DLMF 5.11(ii)).
 
-* the exact scan, below ``SCAN_TERM_CUTOFF`` terms: S_k is kept as
-  num/den with den the running lcm of 1, 3, ..., 2k+1 and compared
-  with t exactly, term by term;
-* the closed form S_n = (psi(n + 3/2) + gamma + 2 ln 2) / 2 beyond it:
-  ln, gamma and ln 2 come from ``mpmath.iv``, psi's asymptotic series
-  (DLMF 5.11.2) uses exact Bernoulli numbers, and its remainder is
-  bounded by the first omitted term (DLMF 5.11(ii)).  A gallop from
-  the estimate and a bisection then need O(log n) enclosures.
-
-Every decision of the closed-form path is a strict separation of an
-enclosure from t or an exact comparison.  When an enclosure of S_n
-straddles t, S_n is summed exactly (by binary splitting) if
-n <= ``EXACT_TERM_CUTOFF``.  Otherwise the precision doubles, up to
-``MAX_PRECISION_BITS`` or until the series rather than the precision
-limits the enclosure; a straddle left then is summed exactly if
-n <= ``MAX_EXACT_TERMS`` and refused beyond.  A threshold whose n is
-too large for ``MAX_PRECISION_BITS`` to tell S_n from S_(n+1) is
-refused at once.
+Every decision is a strict separation of an enclosure from t or an
+exact comparison.  When an enclosure of S_n straddles t, S_n is summed
+exactly if n <= ``EXACT_TERM_CUTOFF``.  Otherwise the precision
+doubles, up to ``MAX_PRECISION_BITS`` or until the series rather than
+the precision limits the enclosure; a straddle left then is summed
+exactly if n <= ``MAX_EXACT_TERMS`` and refused beyond.  A threshold
+whose n is too large for ``MAX_PRECISION_BITS`` to tell S_n from
+S_(n+1) is refused at once.
 
 Enclosures are dyadic fixed point: an ``Interval`` stores integer
 mantissas lo_num, hi_num meaning [lo_num/2^P, hi_num/2^P], built by
@@ -37,14 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, floor, gcd
+from math import exp, floor
 
 import mpmath as mp
 from mpmath import bernfrac, iv
 
 from .rational import rat
 
-SCAN_TERM_CUTOFF = 250          # the exact scan's last term; the closed form takes over beyond
+EXACT_PROBE_CUTOFF = 250        # a search probe with n below here sums S_n exactly
 EXACT_TERM_CUTOFF = 10_000      # a straddling enclosure is settled by the exact S_n up to here
 MAX_PRECISION_BITS = 1 << 14
 MAX_EXACT_TERMS = 100_000       # past MAX_PRECISION_BITS, the exact S_n is summed only up to here
@@ -137,10 +133,15 @@ def _odd_sum_split(a: int, b: int):
 
     den is the product of the odd numbers, not their lcm: halving the
     range keeps the big-integer products balanced, and callers that only
-    compare never pay for a reduction.
+    compare never pay for a reduction.  Short ranges are summed term by
+    term, which is cheaper than splitting them further.
     """
-    if b - a == 1:
-        return 1, 2 * a + 1
+    if b - a <= 16:
+        p, q = 0, 1
+        for k in range(a, b):
+            d = 2 * k + 1
+            p, q = p * d + q, q * d
+        return p, q
     m = (a + b) // 2
     p1, q1 = _odd_sum_split(a, m)
     p2, q2 = _odd_sum_split(m, b)
@@ -249,12 +250,14 @@ def _odd_sum_enclosure(n: int, bits: int):
 
 @dataclass(frozen=True)
 class BreakingPointResult:
-    """``terms_scanned`` counts the terms summed exactly: the scan's, plus
-    n + 1 for each straddle the closed form settled with the exact S_n."""
+    """``mode`` is "exact" when both the estimate and n lie below
+    ``EXACT_PROBE_CUTOFF``, so every probe summed S_n exactly, and
+    "closed_form" otherwise.  ``terms_scanned`` counts the terms summed
+    exactly: n + 1 for each probe that took the exact S_n."""
 
     n: int
     mode: str              # "exact" or "closed_form"
-    precision_bits: int | None   # the closed form's highest precision
+    precision_bits: int | None   # the enclosures' highest precision; None when exact
     terms_scanned: int
 
 
@@ -262,7 +265,7 @@ def breaking_point(family: HarmonicFamily, threshold) -> int:
     """Largest n with Sum_{k=0..n} beta_k < threshold (strict).
 
     The decision is rigorous: see the module docstring for the
-    odd-harmonic paths; the constant and custom families are exact.
+    odd-harmonic search; the constant and custom families are exact.
     """
     return breaking_point_report(family, threshold).n
 
@@ -270,10 +273,10 @@ def breaking_point(family: HarmonicFamily, threshold) -> int:
 def breaking_point_report(family: HarmonicFamily, threshold) -> BreakingPointResult:
     """The breaking point, how it was decided and the work it took.
 
-    The odd-harmonic exact scan hands over to the closed form past
-    ``SCAN_TERM_CUTOFF`` terms, read at call time.  The closed form
-    starts at ``DEFAULT_PRECISION_BITS`` and doubles while an enclosure
-    straddles the threshold; ``precision_bits`` reports where it ended.
+    The odd-harmonic search reads ``EXACT_PROBE_CUTOFF`` at call time.
+    Its enclosures start at ``DEFAULT_PRECISION_BITS`` and double while
+    one straddles the threshold; ``precision_bits`` reports where they
+    ended.
     """
     threshold = rat(threshold)
     if threshold <= 0:
@@ -301,25 +304,7 @@ def breaking_point_report(family: HarmonicFamily, threshold) -> BreakingPointRes
             "family total %s stays below threshold %s" % (total, threshold)
         )
 
-    estimate = _estimate_breaking_point(threshold)
-    if estimate >= SCAN_TERM_CUTOFF:
-        return _closed_form_search(threshold, estimate, 0)
-
-    # odd_harmonic exact scan, with lcm denominators
-    t_p, t_q = threshold.numerator, threshold.denominator
-    num, den = 0, 1
-    k = 0
-    while k <= SCAN_TERM_CUTOFF:
-        d = 2 * k + 1
-        mult = d // gcd(den, d)
-        den *= mult
-        num = num * mult + den // d
-        if num * t_q >= t_p * den:
-            if k == 0:
-                raise NonTerminatingSearchError("first scale already reaches the threshold")
-            return BreakingPointResult(k - 1, "exact", None, k + 1)
-        k += 1
-    return _closed_form_search(threshold, k - 1, k)
+    return _search(threshold, _estimate_breaking_point(threshold))
 
 
 _GAMMA_2LN2 = 1.9635100260214235  # gamma + 2 ln 2
@@ -328,8 +313,8 @@ _GAMMA_2LN2 = 1.9635100260214235  # gamma + 2 ln 2
 def _estimate_breaking_point(threshold) -> int:
     """n ~ e^y - 1 with y = 2t - gamma - 2 ln 2, from psi(x) ~ ln x - 1/(2x).
 
-    It only picks the path and seeds the gallop; it decides nothing.
-    Floats serve while n fits their 53 bits; beyond, mpmath works at
+    It seeds the gallop and, with n, sets the reported mode; it decides
+    nothing.  Floats serve while n fits their 53 bits; beyond, mpmath works at
     about as many bits as n has, so the gallop starts within a few
     steps.  A threshold whose n cannot be told from n + 1 at
     ``MAX_PRECISION_BITS`` is refused here.
@@ -351,19 +336,16 @@ def _estimate_breaking_point(threshold) -> int:
         return int(mp.floor(mp.exp(y()) - 1))
 
 
-def _closed_form_search(threshold, start: int, terms: int) -> BreakingPointResult:
-    """Gallop from ``start``, then bisect, until S_n < t <= S_(n+1).
-
-    ``terms`` counts the exact terms summed before the call; each exact
-    straddle decision adds its n + 1.
-    """
+def _search(threshold, start: int) -> BreakingPointResult:
+    """Gallop from ``start``, then bisect, until S_n < t <= S_(n+1)."""
     t_p, t_q = threshold.numerator, threshold.denominator
-    bits = DEFAULT_PRECISION_BITS
+    cutoff = EXACT_PROBE_CUTOFF
+    bits, terms = DEFAULT_PRECISION_BITS, 0
 
     def below(n: int) -> bool:
         """S_n < t, decided rigorously."""
         nonlocal bits, terms
-        while True:
+        while n >= cutoff:
             enclosure, limited = _odd_sum_enclosure(n, bits)
             if enclosure.strictly_below(threshold):
                 return True
@@ -402,4 +384,6 @@ def _closed_form_search(threshold, start: int, terms: int) -> BreakingPointResul
             lo = mid
         else:
             hi = mid
+    if start < cutoff and lo < cutoff:
+        return BreakingPointResult(lo, "exact", None, terms)
     return BreakingPointResult(lo, "closed_form", bits, terms)

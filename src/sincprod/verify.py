@@ -115,12 +115,14 @@ def _edge_matches_spline(spec, spline) -> bool:
 
 def check_breaking_points(full: bool):
     """Pinned n, each certified by direct summation: S_n < t <= S_(n+1)
-    from exact sums up to EXACT_TERM_CUTOFF terms, from 512-bit term-by-
-    term enclosures beyond.  Neither shares the search's closed form."""
+    from term-by-term rational sums up to EXACT_TERM_CUTOFF terms, from
+    512-bit term-by-term enclosures beyond.  Neither shares the search's
+    binary splitting or its closed form."""
 
     def bracketed(threshold, n):
         if n + 1 <= EXACT_TERM_CUTOFF:
-            return odd_harmonic_sum(n) < threshold <= odd_harmonic_sum(n + 1)
+            s_n = sum((rat(1, 2 * k + 1) for k in range(n + 1)), rat(0))
+            return s_n < threshold <= s_n + rat(1, 2 * n + 3)
         return (interval_odd_harmonic_sum(n, 512).strictly_below(threshold)
                 and interval_odd_harmonic_sum(n + 1, 512).strictly_above(threshold))
 

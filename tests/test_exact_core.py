@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from sincprod import exact_core
 from sincprod.exact_core import (
+    EXACT_PROBE_CUTOFF,
     EXACT_TERM_CUTOFF,
-    SCAN_TERM_CUTOFF,
     HarmonicFamily,
     Interval,
     NonTerminatingSearchError,
     _floor_ceil,
     _odd_sum_enclosure,
+    _odd_sum_split,
     breaking_point,
     breaking_point_report,
     interval_odd_harmonic_sum,
@@ -38,6 +39,14 @@ def test_partial_sum_recurrence(n):
 def test_partial_sum_rejects_negative():
     with pytest.raises(ValueError):
         odd_harmonic_sum(-1)
+
+
+@pytest.mark.parametrize("a", [0, 1, 7, 250])
+@pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 33, 100])
+def test_odd_sum_split_matches_fraction_sum(a, length):
+    # ranges on both sides of the term-by-term leaf, from k = 0 and past it
+    p, q = _odd_sum_split(a, a + length)
+    assert Fraction(p, q) == sum(Fraction(1, 2 * k + 1) for k in range(a, a + length))
 
 
 # -- intervals ---------------------------------------------------------------
@@ -124,7 +133,7 @@ def test_breaking_points_odd_harmonic():
 
 def test_breaking_point_modes():
     fam = HarmonicFamily.odd_harmonic()
-    assert breaking_point_report(fam, 3).mode == "exact"      # n below the scan cutoff
+    assert breaking_point_report(fam, 3).mode == "exact"      # estimate and n below the probe cutoff
     rep5 = breaking_point_report(fam, 5)
     assert (rep5.n, rep5.mode) == (3090, "closed_form")
     rep7 = breaking_point_report(fam, 7)
@@ -149,10 +158,23 @@ def test_breaking_point_bracket():
 
 def test_breaking_point_interval_phase_forced(monkeypatch):
     # drive the closed-form enclosures even for small thresholds
-    monkeypatch.setattr(exact_core, "SCAN_TERM_CUTOFF", 0)
+    monkeypatch.setattr(exact_core, "EXACT_PROBE_CUTOFF", 0)
     fam = HarmonicFamily.odd_harmonic()
     rep = breaking_point_report(fam, 3)
     assert (rep.n, rep.mode) == (55, "closed_form")
+
+
+@pytest.mark.parametrize("m, delta, expected", [
+    (249, Fraction(1, 10**40), (249, "exact", None)),
+    (250, -Fraction(1, 1002), (249, "exact", None)),
+    (250, 0, (249, "closed_form", 128)),
+    (250, Fraction(1, 10**40), (250, "closed_form", 128)),
+])
+def test_breaking_point_report_across_probe_cutoff(m, delta, expected):
+    # t = S_m + delta: the mode is "exact" only when the estimate and n
+    # both lie below the cutoff
+    rep = breaking_point_report(HarmonicFamily.odd_harmonic(), odd_harmonic_sum(m) + delta)
+    assert (rep.n, rep.mode, rep.precision_bits) == expected
 
 
 def _assert_direct_sum_bracket(threshold, n):
@@ -170,7 +192,7 @@ def test_breaking_point_matches_direct_sums(t):
     _assert_direct_sum_bracket(t, breaking_point(HarmonicFamily.odd_harmonic(), t))
 
 
-_NEAR_CUTOFFS = [m for c in (SCAN_TERM_CUTOFF, EXACT_TERM_CUTOFF) for m in range(c - 3, c + 4)]
+_NEAR_CUTOFFS = [m for c in (EXACT_PROBE_CUTOFF, EXACT_TERM_CUTOFF) for m in range(c - 3, c + 4)]
 
 
 @settings(max_examples=60, deadline=None)
