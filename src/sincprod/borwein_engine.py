@@ -42,6 +42,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import InfeasibleError
 from .rational import Rat, rat, rat_str, to_decimal
 from .spline_engine import SIZE_GUARD_DEFAULT, PiecewisePolynomial, SplineSizeError
 
@@ -50,7 +51,7 @@ MAX_SAMPLE_POINTS = 10**4  # sample points of F per request, each one pruned DP
 _LAYER_CAP = 1 << 16  # DP entries held at once per chunk, which bounds memory
 
 
-class ExactPathUnavailableError(Exception):
+class ExactPathUnavailableError(InfeasibleError):
     """The exact value needs more sample points than MAX_SAMPLE_POINTS,
     or a point needs more pruned knot entries than its node budget; a
     budget breach carries visited, surviving and budget.
@@ -237,7 +238,7 @@ def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
     x = abs(rat(x))
     if spec.betas == (x,):  # the one jump of F, at the edge of a single box
         return 1 / (2 * x), _PruneStats(visited=1, surviving=1)
-    (L, scales), D = spec.integer_form, spec.knot_denominator
+    L, scales = spec.integer_form
     n = len(scales) - 1
     p, q = x.numerator * L, x.denominator
     floor = p // q
@@ -276,7 +277,9 @@ def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
             if w:
                 stats.surviving += 1
                 acc += w * (q * s - p) ** n
-    return Rat(L * acc, q**n * D), stats
+    # D multiplies n + 1 integer scales, which takes seconds at n in the thousands:
+    # it is formed only once the budget has admitted the point
+    return Rat(L * acc, q**n * spec.knot_denominator), stats
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 One subcommand per engine operation, reports as JSON, CSV or plain
 text.  Exact rationals are always serialized as "p/q" strings, never as
 floats.  Exit codes: 0 success, 1 a failed ``verify`` check, 2 usage
-error, 3 exact path infeasible or an oracle call past its work cap
-MAX_ORACLE_WORK (the error report is emitted as JSON so callers can
-machine-parse it).
+error, 3 a refusal by a cost budget: any ``sincprod.InfeasibleError``,
+raised when the exact path is infeasible or an oracle call is past its
+work cap MAX_ORACLE_WORK (the error report is emitted as JSON so
+callers can machine-parse it).
 
 No precision is set from outside: the breaking-point search starts at
 128 bits and doubles while an enclosure straddles the threshold, and
@@ -20,11 +21,10 @@ import sys
 
 import mpmath as mp
 
-from . import verify as verify_mod
+from . import InfeasibleError, verify as verify_mod
 from .borwein_engine import (
     NODE_BUDGET_DEFAULT,
     CosineWeightSpec,
-    ExactPathUnavailableError,
     SincProductSpec,
     deficit_report,
     fourier_spline,
@@ -34,11 +34,9 @@ from .borwein_engine import (
 from .exact_core import (
     MAX_PRECISION_BITS,
     HarmonicFamily,
-    NonTerminatingSearchError,
     breaking_point_report,
 )
 from .numeric_oracle import (
-    ToleranceUnreachableError,
     example5_integral,
     kernel_prec_bits,
     lower_bound_check,
@@ -46,18 +44,11 @@ from .numeric_oracle import (
     verify_ft_example5,
 )
 from .rational import int_str, rat, rat_str
-from .spline_engine import SIZE_GUARD_DEFAULT, SplineSizeError
+from .spline_engine import SIZE_GUARD_DEFAULT
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-
-INFEASIBLE_ERRORS = (
-    SplineSizeError,
-    ExactPathUnavailableError,
-    NonTerminatingSearchError,
-    ToleranceUnreachableError,
-)
 
 
 def _parse_scale(token: str):
@@ -79,7 +70,7 @@ def _parse_scale(token: str):
             if den is not None:
                 value = value / rat_to_mpf(rat(den))
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError("cannot read scale %r: %s" % (token, str(exc) or "division by zero")) from None
+        raise ValueError("cannot read scale %r: %s" % (token, str(exc) or "division by zero")) from None
     return value
 
 
@@ -89,22 +80,18 @@ def rat_to_mpf(x):
 
 def _parse_spec(args) -> SincProductSpec:
     if args.betas and args.family:
-        raise _UsageError("give either --betas or --family, not both")
+        raise ValueError("give either --betas or --family, not both")
     if args.betas:
         return SincProductSpec(tuple(rat(tok) for tok in args.betas.split(",")))
     if args.family:
         if args.n is None:
-            raise _UsageError("--family requires --n")
+            raise ValueError("--family requires --n")
         if args.family == "odd-harmonic":
             return SincProductSpec.odd_harmonic(args.n)
         if args.family == "sinc-power":
             return SincProductSpec.sinc_power(args.n)
-        raise _UsageError("unknown family %r" % args.family)
-    raise _UsageError("a spec is required: --betas or --family with --n")
-
-
-class _UsageError(Exception):
-    pass
+        raise ValueError("unknown family %r" % args.family)
+    raise ValueError("a spec is required: --betas or --family with --n")
 
 
 def _emit(report: dict, fmt: str):
@@ -247,12 +234,12 @@ def _run(args) -> int:
             weights = None
         elif args.command == "weighted-integral":
             if args.weights < 1:
-                raise _UsageError("--weights must be >= 1 for weighted-integral")
+                raise ValueError("--weights must be >= 1 for weighted-integral")
             weights = CosineWeightSpec(args.weights - 1)
             report = weighted_integral_exact(spec, weights, digits=args.digits, node_budget=args.node_budget)
         else:
             if args.weights < 0:
-                raise _UsageError("--weights must be >= 0")
+                raise ValueError("--weights must be >= 0")
             weights = CosineWeightSpec(args.weights - 1) if args.weights else None
             report = deficit_report(spec, weights, digits=args.digits, node_budget=args.node_budget)
         _emit(report.to_dict(args.command, spec, weights), fmt)
@@ -281,7 +268,7 @@ def _run(args) -> int:
                     _emit(r, fmt)
             return EXIT_OK
         if not args.a or not args.b:
-            raise _UsageError("example5 needs --a and --b (or --ft-omegas)")
+            raise ValueError("example5 needs --a and --b (or --ft-omegas)")
         value = example5_integral(args.a.split(","), args.b, tol=args.tol)
         with mp.workprec(kernel_prec_bits(args.tol)):
             pi_difference = value - mp.pi
@@ -305,7 +292,7 @@ def _run(args) -> int:
                 with open(args.output, "w") as fh:
                     fh.write(csv_text)
             except OSError as exc:
-                raise _UsageError("cannot write --output %s: %s" % (args.output, exc.strerror or exc)) from None
+                raise ValueError("cannot write --output %s: %s" % (args.output, exc.strerror or exc)) from None
         else:
             sys.stdout.write(csv_text)
         return EXIT_OK
@@ -324,7 +311,7 @@ def _run(args) -> int:
         )
         return EXIT_OK if not failures else 1
 
-    raise _UsageError("unknown command")
+    raise ValueError("unknown command")
 
 
 def main(argv=None) -> int:
@@ -334,13 +321,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except _UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, ZeroDivisionError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except INFEASIBLE_ERRORS as exc:
+    except InfeasibleError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return EXIT_INFEASIBLE
 

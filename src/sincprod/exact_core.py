@@ -38,6 +38,7 @@ from math import exp, floor
 import mpmath as mp
 from mpmath import bernfrac, iv
 
+from . import InfeasibleError
 from .rational import rat
 
 EXACT_PROBE_CUTOFF = 250        # a search probe with n below here sums S_n exactly
@@ -48,7 +49,7 @@ MAX_SERIES_TERMS = 128          # Bernoulli terms per enclosure; caps its cost, 
 DEFAULT_PRECISION_BITS = 128    # the closed form's starting precision
 
 
-class NonTerminatingSearchError(Exception):
+class NonTerminatingSearchError(InfeasibleError):
     """The search cannot decide: the family never reaches the threshold,
     or deciding would take more than a cost budget allows."""
 

@@ -58,6 +58,7 @@ from math import inf, lcm
 import mpmath as mp
 from mpmath import mpc, mpf
 
+from . import InfeasibleError
 from .borwein_engine import CosineWeightSpec
 from .rational import rat
 
@@ -67,7 +68,7 @@ MAX_ORACLE_WORK = 120_000  # work units of one integral or sum, charged where th
 KERNEL_TAIL_START = 4
 
 
-class ToleranceUnreachableError(Exception):
+class ToleranceUnreachableError(InfeasibleError):
     """An integral's error bound exceeds the requested tolerance, or
     an integral or a sum needs more work than MAX_ORACLE_WORK."""
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+from . import InfeasibleError
 from .rational import rat, rat_str
 
 SIZE_GUARD_DEFAULT = 1 << 20
 
 
-class SplineSizeError(Exception):
+class SplineSizeError(InfeasibleError):
     """Projected breakpoint count exceeds the configured cap."""
 
 
@@ -106,11 +107,7 @@ class PiecewisePolynomial:
         return _peval(self.pieces[i - 1], x)
 
     def integral(self):
-        total = rat(0)
-        for j, p in enumerate(self.pieces):
-            ip = _pint(p)
-            total += _peval(ip, self.breakpoints[j + 1]) - _peval(ip, self.breakpoints[j])
-        return total
+        return self._cumulative()[1]
 
     def _cumulative(self):
         """Antiderivative pieces, continuous, zero at the left edge."""

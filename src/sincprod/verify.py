@@ -74,13 +74,15 @@ def _run(criterion, name, fn):
 # ---------------------------------------------------------------------------
 
 RANDOM_SPEC_SEED = 20260810
+RANDOM_SPEC_COUNT = 100
+RANDOM_SPEC_MAX_N = 8
 
 
-def random_spec_corpus(count: int = 100, max_n: int = 8, seed: int = RANDOM_SPEC_SEED):
-    rng = random.Random(seed)
+def random_spec_corpus():
+    rng = random.Random(RANDOM_SPEC_SEED)
     specs = []
-    for _ in range(count):
-        n = rng.randint(0, max_n)
+    for _ in range(RANDOM_SPEC_COUNT):
+        n = rng.randint(0, RANDOM_SPEC_MAX_N)
         specs.append(
             SincProductSpec(tuple(rat(1, rng.randint(1, 9)) for _ in range(n + 1)))
         )

@@ -17,9 +17,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sincprod import cli
-from sincprod.borwein_engine import MAX_SAMPLE_POINTS, SincProductSpec, fourier_spline
-from sincprod.numeric_oracle import numeric_sum
+from sincprod.borwein_engine import MAX_SAMPLE_POINTS, ExactPathUnavailableError, SincProductSpec, fourier_spline
+from sincprod.exact_core import NonTerminatingSearchError
+from sincprod.numeric_oracle import ToleranceUnreachableError, numeric_sum
 from sincprod.rational import rat
+from sincprod.spline_engine import SplineSizeError
 from sincprod import verify as verify_mod
 
 
@@ -274,6 +276,37 @@ def test_default_node_budget_breach_takes_seconds(capsys):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 3 and json.loads(out)["error"]["type"] == "ExactPathUnavailableError"
+
+
+def test_node_budget_refuses_before_the_knot_denominator():
+    # D of 2001 odd-harmonic factors is a product of integers of about 1,700
+    # digits that takes minutes; a fresh process, since the alarm cannot
+    # interrupt one long integer product within this one
+    argv = [sys.executable, "-m", "sincprod.cli", "--format", "json", "integral",
+            "--family", "odd-harmonic", "--n", "2000", "--node-budget", "1000"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "ExactPathUnavailableError"
+
+
+@pytest.mark.parametrize(
+    "error", [ExactPathUnavailableError, NonTerminatingSearchError, SplineSizeError, ToleranceUnreachableError]
+)
+def test_every_infeasible_error_exits_three_with_json(capsys, monkeypatch, error):
+    def refuse(*args, **kwargs):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "integral_exact", refuse)
+    code, out, err = run_cli(capsys, "--format", "json", "integral", "--betas", "1")
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"error": {"type": error.__name__, "message": "refused"}}
 
 
 def test_former_budget_fallbacks_are_fast(capsys):
