@@ -292,23 +292,22 @@ def _sample_report(spec, top, digits, node_budget, as_deficit=False) -> EvalRepo
     or with as_deficit its deficit 1 - integral.
 
     With a unit scale the value is 1 - 2 sum F(q) over q = top+2,
-    top+4, ... inside the support, and radius < top+2 certifies 1
-    outright.  Otherwise it is F(0), or 2 (F(1) + F(3) + ... + F(top)),
-    where the points past the radius, at which F vanishes, are skipped.
-    Each point is one pruned DP within node_budget entries.
+    top+4, ... inside the support, so radius < top+2 leaves no point
+    and certifies 1 outright.  Otherwise it is F(0), or
+    2 (F(1) + F(3) + ... + F(top)), where the points past the radius, at
+    which F vanishes, are skipped.  Each point is one pruned DP within
+    node_budget entries.
     """
     radius = spec.support_radius()
     edge = math.floor(radius)  # a point exactly at the radius may carry a jump
     unit = spec.has_unit_scale()
-    if unit and radius < top + 2:
-        return _report(rat(0) if as_deficit else rat(1), digits, radius, deficit=rat(0), certified=True)
     points = _sample_points(top + 2, edge) if unit else _sample_points(top % 2, min(top, edge))
     values = [_point_eval_pruned_stats(spec, x, node_budget)[0] for x in points]
     if not unit:
         return _report(values[0] if top == 0 else 2 * sum(values, rat(0)), digits, radius)
     deficit = 2 * sum(values, rat(0))
     value = deficit if as_deficit else 1 - deficit
-    return _report(value, digits, radius, deficit=deficit, terms=zip(points, values))
+    return _report(value, digits, radius, deficit=deficit, terms=zip(points, values), certified=not points)
 
 
 def _sample_points(start, stop):

@@ -8,9 +8,10 @@ raised when the exact path is infeasible or an oracle call is past its
 work cap MAX_ORACLE_WORK (the error report is emitted as JSON so
 callers can machine-parse it).
 
-No precision is set from outside: the breaking-point search starts at
+The CLI holds no precision rule: the breaking-point search starts at
 128 bits and doubles while an enclosure straddles the threshold, and
-the oracle works out its precision from the requested tolerance.
+the oracle reads real scales (numeric_oracle.parse_scale), works out
+its precision from the requested tolerance and renders its values.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import mpmath as mp
 
 from . import InfeasibleError, verify as verify_mod
 from .borwein_engine import (
@@ -31,51 +30,14 @@ from .borwein_engine import (
     integral_exact,
     weighted_integral_exact,
 )
-from .exact_core import (
-    MAX_PRECISION_BITS,
-    HarmonicFamily,
-    breaking_point_report,
-)
-from .numeric_oracle import (
-    example5_integral,
-    kernel_prec_bits,
-    lower_bound_check,
-    numeric_sum,
-    verify_ft_example5,
-)
+from .exact_core import HarmonicFamily, breaking_point_report
+from .numeric_oracle import example5_report, lower_bound_check, numeric_sum, parse_scale, verify_ft_example5
 from .rational import int_str, rat, rat_str
 from .spline_engine import SIZE_GUARD_DEFAULT
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-
-
-def _parse_scale(token: str):
-    """Real scale grammar for the oracle: '1', '2.5', 'pi', '5pi/4', 'pi/3'.
-
-    The value is built at MAX_PRECISION_BITS, no lower than any working
-    precision of the oracle, which then rounds it once."""
-    s = token.strip().lower()
-    num, den = s, None
-    if "/" in s:
-        num, den = s.split("/", 1)
-    try:
-        with mp.workprec(MAX_PRECISION_BITS):
-            if num.endswith("pi"):
-                head = num[:-2]
-                value = mp.pi * (rat_to_mpf(rat(head)) if head else 1)
-            else:
-                value = rat_to_mpf(rat(num))
-            if den is not None:
-                value = value / rat_to_mpf(rat(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("cannot read scale %r: %s" % (token, str(exc) or "division by zero")) from None
-    return value
-
-
-def rat_to_mpf(x):
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
 def _parse_spec(args) -> SincProductSpec:
@@ -209,7 +171,8 @@ PARSER = build_parser()  # built once per process: it costs about as much as a m
 def _run(args) -> int:
     fmt = args.format
     if args.command == "breakpoint":
-        rep = breaking_point_report(HarmonicFamily.odd_harmonic(), rat(args.threshold))
+        threshold = rat(args.threshold)
+        rep = breaking_point_report(HarmonicFamily.odd_harmonic(), threshold)
         digits = int_str(rep.n)  # also lifts the int/str digit limit for json.dumps
         if fmt == "plain":
             print(digits)
@@ -218,7 +181,7 @@ def _run(args) -> int:
                 {
                     "command": "breakpoint",
                     "family": args.family,
-                    "threshold": rat_str(rat(args.threshold)),
+                    "threshold": rat_str(threshold),
                     "breaking_point": rep.n,
                     "mode": rep.mode,
                     "precision_bits": rep.precision_bits,
@@ -246,14 +209,14 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "sum":
-        scales = [_parse_scale(tok) for tok in args.scales.split(",")]
+        scales = [parse_scale(tok) for tok in args.scales.split(",")]
         res = numeric_sum(scales, alternating=args.alternating, abs_tol=args.abs_tol, one_sided=args.one_sided)
         _emit({"command": "sum", "scales": args.scales, **res.to_dict()}, fmt)
         return EXIT_OK
 
     if args.command == "lower-bound":
         rep = lower_bound_check(
-            _parse_scale(args.a0), [_parse_scale(t) for t in args.rest.split(",")], abs_tol=args.abs_tol
+            parse_scale(args.a0), [parse_scale(t) for t in args.rest.split(",")], abs_tol=args.abs_tol
         )
         _emit({"command": "lower-bound", "a0": args.a0, "rest": args.rest, **rep}, fmt)
         return EXIT_OK
@@ -269,19 +232,8 @@ def _run(args) -> int:
             return EXIT_OK
         if not args.a or not args.b:
             raise ValueError("example5 needs --a and --b (or --ft-omegas)")
-        value = example5_integral(args.a.split(","), args.b, tol=args.tol)
-        with mp.workprec(kernel_prec_bits(args.tol)):
-            pi_difference = value - mp.pi
-        _emit(
-            {
-                "command": "example5",
-                "a": args.a,
-                "b": args.b,
-                "value": mp.nstr(value, 17),
-                "pi_difference": mp.nstr(pi_difference, 5),
-            },
-            fmt,
-        )
+        report = example5_report(args.a.split(","), args.b, tol=args.tol)
+        _emit({"command": "example5", "a": args.a, "b": args.b, **report}, fmt)
         return EXIT_OK
 
     if args.command == "spline-dump":
@@ -297,21 +249,16 @@ def _run(args) -> int:
             sys.stdout.write(csv_text)
         return EXIT_OK
 
-    if args.command == "verify":
-        results = verify_mod.run_suite(args.suite)
-        failures = [r for r in results if not r.passed]
-        for r in results:
-            print(
-                "%s  criterion %-2s  %-55s (%.2fs)  %s"
-                % ("PASS" if r.passed else "FAIL", r.criterion, r.name, r.seconds, "" if r.passed else r.detail)
-            )
+    # verify, the one command left: the parser admits no other
+    results = verify_mod.run_suite(args.suite)
+    failures = [r for r in results if not r.passed]
+    for r in results:
         print(
-            "%d/%d checks passed (%s suite)"
-            % (len(results) - len(failures), len(results), args.suite)
+            "%s  criterion %-2s  %-55s (%.2fs)  %s"
+            % ("PASS" if r.passed else "FAIL", r.criterion, r.name, r.seconds, "" if r.passed else r.detail)
         )
-        return EXIT_OK if not failures else 1
-
-    raise ValueError("unknown command")
+    print("%d/%d checks passed (%s suite)" % (len(results) - len(failures), len(results), args.suite))
+    return EXIT_OK if not failures else 1
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,9 @@ expansions, never a closed form for a whole sum.  mpmath supplies the
 arbitrary precision arithmetic.  Integrals and sums work at
 max(128, -log2(tol) + 40) bits, so that ten matching decimal digits
 can be certified comfortably; the band-limited kernel works at
-kernel_prec_bits(tol).
+max(80, -log2(tol) + 30) bits.  Real scales given as text ('5pi/4')
+are read by parse_scale, at a precision past every one of these that a
+float tolerance reaches, so each computation rounds them only once.
 
 Every integral is a head [0, T], integrated directly in equal panels
 half a period of the fastest frequency wide, plus a closed-form tail.
@@ -94,6 +96,32 @@ def _working_prec(tol) -> int:
     """Working precision of the integrals and sums at tol: 40 bits past
     it, at least DEFAULT_PREC_BITS."""
     return max(DEFAULT_PREC_BITS, int(-mp.log(mpf(tol), 2)) + 40)
+
+
+# past _working_prec(5e-324) = 1,114 bits, the most a float tolerance asks for
+SCALE_PREC_BITS = _working_prec(5e-324) + 64
+
+
+def parse_scale(token: str):
+    """A real scale from its text: '1', '2.5', '1/3', 'pi', '5pi/4' or
+    'pi/3', a rational optionally times pi and over a rational.  It is
+    built at SCALE_PREC_BITS, 64 bits past any working precision a float
+    tolerance reaches, so the oracle's rounding to its working precision
+    is the one that shows.  Text outside the grammar and a zero divisor
+    raise ValueError."""
+    s = token.strip().lower()
+    num, slash, den = s.partition("/")
+    try:
+        with mp.workprec(SCALE_PREC_BITS):
+            pi = num.endswith("pi")
+            head = rat(num[:-2] or 1) if pi else rat(num)
+            value = (mp.pi if pi else 1) * mp.fdiv(head.numerator, head.denominator)
+            if slash:
+                d = rat(den)
+                value /= mp.fdiv(d.numerator, d.denominator)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("cannot read scale %r: %s" % (token, str(exc) or "division by zero")) from None
+    return value
 
 
 def _sum_below(scales, multiple, tol) -> bool:
@@ -630,8 +658,9 @@ def lower_bound_check(a0, rest, abs_tol: float = 5e-10) -> dict:
 def bandlimited_kernel(t):
     """f(t) = (t sin t - cos t + e) / ((1 + t^2)(e - 1)), for real or
     complex t; f(0) = 1 and its transform is pi e^(-|w|) / (1 - 1/e) on
-    |w| < 1, zero beyond.  The poles at t = +-i cancel: the numerator
-    vanishes there."""
+    |w| < 1, zero beyond, and pi / (2 (e - 1)) at the jump |w| = 1, the
+    mean of its two sides, to which the transform integral converges.
+    The poles at t = +-i cancel: the numerator vanishes there."""
     t = mp.mpmathify(t)
     if t == 0:
         return mpf(1)
@@ -675,7 +704,7 @@ def _kernel_integral(a_mp, g, tol):
     return value
 
 
-def kernel_prec_bits(tol) -> int:
+def _kernel_prec_bits(tol) -> int:
     """Working precision of the kernel integrals at tol: 30 bits past it, at least 80."""
     return max(80, int(-mp.log(mpf(tol), 2)) + 30)
 
@@ -690,7 +719,7 @@ def example5_integral(a, b, tol: float = 1e-6):
     a_r, b_r = [rat(x) for x in a], rat(b)
     if not a_r or any(x <= 0 for x in a_r) or b_r <= 0:
         raise ValueError("scales (at least one) and b must be positive")
-    with mp.workprec(kernel_prec_bits(tol)):
+    with mp.workprec(_kernel_prec_bits(tol)):
         a_mp = [mp.fdiv(x.numerator, x.denominator) for x in a_r]
         b_mp = mp.fdiv(b_r.numerator, b_r.denominator)
         g = (lambda t: mp.sin(b_mp * t) / t if t else b_mp, [(c * b_mp, w, p) for c, w, p in _sinc_terms(b_mp)],
@@ -698,18 +727,28 @@ def example5_integral(a, b, tol: float = 1e-6):
         return 2 * _kernel_integral(a_mp, g, tol / 2)
 
 
+def example5_report(a, b, tol: float = 1e-6) -> dict:
+    """example5_integral rendered: its value to 17 digits and its
+    difference from pi to 5, taken at the kernel's working precision."""
+    value = example5_integral(a, b, tol)
+    with mp.workprec(_kernel_prec_bits(tol)):
+        return {"value": mp.nstr(value, 17), "pi_difference": mp.nstr(value - mp.pi, 5)}
+
+
 def verify_ft_example5(omega_samples, tol: float = 1e-6) -> list:
     """Numerically transform the band-limited kernel and compare with
     its closed form at each frequency sample."""
     _check_tol("tol", tol)
     out = []
-    with mp.workprec(kernel_prec_bits(tol)):
+    with mp.workprec(_kernel_prec_bits(tol)):
         for omega in omega_samples:
             w_r = rat(omega)
             w = abs(mp.fdiv(w_r.numerator, w_r.denominator))
             g = (lambda t: 2 * mp.cos(w * t), [(mpc(1), w, 0), (mpc(1), -w, 0)], 2, w)
             numeric = _kernel_integral([mpf(1)], g, tol)
-            closed = mp.pi / (1 - mp.exp(-1)) * mp.exp(-w) if w < 1 else mpf(0)
+            closed = mp.pi / (1 - mp.exp(-1)) * mp.exp(-w) if w <= 1 else mpf(0)
+            if w == 1:  # the transform jumps here, and its integral takes the mean of both sides
+                closed /= 2
             out.append(
                 {
                     "omega": str(w_r),

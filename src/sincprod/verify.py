@@ -40,13 +40,7 @@ from .exact_core import (
     interval_odd_harmonic_sum,
     odd_harmonic_sum,
 )
-from .numeric_oracle import (
-    example5_integral,
-    lower_bound_check,
-    numeric_integral,
-    numeric_sum,
-    verify_ft_example5,
-)
+from .numeric_oracle import example5_integral, lower_bound_check, numeric_integral, parse_scale, verify_ft_example5
 from .rational import rat
 from .spline_engine import box
 
@@ -243,20 +237,18 @@ def check_sinc_power_law():
 
 
 def check_example6_sums():
+    """Both sums and both verdicts from the one computation that
+    ``sincprod lower-bound --a0 5pi/4 --rest 1,1`` prints."""
+
     def fn():
-        a0 = 5 * mp.mp.pi / 4
-        s1 = numeric_sum([a0, 1.0, 1.0], abs_tol=1e-10, one_sided=True)
-        s2 = numeric_sum([a0, a0, a0], abs_tol=1e-10, one_sided=True)
-        d1 = abs(s1.value - mp.mpf("0.8999999997"))
-        d2 = abs(s2.value - mp.mpf("0.9960000000"))
-        if d1 > mp.mpf("5e-9") or d2 > mp.mpf("5e-9"):
-            return False, "sums %s, %s" % (mp.nstr(s1.value, 12), mp.nstr(s2.value, 12))
-        lb = lower_bound_check(a0, [1.0, 1.0])
+        one = parse_scale("1")
+        lb = lower_bound_check(parse_scale("5pi/4"), [one, one], abs_tol=1e-10)
+        s1, s2 = mp.mpf(lb["lhs"]), mp.mpf(lb["rhs"])
+        sums = "sums %s, %s" % (mp.nstr(s1, 12), mp.nstr(s2, 12))
+        if abs(s1 - mp.mpf("0.8999999997")) > mp.mpf("5e-9") or abs(s2 - mp.mpf("0.9960000000")) > mp.mpf("5e-9"):
+            return False, sums
         ok = (not lb["hypothesis_holds"]) and (not lb["inequality_holds"])
-        return ok, "sums %s, %s; hypothesis violated and sum analog fails" % (
-            mp.nstr(s1.value, 12),
-            mp.nstr(s2.value, 12),
-        )
+        return ok, sums + "; hypothesis violated and sum analog fails"
 
     return _run("7", "counterexample sums 0.8999999997 / 0.9960000000", fn)
 
@@ -297,9 +289,8 @@ def check_oracle_equivalence():
 def check_cross_oracle():
     def fn():
         exact = integral_exact(SincProductSpec.odd_harmonic(7)).exact_value
+        numeric = numeric_integral([parse_scale("pi/%d" % (2 * k + 1)) for k in range(8)], rel_tol=1e-20)
         with mp.workprec(220):
-            scales = [mp.pi / (2 * k + 1) for k in range(8)]
-            numeric = numeric_integral(scales, rel_tol=1e-20)
             exact_f = mp.mpf(exact.numerator) / mp.mpf(exact.denominator)
             rel = abs((1 - numeric) - (1 - exact_f)) / (1 - exact_f)
             ok = rel < mp.mpf("1e-6")

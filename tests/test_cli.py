@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sincprod import cli
+from sincprod import cli, numeric_oracle
 from sincprod.borwein_engine import MAX_SAMPLE_POINTS, ExactPathUnavailableError, SincProductSpec, fourier_spline
 from sincprod.exact_core import NonTerminatingSearchError
 from sincprod.numeric_oracle import ToleranceUnreachableError, numeric_sum
@@ -122,7 +123,7 @@ def test_sum_scales_read_at_full_precision(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert abs(Fraction(json.loads(out)["value"]) - Fraction(9, 10)) < Fraction(1, 10**20)
-    res = numeric_sum([cli._parse_scale(t) for t in ("5pi/4", "1", "1")], one_sided=True, abs_tol=1e-20)
+    res = numeric_sum([numeric_oracle.parse_scale(t) for t in ("5pi/4", "1", "1")], one_sided=True, abs_tol=1e-20)
     with mp.workprec(200):
         assert abs(res.value - mp.mpf(9) / 10) < 1e-20
 
@@ -186,6 +187,12 @@ ORACLE_OUTPUTS = [
      'requested_tol: 1e-10\none_sided: True\n',
      '{"command": "sum", "scales": "5pi/4,1,1", "value": "0.9", "truncation_m": 124, "tail_bound": "5.5048e-26", '
      '"requested_tol": 1e-10, "one_sided": true}\n'),
+    # three equal scales summing to 2 pi put a frequency at z = 1: the Hurwitz zeta path
+    ("sum --scales 2pi/3,2pi/3,2pi/3",
+     'command: sum\nscales: 2pi/3,2pi/3,2pi/3\nvalue: 1.125\ntruncation_m: 25\ntail_bound: 2.0586e-33\n'
+     'requested_tol: 1e-10\none_sided: False\n',
+     '{"command": "sum", "scales": "2pi/3,2pi/3,2pi/3", "value": "1.125", "truncation_m": 25, '
+     '"tail_bound": "2.0586e-33", "requested_tol": 1e-10, "one_sided": false}\n'),
     ("lower-bound --a0 5pi/4 --rest 1,1",
      'command: lower-bound\na0: 5pi/4\nrest: 1,1\nlhs: 0.9\nrhs: 0.996\nlhs_truncation_m: 124\n'
      'rhs_truncation_m: 57\nhypothesis_holds: False\ninequality_holds: False\nmargin: -0.096\n',
@@ -228,6 +235,28 @@ def test_oracle_outputs_are_pinned(capsys, line, plain, as_json, json_format):
     argv = ["--format", "json"] * json_format + line.split()
     code, out, _ = run_cli(capsys, *argv)
     assert (code, out) == (0, as_json if json_format else plain)
+
+
+@pytest.mark.parametrize(
+    "line, err",
+    [
+        ("sum --scales pi/0,1,1", "usage error: cannot read scale 'pi/0': division by zero\n"),
+        ("sum --scales nan,1,1", "usage error: cannot read scale 'nan': invalid literal for int() with base 10: 'nan'\n"),
+        ("sum --scales 0,1,1", "usage error: scales must be a nonempty list of positive finite reals\n"),
+        ("lower-bound --a0 pi/0 --rest 1,1", "usage error: cannot read scale 'pi/0': division by zero\n"),
+        ("lower-bound --a0 1 --rest nan", "usage error: cannot read scale 'nan': invalid literal for int() with base 10: 'nan'\n"),
+        ("lower-bound --a0 0 --rest 1,1", "usage error: requires a0 >= a_k > 0\n"),
+    ],
+)
+def test_scale_reader_usage_errors_are_pinned(capsys, line, err):
+    assert run_cli(capsys, *line.split()) == (2, "", err)
+
+
+def test_cli_holds_no_precision_rule():
+    # the oracle reads the scales and renders its values, at precisions it derives itself
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert not imported & {"mpmath", "MAX_PRECISION_BITS", "kernel_prec_bits"}
 
 
 def test_spline_dump_round_trips(capsys, tmp_path):
@@ -619,6 +648,21 @@ def test_verify_mutation_detected(monkeypatch):
     monkeypatch.setattr(verify_mod, "odd_harmonic_sum", lambda n: rat(1))
     result = verify_mod.check_partial_sums()
     assert not result.passed
+
+
+def test_example6_check_takes_each_sum_once(monkeypatch):
+    # criterion 7 checks the two sums lower-bound prints, from one call, and computes neither again
+    calls = []
+    real = numeric_oracle.numeric_sum
+
+    def counting(scales, **kwargs):
+        calls.append(len(scales))
+        return real(scales, **kwargs)
+
+    monkeypatch.setattr(numeric_oracle, "numeric_sum", counting)
+    monkeypatch.setattr(verify_mod, "numeric_sum", counting, raising=False)
+    assert verify_mod.check_example6_sums().passed
+    assert calls == [3, 3]
 
 
 def test_verify_check_results_structure():

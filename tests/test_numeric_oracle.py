@@ -33,6 +33,7 @@ from sincprod.numeric_oracle import (
     lower_bound_check,
     numeric_integral,
     numeric_sum,
+    parse_scale,
     verify_ft_example5,
     verify_theorem1,
 )
@@ -728,6 +729,21 @@ def test_lower_bound_validates_ordering():
         lower_bound_check(1.0, [2.0])
 
 
+# -- scales read from text ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "token, exact",
+    [("1", lambda: 1), (" 2.5 ", lambda: mp.mpf(5) / 2), ("1/3", lambda: mp.mpf(1) / 3), ("pi", lambda: mp.pi),
+     ("5pi/4", lambda: 5 * mp.pi / 4), ("PI/3", lambda: mp.pi / 3), ("0.666pi", lambda: mp.pi * 666 / 1000)],
+)
+def test_parse_scale_reads_past_every_working_precision(token, exact):
+    # 64 bits past the 1,114 a float tolerance of 5e-324 asks for
+    assert numeric_oracle.SCALE_PREC_BITS == numeric_oracle._working_prec(5e-324) + 64 == 1178
+    with mp.workprec(1400):
+        assert abs(parse_scale(token) - exact()) <= abs(exact()) * mp.ldexp(1, -1175)
+
+
 # -- band-limited kernel family ----------------------------------------------
 
 
@@ -750,6 +766,16 @@ def test_ft_closed_form():
     reports = verify_ft_example5([0, "1/2", "-1/2"], tol=1e-6)
     assert all(r["within_tol"] for r in reports)
     assert reports[1]["numeric"] == reports[2]["numeric"]  # evenness
+
+
+def test_ft_takes_the_half_sum_at_the_band_edge():
+    # the transform jumps from pi / (e - 1) to 0 at |omega| = 1, and its integral converges to the mean
+    with mp.workprec(200):
+        half = mp.pi / (2 * (mp.e - 1))
+    for rep in verify_ft_example5(["1", "-1"], tol=1e-6):
+        assert rep["within_tol"]
+        assert abs(mp.mpf(rep["closed_form"]) - half) < 1e-16
+        assert abs(mp.mpf(rep["numeric"]) - half) < 1e-8
 
 
 def test_ft_vanishes_outside_band():
