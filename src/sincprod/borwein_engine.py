@@ -53,8 +53,9 @@ _LAYER_CAP = 1 << 16  # DP entries held at once per chunk, which bounds memory
 
 class ExactPathUnavailableError(InfeasibleError):
     """The exact value needs more sample points than MAX_SAMPLE_POINTS,
-    or a point needs more pruned knot entries than its node budget; a
-    budget breach carries visited, surviving and budget.
+    or more pruned knot entries at a point, or integer-form words, than
+    its node budget; a budget breach at a point carries visited,
+    surviving and budget.
 
     The numeric oracle (sincprod.numeric_oracle) is the fallback for
     these inputs.
@@ -93,9 +94,22 @@ class SincProductSpec:
         return cls((rat(1),) * n)
 
     @cached_property
+    def scaled_radius(self):
+        """(R L, L): the support radius R over the lcm L of the scale denominators, merged by
+        halves (1.0 s at 10^5 odd-harmonic scales; a running lcm and sum take 22 s)."""
+        def merge(betas):
+            if len(betas) <= 16:  # a short run is cheaper summed straight
+                L = math.lcm(*(b.denominator for b in betas))
+                return sum(b.numerator * (L // b.denominator) for b in betas), L
+            (S1, L1), (S2, L2) = merge(betas[: len(betas) // 2]), merge(betas[len(betas) // 2 :])
+            L = math.lcm(L1, L2)
+            return S1 * (L // L1) + S2 * (L // L2), L
+        return merge(self.betas)
+
+    @cached_property
     def integer_form(self):
         """(L, scales): the lcm L of the scale denominators, the integers beta_k L."""
-        L = math.lcm(*(b.denominator for b in self.betas))
+        L = self.scaled_radius[1]
         return L, tuple(b.numerator * (L // b.denominator) for b in self.betas)
 
     @cached_property
@@ -106,8 +120,7 @@ class SincProductSpec:
         return math.factorial(n) * 2**n * math.prod(self.integer_form[1])
 
     def support_radius(self):
-        L, scales = self.integer_form
-        return Rat(sum(scales), L)
+        return Rat(*self.scaled_radius)
 
     def has_unit_scale(self) -> bool:
         return any(b == 1 for b in self.betas)
@@ -122,9 +135,6 @@ class CosineWeightSpec:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("m must be >= 0")
-
-    def multipliers(self) -> tuple:
-        return tuple(2 * k + 1 for k in range(self.m + 1))
 
 
 @dataclass(frozen=True)
@@ -296,18 +306,25 @@ def _sample_report(spec, top, digits, node_budget, as_deficit=False) -> EvalRepo
     and certifies 1 outright.  Otherwise it is F(0), or
     2 (F(1) + F(3) + ... + F(top)), where the points past the radius, at
     which F vanishes, are skipped.  Each point is one pruned DP within
-    node_budget entries.
+    node_budget entries, refused up front if the DP's integer form, at an
+    entry per 64-bit word, is past the budget or its default, whichever
+    is larger (a smaller budget tightens the DP alone).
     """
     radius = spec.support_radius()
     edge = math.floor(radius)  # a point exactly at the radius may carry a jump
     unit = spec.has_unit_scale()
     points = _sample_points(top + 2, edge) if unit else _sample_points(top % 2, min(top, edge))
+    words, cap = len(spec.betas) * spec.scaled_radius[1].bit_length() // 64, max(node_budget, NODE_BUDGET_DEFAULT)
+    if points and words > cap:
+        raise ExactPathUnavailableError("exact path unavailable: the integer form takes %d words, past the node budget "
+                                        "%d; use the numeric oracle (sincprod.numeric_oracle) instead" % (words, cap))
     values = [_point_eval_pruned_stats(spec, x, node_budget)[0] for x in points]
     if not unit:
-        return _report(values[0] if top == 0 else 2 * sum(values, rat(0)), digits, radius)
+        value = values[0] if top == 0 else 2 * sum(values, rat(0))
+        return EvalReport(value, to_decimal(value, digits), radius)
     deficit = 2 * sum(values, rat(0))
     value = deficit if as_deficit else 1 - deficit
-    return _report(value, digits, radius, deficit=deficit, terms=zip(points, values), certified=not points)
+    return EvalReport(value, to_decimal(value, digits), radius, deficit, tuple(zip(points, values)), not points)
 
 
 def _sample_points(start, stop):
@@ -318,17 +335,6 @@ def _sample_points(start, stop):
             "points; use the numeric oracle (sincprod.numeric_oracle) instead" % MAX_SAMPLE_POINTS
         )
     return range(start, stop + 1, 2)
-
-
-def _report(value, digits, radius, deficit=None, terms=(), certified=False):
-    return EvalReport(
-        exact_value=value,
-        decimal=to_decimal(value, digits),
-        support_radius=radius,
-        deficit=deficit,
-        deficit_terms=tuple(terms),
-        certified_by_support=certified,
-    )
 
 
 def integral_exact(

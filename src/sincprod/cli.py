@@ -44,15 +44,12 @@ def _parse_spec(args) -> SincProductSpec:
     if args.betas and args.family:
         raise ValueError("give either --betas or --family, not both")
     if args.betas:
-        return SincProductSpec(tuple(rat(tok) for tok in args.betas.split(",")))
+        return SincProductSpec(tuple(_rational(tok) for tok in args.betas.split(",")))
     if args.family:
         if args.n is None:
             raise ValueError("--family requires --n")
-        if args.family == "odd-harmonic":
-            return SincProductSpec.odd_harmonic(args.n)
-        if args.family == "sinc-power":
-            return SincProductSpec.sinc_power(args.n)
-        raise ValueError("unknown family %r" % args.family)
+        # the parser admits these two families alone
+        return (SincProductSpec.odd_harmonic if args.family == "odd-harmonic" else SincProductSpec.sinc_power)(args.n)
     raise ValueError("a spec is required: --betas or --family with --n")
 
 
@@ -72,6 +69,15 @@ def _emit(report: dict, fmt: str):
     else:
         for k, v in report.items():
             print("%s: %s" % (k, v))
+
+
+def _rational(token: str):
+    """An exact rational read from text by rat, its errors naming the token as parse_scale's do."""
+    try:
+        return rat(token)
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction(1, 0) says only "Fraction(1, 0)"
+        reason = "division by zero" if isinstance(exc, ZeroDivisionError) else exc
+        raise ValueError("cannot read rational %r: %s" % (token, reason)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -149,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-tol", type=float, default=5e-10)
 
     p = sub.add_parser("example5", help="band-limited kernel integral or transform check")
-    p.add_argument("--a", help='comma list of positive scales, read exactly, e.g. "0.5,0.3" or "355/113000"')
-    p.add_argument("--b", help="kernel frequency bound")
-    p.add_argument("--ft-omegas", help="comma list of transform sample frequencies")
+    p.add_argument("--a", help='comma list of positive scales, as sum reads them, e.g. "0.5,0.3" or "pi/8"')
+    p.add_argument("--b", help="kernel frequency bound, a positive scale")
+    p.add_argument("--ft-omegas", help="comma list of transform sample frequencies, read as scales")
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("spline-dump", help="emit the transform spline as CSV pieces")
@@ -171,7 +177,7 @@ PARSER = build_parser()  # built once per process: it costs about as much as a m
 def _run(args) -> int:
     fmt = args.format
     if args.command == "breakpoint":
-        threshold = rat(args.threshold)
+        threshold = _rational(args.threshold)
         rep = breaking_point_report(HarmonicFamily.odd_harmonic(), threshold)
         digits = int_str(rep.n)  # also lifts the int/str digit limit for json.dumps
         if fmt == "plain":
@@ -223,7 +229,9 @@ def _run(args) -> int:
 
     if args.command == "example5":
         if args.ft_omegas:
-            reports = verify_ft_example5([tok for tok in args.ft_omegas.split(",")], tol=args.tol)
+            tokens = args.ft_omegas.split(",")
+            samples = verify_ft_example5([parse_scale(tok) for tok in tokens], tol=args.tol)
+            reports = [{"omega": tok, **r} for tok, r in zip(tokens, samples)]
             if fmt == "json":
                 print(json.dumps({"command": "example5-ft", "samples": reports}))
             else:
@@ -232,7 +240,7 @@ def _run(args) -> int:
             return EXIT_OK
         if not args.a or not args.b:
             raise ValueError("example5 needs --a and --b (or --ft-omegas)")
-        report = example5_report(args.a.split(","), args.b, tol=args.tol)
+        report = example5_report([parse_scale(tok) for tok in args.a.split(",")], parse_scale(args.b), tol=args.tol)
         _emit({"command": "example5", "a": args.a, "b": args.b, **report}, fmt)
         return EXIT_OK
 

@@ -7,9 +7,9 @@ expansions, never a closed form for a whole sum.  mpmath supplies the
 arbitrary precision arithmetic.  Integrals and sums work at
 max(128, -log2(tol) + 40) bits, so that ten matching decimal digits
 can be certified comfortably; the band-limited kernel works at
-max(80, -log2(tol) + 30) bits.  Real scales given as text ('5pi/4')
-are read by parse_scale, at a precision past every one of these that a
-float tolerance reaches, so each computation rounds them only once.
+max(80, -log2(tol) + 30) bits.  Real scales given as text ('5pi/4'), the
+kernel's too, are read by parse_scale, at a precision past every one of
+these that a float tolerance reaches, so each computation rounds them once.
 
 Every integral is a head [0, T], integrated directly in equal panels
 half a period of the fastest frequency wide, plus a closed-form tail.
@@ -56,12 +56,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import inf, lcm
+from types import SimpleNamespace
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
 from . import InfeasibleError
-from .borwein_engine import CosineWeightSpec
 from .rational import rat
 
 DEFAULT_PREC_BITS = 128
@@ -77,17 +77,18 @@ class ToleranceUnreachableError(InfeasibleError):
 
 @dataclass(frozen=True)
 class RealScales:
-    """Positive real scales a_k of prod_k sinc(a_k t) and an optional
-    cosine weight (in sampling-normalized units, frequencies (2k+1)pi)."""
+    """Positive real scales a_k of prod_k sinc(a_k t), any real mpf() reads
+    (parse_scale's values, numbers, '1/7'), and an optional cosine weight
+    W_m(t) = 2 sum_{k<=m} cos((2k+1) pi t), read by its m alone (a CosineWeightSpec)."""
 
     scales: tuple
-    weight: CosineWeightSpec | None = None
+    weight: object = None
 
     def __post_init__(self):
-        # keep the caller's numeric type (mpf scales stay mpf); a float()
+        # keep the caller's values (mpf scales stay mpf); a float()
         # round-trip here would silently cap the attainable accuracy
         scales = tuple(self.scales)
-        if not scales or not all(float(a) > 0 and mp.isfinite(a) for a in scales):
+        if not scales or not all(float(a) > 0 and mp.isfinite(a) for a in map(mpf, scales)):
             raise ValueError("scales must be a nonempty list of positive finite reals")
         object.__setattr__(self, "scales", scales)
 
@@ -140,9 +141,7 @@ def _check_tol(name, tol) -> None:
 
 
 def _as_scales(scales) -> RealScales:
-    if isinstance(scales, RealScales):
-        return scales
-    return RealScales(tuple(scales))
+    return scales if isinstance(scales, RealScales) else RealScales(tuple(scales))
 
 
 @dataclass(frozen=True)
@@ -352,7 +351,7 @@ def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = Non
         factors = [(lambda t, a=a: _sinc(a * t), _sinc_terms(a), 1, a) for a in a_mp]
         omega_max = mp.fsum(a_mp)
         if rs.weight is not None:
-            ks = rs.weight.multipliers()
+            ks = range(1, 2 * rs.weight.m + 2, 2)
             factors.append((lambda t: 2 * mp.fsum(mp.cos(k * mp.pi * t) for k in ks),
                             [(mpc(1), s * k * mp.pi, 0) for k in ks for s in (1, -1)], 2 * len(ks), ks[-1] * mp.pi))
             omega_max += ks[-1] * mp.pi
@@ -603,13 +602,11 @@ def verify_theorem1(scales, alternating: bool = False, tol: float = 1e-7) -> dic
             "hypothesis_holds": hypothesis,
         }
     sum_res = numeric_sum(rs.scales, alternating=alternating, abs_tol=float(tol) / 8)
-    weight = CosineWeightSpec(0) if alternating else None
+    weight = SimpleNamespace(m=0) if alternating else None  # W_0(t) = 2 cos(pi t)
     # tol is absolute, and an integral can be exactly 0 (a transform
     # supported inside the first sample point), so the quadrature is
     # held to an absolute tolerance too
-    integral = numeric_integral(
-        RealScales(rs.scales, weight=weight), rel_tol=float(tol) / 8, abs_tol=float(tol) / 8
-    )
+    integral = numeric_integral(RealScales(rs.scales, weight=weight), rel_tol=float(tol) / 8, abs_tol=float(tol) / 8)
     diff = sum_res.value - integral
     return {
         "lhs": mp.nstr(sum_res.value, 17),
@@ -713,15 +710,11 @@ def example5_integral(a, b, tol: float = 1e-6):
     """integral over R of prod_k f(a_k t) * sin(b t)/t dt with f the
     band-limited kernel above; equals pi exactly when sum a_k < b.
 
-    Scales are read exactly (decimal strings are exact) and rounded once
+    a_k and b are positive reals as RealScales takes them, rounded once
     to the working precision; sin(b t)/t takes the terms of b sinc(b t)."""
     _check_tol("tol", tol)
-    a_r, b_r = [rat(x) for x in a], rat(b)
-    if not a_r or any(x <= 0 for x in a_r) or b_r <= 0:
-        raise ValueError("scales (at least one) and b must be positive")
     with mp.workprec(_kernel_prec_bits(tol)):
-        a_mp = [mp.fdiv(x.numerator, x.denominator) for x in a_r]
-        b_mp = mp.fdiv(b_r.numerator, b_r.denominator)
+        a_mp, b_mp = [mpf(x) for x in _as_scales(a).scales], mpf(RealScales((b,)).scales[0])
         g = (lambda t: mp.sin(b_mp * t) / t if t else b_mp, [(c * b_mp, w, p) for c, w, p in _sinc_terms(b_mp)],
              b_mp, b_mp)
         return 2 * _kernel_integral(a_mp, g, tol / 2)
@@ -737,25 +730,18 @@ def example5_report(a, b, tol: float = 1e-6) -> dict:
 
 def verify_ft_example5(omega_samples, tol: float = 1e-6) -> list:
     """Numerically transform the band-limited kernel and compare with
-    its closed form at each frequency sample."""
+    its closed form at each real frequency sample, one report each."""
     _check_tol("tol", tol)
     out = []
     with mp.workprec(_kernel_prec_bits(tol)):
         for omega in omega_samples:
-            w_r = rat(omega)
-            w = abs(mp.fdiv(w_r.numerator, w_r.denominator))
+            w = abs(mpf(omega))
             g = (lambda t: 2 * mp.cos(w * t), [(mpc(1), w, 0), (mpc(1), -w, 0)], 2, w)
             numeric = _kernel_integral([mpf(1)], g, tol)
             closed = mp.pi / (1 - mp.exp(-1)) * mp.exp(-w) if w <= 1 else mpf(0)
             if w == 1:  # the transform jumps here, and its integral takes the mean of both sides
                 closed /= 2
-            out.append(
-                {
-                    "omega": str(w_r),
-                    "numeric": mp.nstr(numeric, 17),
-                    "closed_form": mp.nstr(closed, 17),
-                    "difference": mp.nstr(numeric - closed, 5),
-                    "within_tol": bool(abs(numeric - closed) <= mpf(tol)),
-                }
-            )
+            out.append({"numeric": mp.nstr(numeric, 17), "closed_form": mp.nstr(closed, 17),
+                        "difference": mp.nstr(numeric - closed, 5),
+                        "within_tol": bool(abs(numeric - closed) <= mpf(tol))})
     return out

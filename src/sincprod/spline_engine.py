@@ -122,8 +122,8 @@ class PiecewisePolynomial:
 
     # -- convolution --------------------------------------------------------
 
-    def convolve_with_box(self, halfwidth, size_guard: int = SIZE_GUARD_DEFAULT) -> "PiecewisePolynomial":
-        """x -> integral of self over [x - h, x + h], exactly."""
+    def convolve_with_box(self, halfwidth) -> "PiecewisePolynomial":
+        """x -> integral of self over [x - h, x + h], exactly, up to SIZE_GUARD_DEFAULT breakpoints."""
         h = rat(halfwidth)
         if h <= 0:
             raise ValueError("halfwidth must be positive")
@@ -131,11 +131,9 @@ class PiecewisePolynomial:
             return self
         bps = self.breakpoints
         newbp = sorted(set([b - h for b in bps] + [b + h for b in bps]))
-        if len(newbp) > size_guard:
-            raise SplineSizeError(
-                "convolution would produce %d breakpoints (cap %d); "
-                "use pruned point evaluation instead" % (len(newbp), size_guard)
-            )
+        if len(newbp) > SIZE_GUARD_DEFAULT:
+            raise SplineSizeError("convolution would produce %d breakpoints (cap %d); use pruned point evaluation "
+                                  "instead" % (len(newbp), SIZE_GUARD_DEFAULT))
         anti, total = self._cumulative()
 
         def shifted_cumulative(lo, hi, shift):

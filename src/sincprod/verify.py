@@ -255,10 +255,10 @@ def check_example6_sums():
 
 def check_example5():
     def fn():
-        v = example5_integral(["0.5", "0.3"], 1, tol=1e-6)
+        v = example5_integral([parse_scale("0.5"), parse_scale("0.3")], parse_scale("1"), tol=1e-6)
         if abs(v - mp.pi) > mp.mpf("1e-6"):
             return False, "integral %s != pi" % mp.nstr(v, 12)
-        reports = verify_ft_example5([0, "1/2", "-1/2", "3/2"], tol=1e-6)
+        reports = verify_ft_example5([parse_scale(w) for w in ("0", "1/2", "-1/2", "3/2")], tol=1e-6)
         if not all(r["within_tol"] for r in reports):
             return False, "transform mismatch: %s" % reports
         return True, "integral = pi within 1e-6; transform matches closed form at 0, +-1/2, 3/2"

@@ -3,14 +3,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_benchmark_runs():
-    # bench/tracing.py wraps engine functions by attribute name, so a
-    # renamed or deleted one breaks the traced run, not the engine's tests
+@pytest.mark.parametrize("workload", ["breakpoint-scan", "oracle-crosscheck", "exact-deficits"])
+def test_traced_benchmark_runs(workload):
+    # bench/tracing.py wraps engine functions by attribute name and reads
+    # their result shapes, so a renamed or reshaped one breaks the traced
+    # run, not the engine's tests
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "breakpoint-scan", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -40,7 +40,6 @@ def test_spec_validation():
         SincProductSpec((rat(1), rat(-1, 3)))
     with pytest.raises(ValueError):
         CosineWeightSpec(-1)
-    assert CosineWeightSpec(2).multipliers() == (1, 3, 5)
 
 
 def test_odd_harmonic_spec():

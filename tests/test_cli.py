@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import shlex
 import signal
 import subprocess
@@ -246,10 +247,25 @@ def test_oracle_outputs_are_pinned(capsys, line, plain, as_json, json_format):
         ("lower-bound --a0 pi/0 --rest 1,1", "usage error: cannot read scale 'pi/0': division by zero\n"),
         ("lower-bound --a0 1 --rest nan", "usage error: cannot read scale 'nan': invalid literal for int() with base 10: 'nan'\n"),
         ("lower-bound --a0 0 --rest 1,1", "usage error: requires a0 >= a_k > 0\n"),
+        ("example5 --ft-omegas 1/0", "usage error: cannot read scale '1/0': division by zero\n"),
+        ("example5 --a 0.5,0.3 --b nan",
+         "usage error: cannot read scale 'nan': invalid literal for int() with base 10: 'nan'\n"),
+        ("example5 --a 0.5,abc --b 1",
+         "usage error: cannot read scale 'abc': invalid literal for int() with base 10: 'abc'\n"),
+        ("example5 --a 0.5,0 --b 1", "usage error: scales must be a nonempty list of positive finite reals\n"),
+        ("integral --betas 1,abc",
+         "usage error: cannot read rational 'abc': invalid literal for int() with base 10: 'abc'\n"),
+        ("breakpoint --threshold 1/0", "usage error: cannot read rational '1/0': division by zero\n"),
     ],
 )
 def test_scale_reader_usage_errors_are_pinned(capsys, line, err):
     assert run_cli(capsys, *line.split()) == (2, "", err)
+
+
+def test_example5_reads_pi_scales(capsys):
+    # the kernel's scales take sum's grammar: pi/8 + pi/10 < 1 = b, so the integral is pi
+    code, out, _ = run_cli(capsys, "--format", "json", "example5", "--a", "pi/8,pi/10", "--b", "1", "--tol", "1e-8")
+    assert code == 0 and abs(mp.mpf(json.loads(out)["value"]) - mp.pi) <= 1e-8
 
 
 def test_cli_holds_no_precision_rule():
@@ -323,6 +339,34 @@ def test_node_budget_refuses_before_the_knot_denominator():
         signal.signal(signal.SIGALRM, previous)
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "ExactPathUnavailableError"
+
+
+def _limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_huge_family_is_priced_before_its_integer_form(n):
+    # the integer form of 10^5 odd-harmonic scales alone is about 3.6 GB; the
+    # child runs under a 1 GiB address-space cap and a timeout
+    argv = [sys.executable, "-m", "sincprod.cli", "--format", "json", "integral",
+            "--family", "odd-harmonic", "--n", str(n)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=20, preexec_fn=_limited_address_space)
+    assert proc.returncode == 3, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "ExactPathUnavailableError" and "integer form" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["integral", "--betas", "1,1/3", "--node-budget", "1"],
+     ["deficit", "--family", "odd-harmonic", "--n", "56", "--weights", "1", "--node-budget", "100"]],
+)
+def test_small_node_budget_prices_no_integer_form(capsys, argv):
+    # the first runs no DP (its support certifies 1); the second's DP visits 57
+    # entries, below its budget, though its integer form takes 146 words
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize(

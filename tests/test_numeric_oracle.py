@@ -114,7 +114,7 @@ def test_tail_merge_matches_naive_sum(scales, weight):
         T = mp.pi / omega_max
         factors = [_sinc_terms(a) for a in a_mp]
         if weight:  # 2 cos(k pi t) = e^(i k pi t) + e^(-i k pi t)
-            factors.append([(mp.mpc(1), s * k * mp.pi, 0) for k in weight.multipliers() for s in (1, -1)])
+            factors.append([(mp.mpc(1), s * k * mp.pi, 0) for k in range(1, 2 * weight.m + 2, 2) for s in (1, -1)])
         got = _tail(factors, T, MAX_ORACLE_WORK)
         with mp.extraprec(128):
             want = _naive_tail(factors, T)
@@ -317,7 +317,7 @@ def test_head_within_its_bound(betas, m, rel_tol):
     [
         lambda: example5_integral(["0.5", "0.3"], 1, tol=1e-6),
         lambda: example5_integral(["0.9"], "0.5", tol=1e-4),
-        lambda: example5_integral(["355/113000"], rat(1, 7), tol=1e-4),  # 60 panels
+        lambda: example5_integral(["355/113000"], "1/7", tol=1e-4),  # 60 panels
         lambda: verify_ft_example5([0], tol=1e-6),
         lambda: verify_ft_example5(["3/2"], tol=1e-6),
     ],
@@ -790,7 +790,7 @@ def test_example5_rejects_bad_inputs():
     with pytest.raises(ValueError):
         example5_integral([], 1)
     # scales on a fine rational lattice need no common period: 60 head panels
-    assert abs(example5_integral(["355/113000"], rat(1, 7), tol=1e-4) - mp.pi) < 1e-4
+    assert abs(example5_integral(["355/113000"], "1/7", tol=1e-4) - mp.pi) < 1e-4
     # a head of 4e9 / pi panels is refused before any of them is integrated
     for a, b, omegas in [(["1e-9"], 1, None), (None, None, ["1e9"])]:
         t0 = time.perf_counter()

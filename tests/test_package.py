@@ -41,6 +41,18 @@ def test_bare_import_loads_no_engine():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_oracle_import_loads_no_exact_engine():
+    # the oracle shares no code with the exact engine it cross-checks
+    code = (
+        "import sys, sincprod.numeric_oracle\n"
+        "loaded = {'sincprod.borwein_engine', 'sincprod.spline_engine'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sincprod.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_all_names_each_export_once_in_sorted_order():
     assert sincprod.__all__ == sorted([*OWNER, "InfeasibleError"])
     assert set(sincprod.__all__) <= set(dir(sincprod))

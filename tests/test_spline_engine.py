@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sincprod import spline_engine
 from sincprod.borwein_engine import SincProductSpec, fourier_spline
 from sincprod.rational import rat
 from sincprod.spline_engine import PiecewisePolynomial, SplineSizeError, box
@@ -144,12 +145,13 @@ def test_convolution_rejects_nonpositive_halfwidth():
         box(1).convolve_with_box(0)
 
 
-def test_size_guard_trips():
+def test_size_guard_trips(monkeypatch):
     s = box(1)
     for k in range(3):
         s = s.convolve_with_box(rat(1, 3 + 2 * k))
+    monkeypatch.setattr(spline_engine, "SIZE_GUARD_DEFAULT", 8)
     with pytest.raises(SplineSizeError):
-        s.convolve_with_box(rat(1, 11), size_guard=8)
+        s.convolve_with_box(rat(1, 11))
 
 
 @settings(max_examples=60)
