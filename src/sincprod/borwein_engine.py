@@ -44,9 +44,9 @@ from functools import cached_property
 
 from . import InfeasibleError
 from .rational import Rat, rat, rat_str, to_decimal
-from .spline_engine import SIZE_GUARD_DEFAULT, PiecewisePolynomial, SplineSizeError
+from .spline_engine import PiecewisePolynomial, SplineSizeError
 
-NODE_BUDGET_DEFAULT = 4 * 10**6  # pruned knot entries per sample point, 2-3 us each on a 2-CPU host
+NODE_BUDGET_DEFAULT = 4 * 10**6  # pruned knot entries per sample point (2-3 us each), or spline words (about 1 us)
 MAX_SAMPLE_POINTS = 10**4  # sample points of F per request, each one pruned DP
 _LAYER_CAP = 1 << 16  # DP entries held at once per chunk, which bounds memory
 
@@ -175,28 +175,30 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def fourier_spline(spec: SincProductSpec, size_guard: int = SIZE_GUARD_DEFAULT) -> PiecewisePolynomial:
+def fourier_spline(spec: SincProductSpec) -> PiecewisePolynomial:
     """Normalized transform F of the sinc product, as an exact spline.
 
     Breakpoints are all signed sums of the scales, weight-0 knots
     included.  Walking the knots right to left, the piece left of knot
     s_j has the coefficient of x^k equal to
     C binom(n, k) (-1)^k m_(n-k) / L^(n-k), with the integer suffix
-    moments m_i = sum_{s >= s_j} w_s s^i.  A build whose projected knot
-    count exceeds the size guard is refused up front: a scale appearing
-    m times contributes a factor m+1, so the projection is
-    prod (m_i + 1) over distinct scales, up to 2^(n+1).
+    moments m_i = sum_{s >= s_j} w_s s^i.  Before any knot is merged the
+    build is priced in 64-bit words, as _sample_report prices the integer
+    form: prod (m_i + 1) - 1 pieces (m_i the multiplicities of the distinct scales)
+    times n + 1 coefficients times the words of D, refused past NODE_BUDGET_DEFAULT (SplineSizeError).
     """
-    projected = 1
+    n, count = len(spec.betas) - 1, 1
     for mult in Counter(spec.betas).values():
-        projected *= mult + 1
-        if projected > size_guard:
-            raise SplineSizeError(
-                "projected breakpoint count %s exceeds the size guard %d; "
-                "use point_eval_pruned for single points" % (projected, size_guard)
-            )
+        count *= mult + 1
+        words = (count - 1) * (n + 1)
+        if words > NODE_BUDGET_DEFAULT:  # past the cap at one word of D, which is then never formed
+            break
+    else:
+        words *= spec.knot_denominator.bit_length() // 64 + 1
+    if words > NODE_BUDGET_DEFAULT:
+        raise SplineSizeError("the spline takes at least %d words (pieces x coefficients x words of D), past the "
+                              "node budget %d; use point_eval_pruned for single points" % (words, NODE_BUDGET_DEFAULT))
     (L, scales), D = spec.integer_form, spec.knot_denominator
-    n = len(scales) - 1
     knots = {0: 1}
     for b in scales:
         merged = defaultdict(int)

@@ -33,7 +33,6 @@ from .borwein_engine import (
 from .exact_core import HarmonicFamily, breaking_point_report
 from .numeric_oracle import example5_report, lower_bound_check, numeric_sum, parse_scale, verify_ft_example5
 from .rational import int_str, rat, rat_str
-from .spline_engine import SIZE_GUARD_DEFAULT
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,10 +98,22 @@ def _digit_count(text: str) -> int:
     return value
 
 
+def _family_size(text: str) -> int:
+    # a family spec holds its n scales before any price sees them: --n 10^6 took
+    # seconds to build on a 2-CPU host, and 10^9 would take 8 GB
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value > 100_000:
+        raise argparse.ArgumentTypeError("at most 100000, got %r" % text)
+    return value
+
+
 def _add_spec_flags(p):
     p.add_argument("--betas", help='comma list of rational scales, e.g. "1,1/3,1/5"')
     p.add_argument("--family", choices=["odd-harmonic", "sinc-power"])
-    p.add_argument("--n", type=int, help="family size parameter")
+    p.add_argument("--n", type=_family_size, help="family size parameter, at most 100000")
 
 
 def _add_eval_flags(p, digits):
@@ -160,10 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ft-omegas", help="comma list of transform sample frequencies, read as scales")
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = sub.add_parser("spline-dump", help="emit the transform spline as CSV pieces")
+    p = sub.add_parser("spline-dump", help="emit the transform spline as CSV pieces (exit 3 past 4*10^6 words)")
     _add_spec_flags(p)
-    p.add_argument("--size-guard", type=_positive_int, default=SIZE_GUARD_DEFAULT,
-                   help="cap on the projected knot count of the spline")
     p.add_argument("--output", help="file path, default stdout")
 
     p = sub.add_parser("verify", help="run the acceptance self-checks")
@@ -246,7 +255,7 @@ def _run(args) -> int:
 
     if args.command == "spline-dump":
         spec = _parse_spec(args)
-        csv_text = fourier_spline(spec, size_guard=args.size_guard).to_csv()
+        csv_text = fourier_spline(spec).to_csv()
         if args.output:
             try:
                 with open(args.output, "w") as fh:

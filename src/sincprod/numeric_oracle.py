@@ -6,7 +6,8 @@ integral is integrated; only tails are special functions or
 expansions, never a closed form for a whole sum.  mpmath supplies the
 arbitrary precision arithmetic.  Integrals and sums work at
 max(128, -log2(tol) + 40) bits, so that ten matching decimal digits
-can be certified comfortably; the band-limited kernel works at
+can be certified comfortably (sums add guard bits for scales below 1,
+as numeric_sum says); the band-limited kernel works at
 max(80, -log2(tol) + 30) bits.  Real scales given as text ('5pi/4'), the
 kernel's too, are read by parse_scale, at a precision past every one of
 these that a float tolerance reaches, so each computation rounds them once.
@@ -487,10 +488,11 @@ def _head(a_mp, N, alternating):
 
         (N + 3p (ln N + 2)) 2^-P / prod_k a_k + (p + 1) 2^-P |head|,
 
-    and P = prec + bitlength(N) + ceil(log2(1 / prod_k min(a_k, 1))) + 8
-    keeps that below 2^-prec for N >= 2p + 16, as numeric_sum's are."""
+    and P = prec + bitlength(N) + 8 keeps that below 2^-prec / prod_k a_k
+    for N >= 2p + 16, as numeric_sum's are (its prec has guard bits for
+    the 1 / prod_k a_k)."""
     p = len(a_mp)
-    P = mp.mp.prec + N.bit_length() + int(mp.ceil(-mp.log(mp.fprod(min(a, 1) for a in a_mp), 2))) + 8
+    P = mp.mp.prec + N.bit_length() + 8
     with mp.workprec(P + 10):
         turns = [(*_fixed(mp.expj(a), P), e) for a, e in Counter(a_mp).items()]
     cs, sn = [1 << P] * len(turns), [0] * len(turns)
@@ -522,8 +524,8 @@ def numeric_sum(
     m = 1 .. N - 1 are summed directly (truncation_m = N - 1).  For
     m >= N the summand is exactly m^(-p) times the real part of
     sum_j c_j z_j^m, z_j = e^(i w_j), with the frequencies of the sinc
-    factors (_expand) shifted by pi when alternating, reduced modulo
-    2 pi and merged (_merge_frequencies).  Frequencies next to z = 1 (exact
+    factors (_expand), when alternating folded onto w >= 0 and shifted by
+    pi, reduced modulo 2 pi and merged (_merge_frequencies).  Frequencies next to z = 1 (exact
     resonances, up to the rounding of the scales) take the Hurwitz
     zeta(p, N), and their drift |e^(i w m) - 1| <= min(2, w m) goes
     into the bound, as long as it fits in half of the tolerance.  The
@@ -541,13 +543,19 @@ def numeric_sum(
     if p < 3 and not (alternating and p >= 2):
         raise ValueError("need >= 3 factors (or alternating with >= 2) for a convergent sum")
     with mp.workprec(_working_prec(abs_tol)):
+        guard = int(mp.ceil(-mp.log(mp.fprod(min(mpf(a), 1) for a in rs.scales), 2)))
+    # the head and every tail coefficient carry 1 / prod_k a_k, so 2 + a and 2 - a must
+    # not collapse at a tiny a: the whole sum takes that many guard bits, as _tail's integrals do
+    with mp.workprec(_working_prec(abs_tol) + guard):
         a_mp = [mpf(a) for a in rs.scales]
         # the bound covers the sum over m >= 1, which the two-sided sum doubles
         tol = mpf(abs_tol) if one_sided else mpf(abs_tol) / 2
-        shift = mp.pi if alternating else 0
         terms, formed = _expand([_sinc_terms(a) for a in a_mp], MAX_ORACLE_WORK // 2)
         budget = MAX_ORACLE_WORK - 2 * formed
-        terms = [(c, w + shift, q) for c, w, q in terms]
+        # each conjugate pair folds exactly here, not one rounding apart after the reduction mod 2 pi;
+        # (-1)^m = e^(i pi m) is real, so the alternating shift may follow the fold
+        shift = mp.pi if alternating else 0
+        terms = [(c, w + shift, q) for c, w, q in _merge_frequencies(terms)]
         freqs = sorted(((c, w) for c, w, _ in _merge_frequencies(terms, 2 * mp.pi)), key=lambda cw: cw[1])
         dists = [abs(1 - mp.expj(w)) for _, w in freqs]
 

@@ -25,7 +25,7 @@ SIZE_GUARD_DEFAULT = 1 << 20
 
 
 class SplineSizeError(InfeasibleError):
-    """Projected breakpoint count exceeds the configured cap."""
+    """A spline priced past its cap: fourier_spline's 64-bit words, or convolve_with_box's breakpoints."""
 
 
 # ---------------------------------------------------------------------------

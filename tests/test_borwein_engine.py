@@ -108,6 +108,31 @@ def test_spline_size_guard_redirects():
     assert "pruned" in str(err.value)
 
 
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "spec, admitted",
+    [
+        # pieces x (n + 1) coefficients x words of D against NODE_BUDGET_DEFAULT = 4,000,000:
+        # 16,383 x 14 x 8 = 1,834,896 words and 32,767 x 15 x 9 = 4,423,545
+        (SincProductSpec.odd_harmonic(13), True),
+        (SincProductSpec.odd_harmonic(14), False),
+        # 317 x 317 x 39 = 3,919,071 and 318 x 318 x 40 = 4,044,960
+        (SincProductSpec.sinc_power(317), True),
+        (SincProductSpec.sinc_power(318), False),
+    ],
+)
+def test_spline_is_priced_in_words_before_any_knot_is_merged(monkeypatch, spec, admitted):
+    def first_merge(default):
+        raise _Admitted
+
+    monkeypatch.setattr(borwein_engine, "defaultdict", first_merge)
+    with pytest.raises(_Admitted if admitted else SplineSizeError):
+        fourier_spline(spec)
+
+
 # -- pruned point evaluation --------------------------------------------------
 
 

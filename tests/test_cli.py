@@ -412,6 +412,25 @@ def test_spline_dump_size_guard_exits_three(capsys):
     assert json.loads(out)["error"]["type"] == "SplineSizeError"
 
 
+@pytest.mark.parametrize("family, n", [("sinc-power", "1000"), ("odd-harmonic", "19")])
+def test_spline_dump_priced_past_the_budget_exits_three_at_once(capsys, family, n):
+    # sinc^1000 has 1,001 knots, but 999 x 1,000 coefficients over a D of 149 words;
+    # odd_harmonic(19) has 2^20 knots: either build runs for well over 40 s
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "spline-dump", "--family", family, "--n", n)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and json.loads(out)["error"]["type"] == "SplineSizeError"
+
+
+@pytest.mark.parametrize("command", ["integral", "spline-dump"])
+def test_huge_family_size_exits_two_at_once(capsys, command):
+    # a family spec holds its n scales before any price: 10^9 of them would take 8 GB
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--family", "sinc-power", "--n", "1000000000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == "" and "argument --n: at most 100000" in err
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["--format", "json", "integral", "--family", "odd-harmonic", "--n", "7"]
     _, out1, _ = run_cli(capsys, *argv)
@@ -487,6 +506,15 @@ def test_sum_near_resonance_exits_three_at_once(capsys):
         capsys, "--format", "json", "sum", "--scales", "2,1.141592654", "--alternating", "--abs-tol", "1e-14"
     )
     assert time.perf_counter() - t0 < 1
+    assert code == 3 and json.loads(out)["error"]["type"] == "ToleranceUnreachableError"
+
+
+@pytest.mark.parametrize("tiny", ["1e-40", "1e-60"])
+def test_sum_with_a_tiny_scale_exits_three(capsys, tiny):
+    # the frequencies 2 + a and 2 - a sit 2a apart, and the coefficients carry 1 / a:
+    # without guard bits for that they collapse, and the sum reads 3.0961766135605095
+    # with tail_bound 0.0 against about pi (1 - a / 4); kept apart they need a head of about 44 / a terms
+    code, out, _ = run_cli(capsys, "--format", "json", "sum", "--scales", tiny + ",1,1")
     assert code == 3 and json.loads(out)["error"]["type"] == "ToleranceUnreachableError"
 
 
@@ -600,10 +628,10 @@ def cli_argv(draw):
         return argv + ["--a0=" + draw(numbers), "--rest=" + draw(number_lists), "--abs-tol=" + draw(tolerances)]
     family = ["--family", draw(st.sampled_from(["odd-harmonic", "sinc-power"])), "--n", str(draw(st.integers(-1, 12)))]
     argv += draw(st.sampled_from([family, ["--betas=" + draw(number_lists)]]))
-    argv += draw(st.sampled_from([[], ["--size-guard" if command == "spline-dump" else "--node-budget", "1"]]))
     if command in ("weighted-integral", "deficit"):
         argv += ["--weights", str(draw(st.sampled_from([-1, 0, 1, 2, 7, 10**9])))]
     if command != "spline-dump":
+        argv += draw(st.sampled_from([[], ["--node-budget", "1"]]))
         argv += draw(st.sampled_from([[], ["--digits", draw(st.sampled_from(["x", "-1", "0", "40", "100000", "100001"]))]]))
     return argv
 
@@ -621,6 +649,8 @@ def _hung(signum, frame):
 @example(argv=["sum", "--scales=" + ",".join(["1"] * 17)])
 @example(argv=["lower-bound", "--a0=1", "--rest=" + ",".join(["1"] * 16)])
 @example(argv=["integral", "--betas=1", "--digits", "1000000000"])
+@example(argv=["spline-dump", "--family", "sinc-power", "--n", "1000"])
+@example(argv=["integral", "--family", "odd-harmonic", "--n", "1000000000"])
 @settings(max_examples=200, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=cli_argv())
 def test_cli_argv_exit_codes(argv):
@@ -673,6 +703,22 @@ def test_readme_cli_lines_run(capsys, monkeypatch, tmp_path, line):
     assert code == 0, err
     if comment.strip().startswith("->"):
         assert out.strip() == comment.strip()[2:].strip()
+
+
+def test_readme_quick_start_values():
+    # each expression the library quick start shows prints, or equals, the value its comment names
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Library quick start\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, shown = block.splitlines(), {}, []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        comment = lines[node.lineno - 1].partition("# ")[2]
+        assert value == int(comment.split()[1]) if comment.startswith("exactly ") else repr(value) == comment
+        shown.append(comment)
+    assert shown == ["exactly 1", "'0.999999999985'", "3090", "'1.484870809e-138'"]
 
 
 def test_verify_fast_suite_reports_known_state(capsys):

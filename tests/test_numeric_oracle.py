@@ -422,6 +422,12 @@ def test_sum_refusals_keep_their_messages(scales, kwargs, message):
     assert str(info.value) == message
 
 
+def test_sum_with_a_small_scale_agrees_with_the_integral():
+    # the scales sum below 2 pi, so the sum over the integers equals the integral
+    s = numeric_sum([0.01, 1, 1])
+    assert abs(s.value - numeric_integral([0.01, 1, 1], abs_tol=1e-10)) <= s.tail_bound + 1e-10
+
+
 def test_sum_near_resonance_refused_at_once():
     t0 = time.perf_counter()
     with pytest.raises(ToleranceUnreachableError):
@@ -501,11 +507,12 @@ def test_fixed_point_head_within_its_bound(pool, picks, N, alternating):
     # the bound of _head's docstring, against a sum of mp.sin terms at twice the precision
     scales = [mp.mpf(pool[i % len(pool)]) for i in picks]
     p, prec = len(scales), 128
-    with mp.workprec(prec):
+    guard = int(mp.ceil(-mp.log(mp.fprod(min(a, 1) for a in scales), 2)))  # numeric_sum's guard bits
+    with mp.workprec(prec + guard):
         head = numeric_oracle._head(scales, N, alternating)
     with mp.workprec(2 * prec):
         want = _head_reference(scales, N, alternating)
-        P = prec + N.bit_length() + int(mp.ceil(-mp.log(mp.fprod(min(a, 1) for a in scales), 2))) + 8
+        P = prec + guard + N.bit_length() + 8
         bound = (N + 3 * p * (mp.log(N) + 2)) / mp.fprod(scales) + (p + 1) * abs(want)
         assert abs(head - want) <= mp.ldexp(bound, -P) + N * mp.ldexp(1, 4 - 2 * prec)
 
@@ -552,9 +559,9 @@ def test_by_parts_matches_the_mpc_loop(p):
     "scales, alternating, merged, head",
     [
         ([5 * mp.pi / 4, 1.0, 1.0], False, 3, 124),
-        # pi - 3.14 and 2 pi - (pi + 3.14), both 0.0016, stay one rounding
-        # apart, and so do the two at 2.28: four merged frequencies
-        ([2.0, 1.14], True, 4, 25_115),
+        # the conjugate pairs fold before the pi shift: 3.14 and 0.86 shift to
+        # pi + 3.14 and pi + 0.86, which fold to 0.0016 and 2.28, once each
+        ([2.0, 1.14], True, 2, 25_115),
     ],
 )
 def test_sum_makes_no_transcendental_call_per_term(monkeypatch, scales, alternating, merged, head):
