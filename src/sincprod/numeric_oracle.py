@@ -6,8 +6,8 @@ integral is integrated; only tails are special functions or
 expansions, never a closed form for a whole sum.  mpmath supplies the
 arbitrary precision arithmetic.  Integrals and sums work at
 max(128, -log2(tol) + 40) bits, so that ten matching decimal digits
-can be certified comfortably (sums add guard bits for scales below 1,
-as numeric_sum says); the band-limited kernel works at
+can be certified comfortably, sums with ceil(log2(1 / prod_k min(a_k, 1)))
+guard bits on top; the band-limited kernel works at
 max(80, -log2(tol) + 30) bits.  Real scales given as text ('5pi/4'), the
 kernel's too, are read by parse_scale, at a precision past every one of
 these that a float tolerance reaches, so each computation rounds them once.
@@ -524,8 +524,8 @@ def numeric_sum(
     m = 1 .. N - 1 are summed directly (truncation_m = N - 1).  For
     m >= N the summand is exactly m^(-p) times the real part of
     sum_j c_j z_j^m, z_j = e^(i w_j), with the frequencies of the sinc
-    factors (_expand), when alternating folded onto w >= 0 and shifted by
-    pi, reduced modulo 2 pi and merged (_merge_frequencies).  Frequencies next to z = 1 (exact
+    factors (_expand) folded onto w >= 0, shifted by pi when alternating,
+    reduced modulo 2 pi and merged (_merge_frequencies).  Frequencies next to z = 1 (exact
     resonances, up to the rounding of the scales) take the Hurwitz
     zeta(p, N), and their drift |e^(i w m) - 1| <= min(2, w m) goes
     into the bound, as long as it fits in half of the tolerance.  The
@@ -550,11 +550,11 @@ def numeric_sum(
         a_mp = [mpf(a) for a in rs.scales]
         # the bound covers the sum over m >= 1, which the two-sided sum doubles
         tol = mpf(abs_tol) if one_sided else mpf(abs_tol) / 2
+        shift = mp.pi if alternating else 0
         terms, formed = _expand([_sinc_terms(a) for a in a_mp], MAX_ORACLE_WORK // 2)
         budget = MAX_ORACLE_WORK - 2 * formed
         # each conjugate pair folds exactly here, not one rounding apart after the reduction mod 2 pi;
         # (-1)^m = e^(i pi m) is real, so the alternating shift may follow the fold
-        shift = mp.pi if alternating else 0
         terms = [(c, w + shift, q) for c, w, q in _merge_frequencies(terms)]
         freqs = sorted(((c, w) for c, w, _ in _merge_frequencies(terms, 2 * mp.pi)), key=lambda cw: cw[1])
         dists = [abs(1 - mp.expj(w)) for _, w in freqs]

@@ -414,7 +414,7 @@ def test_spline_dump_size_guard_exits_three(capsys):
 
 @pytest.mark.parametrize("family, n", [("sinc-power", "1000"), ("odd-harmonic", "19")])
 def test_spline_dump_priced_past_the_budget_exits_three_at_once(capsys, family, n):
-    # sinc^1000 has 1,001 knots, but 999 x 1,000 coefficients over a D of 149 words;
+    # sinc^1000 has 1,001 knots, but 1,000 pieces x 1,000 coefficients x 149 words of D;
     # odd_harmonic(19) has 2^20 knots: either build runs for well over 40 s
     t0 = time.perf_counter()
     code, out, _ = run_cli(capsys, "spline-dump", "--family", family, "--n", n)
@@ -706,7 +706,7 @@ def test_readme_cli_lines_run(capsys, monkeypatch, tmp_path, line):
 
 
 def test_readme_quick_start_values():
-    # each expression the library quick start shows prints, or equals, the value its comment names
+    # each expression the library quick start shows has the repr its comment names, or is the number it names
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("\n## Library quick start\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     lines, namespace, shown = block.splitlines(), {}, []
