@@ -99,8 +99,8 @@ def _digit_count(text: str) -> int:
 
 
 def _family_size(text: str) -> int:
-    # a family spec holds its n scales before any price sees them: --n 10^6 took
-    # seconds to build on a 2-CPU host, and 10^9 would take 8 GB
+    # a family spec holds its n scales before any price sees them: 10^6 odd-harmonic
+    # scales take 1.8 s to build on a 2-CPU host, and 10^9 scales would take 8 GB
     try:
         value = int(text)
     except ValueError:
