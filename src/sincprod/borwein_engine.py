@@ -27,12 +27,13 @@ sample sums collapse to 1 and either quantity equals
 turning "is the integral exactly 1" into a support comparison plus a
 few evaluations of F near the edge of its support.
 
-A sample point x is evaluated by a layered dict DP over the measure,
-scales sorted descending, dropping each entry s whose largest
-completion s + (remaining scales) stays at or below x L.  Near the
-support edge only O(n) entries survive, which makes the 57-factor
-deficit instant.  The exported spline takes its pieces from suffix
-moments of the full measure.
+The sample points of a request are evaluated by one layered dict DP
+over the measure, scales sorted descending, dropping each entry s whose
+largest completion s + (remaining scales) stays at or below x L for the
+lowest point x.  Each surviving knot adds to every point it passes.
+Near the support edge only O(n) entries survive, which makes the
+57-factor deficit instant.  The exported spline takes its pieces from
+suffix moments of the full measure.
 """
 
 from __future__ import annotations
@@ -46,16 +47,17 @@ from . import InfeasibleError
 from .rational import Rat, rat, rat_str, to_decimal
 from .spline_engine import PiecewisePolynomial, SplineSizeError
 
-NODE_BUDGET_DEFAULT = 4 * 10**6  # pruned knot entries per sample point (2-3 us each), or spline words (about 1 us)
-MAX_SAMPLE_POINTS = 10**4  # sample points of F per request, each one pruned DP
+NODE_BUDGET_DEFAULT = 4 * 10**6  # pruned knot entries per request (2-3 us each), or spline words (about 1 us)
+MAX_SAMPLE_POINTS = 10**4  # sample points of F per request, all read off one pruned DP
+MAX_FAMILY_SIZE = 100_000  # n of a family spec, refused before its n scales are built
 _LAYER_CAP = 1 << 16  # DP entries held at once per chunk, which bounds memory
 
 
 class ExactPathUnavailableError(InfeasibleError):
     """The exact value needs more sample points than MAX_SAMPLE_POINTS,
-    or more pruned knot entries at a point, or integer-form words, than
-    its node budget; a budget breach at a point carries visited,
-    surviving and budget.
+    or more pruned knot entries, or integer-form words, than its node
+    budget; a breach of the entry budget carries visited, surviving and
+    budget.
 
     The numeric oracle (sincprod.numeric_oracle) is the fallback for
     these inputs.
@@ -83,14 +85,14 @@ class SincProductSpec:
 
     @classmethod
     def odd_harmonic(cls, n: int) -> "SincProductSpec":
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        if not 0 <= n <= MAX_FAMILY_SIZE:
+            raise ValueError("n must be >= 0" if n < 0 else "n must be at most %d" % MAX_FAMILY_SIZE)
         return cls(tuple(Rat(1, 2 * k + 1) for k in range(n + 1)))
 
     @classmethod
     def sinc_power(cls, n: int) -> "SincProductSpec":
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= n <= MAX_FAMILY_SIZE:
+            raise ValueError("n must be >= 1" if n < 1 else "n must be at most %d" % MAX_FAMILY_SIZE)
         return cls((rat(1),) * n)
 
     @cached_property
@@ -242,21 +244,19 @@ def point_eval_pruned(spec: SincProductSpec, x, node_budget: int = NODE_BUDGET_D
     A single-factor spec evaluated exactly at its edge, the one
     discontinuity of any F, takes the half-sum 1/(2 beta).
     """
-    value, _ = _point_eval_pruned_stats(spec, x, node_budget)
+    (value,), _ = _point_eval_pruned_stats(spec, [x], node_budget)
     return value
 
 
-def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
-    x = abs(rat(x))
-    if spec.betas == (x,):  # the one jump of F, at the edge of a single box
-        return 1 / (2 * x), _PruneStats(visited=1, surviving=1)
+def _point_eval_pruned_stats(spec, xs, node_budget=NODE_BUDGET_DEFAULT):
+    """([F(x) for x in xs], stats) of one DP pruned at the first point; xs ascend in |x|."""
+    xs = [abs(rat(x)) for x in xs]
     L, scales = spec.integer_form
     n = len(scales) - 1
-    p, q = x.numerator * L, x.denominator
-    floor = p // q
+    pqs = [(x.numerator * L, x.denominator) for x in xs]
+    floor = pqs[0][0] // pqs[0][1]
     scales = sorted(scales, reverse=True)
-    stats = _PruneStats()
-    acc = 0
+    stats, acc = _PruneStats(), [0] * len(xs)
     chunks = [({0: 1}, 0, sum(scales))]  # (entries, layers merged, sum of the scales left)
     while chunks:
         layer, i, rest = chunks.pop()
@@ -271,7 +271,7 @@ def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
                 if stats.visited > node_budget:
                     err = ExactPathUnavailableError(
                         "exact path unavailable: F(%s) needs more than %d pruned knot entries; use the "
-                        "numeric oracle (sincprod.numeric_oracle) instead" % (x, node_budget)
+                        "numeric oracle (sincprod.numeric_oracle) instead" % (xs[0], node_budget)
                     )
                     err.visited, err.surviving, err.budget = stats.visited, stats.surviving, node_budget
                     raise err
@@ -288,10 +288,13 @@ def _point_eval_pruned_stats(spec, x, node_budget=NODE_BUDGET_DEFAULT):
         for s, w in layer.items():
             if w:
                 stats.surviving += 1
-                acc += w * (q * s - p) ** n
-    # D multiplies n + 1 integer scales, which takes seconds at n in the thousands:
-    # it is formed only once the budget has admitted the point
-    return Rat(L * acc, q**n * spec.knot_denominator), stats
+                for j, (p, q) in enumerate(pqs):  # a survivor passes the first point, and so a prefix
+                    if q * s <= p:
+                        break
+                    acc[j] += w * (q * s - p) ** n
+    # D multiplies n + 1 integer scales, seconds at n in the thousands: formed once the budget admits the request
+    return [1 / (2 * x) if spec.betas == (x,) else Rat(L * a, q**n * spec.knot_denominator)
+            for x, (_, q), a in zip(xs, pqs, acc)], stats
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +310,8 @@ def _sample_report(spec, top, digits, node_budget, as_deficit=False) -> EvalRepo
     top+4, ... inside the support, so radius < top+2 leaves no point
     and certifies 1 outright.  Otherwise it is F(0), or
     2 (F(1) + F(3) + ... + F(top)), where the points past the radius, at
-    which F vanishes, are skipped.  Each point is one pruned DP within
-    node_budget entries, refused up front if the DP's integer form, at an
+    which F vanishes, are skipped.  All points come from one pruned DP
+    within node_budget entries, refused up front if its integer form, at an
     entry per 64-bit word, is past the budget or its default, whichever
     is larger (a smaller budget tightens the DP alone).
     """
@@ -320,7 +323,7 @@ def _sample_report(spec, top, digits, node_budget, as_deficit=False) -> EvalRepo
     if points and words > cap:
         raise ExactPathUnavailableError("exact path unavailable: the integer form takes %d words, past the node budget "
                                         "%d; use the numeric oracle (sincprod.numeric_oracle) instead" % (words, cap))
-    values = [_point_eval_pruned_stats(spec, x, node_budget)[0] for x in points]
+    values = _point_eval_pruned_stats(spec, points, node_budget)[0] if points else []
     if not unit:
         value = values[0] if top == 0 else 2 * sum(values, rat(0))
         return EvalReport(value, to_decimal(value, digits), radius)
@@ -395,8 +398,8 @@ def sinc_power_breaking(m: int, n_max: int) -> list:
     count m is exactly 1, for n = 1..n_max.  The law is: unit exactly
     for n <= 2m+3 (the boundary holds because F vanishes continuously at
     the support edge once n >= 2), non-unit beyond."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 1 <= n_max <= MAX_FAMILY_SIZE:
+        raise ValueError("n_max must be >= 1" if n_max < 1 else "n_max must be at most %d" % MAX_FAMILY_SIZE)
     weights = CosineWeightSpec(m)
     out = []
     for n in range(1, n_max + 1):

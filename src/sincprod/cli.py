@@ -22,6 +22,7 @@ import sys
 
 from . import InfeasibleError, verify as verify_mod
 from .borwein_engine import (
+    MAX_FAMILY_SIZE,
     NODE_BUDGET_DEFAULT,
     CosineWeightSpec,
     SincProductSpec,
@@ -105,21 +106,21 @@ def _family_size(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value > 100_000:
-        raise argparse.ArgumentTypeError("at most 100000, got %r" % text)
+    if value > MAX_FAMILY_SIZE:
+        raise argparse.ArgumentTypeError("at most %d, got %r" % (MAX_FAMILY_SIZE, text))
     return value
 
 
 def _add_spec_flags(p):
     p.add_argument("--betas", help='comma list of rational scales, e.g. "1,1/3,1/5"')
     p.add_argument("--family", choices=["odd-harmonic", "sinc-power"])
-    p.add_argument("--n", type=_family_size, help="family size parameter, at most 100000")
+    p.add_argument("--n", type=_family_size, help="family size parameter, at most %d" % MAX_FAMILY_SIZE)
 
 
 def _add_eval_flags(p, digits):
     _add_spec_flags(p)
     p.add_argument("--node-budget", type=_positive_int, default=NODE_BUDGET_DEFAULT,
-                   help="cap on the knot entries the pruned DP expands per sample point")
+                   help="cap on the knot entries the pruned DP expands per request")
     p.add_argument("--digits", type=_digit_count, default=digits, help="significant digits, 1 to 100000")
 
 

@@ -1,11 +1,9 @@
 """Exact rational scalars and decimal rendering.
 
 All exact computation in this package runs on arbitrary-precision
-rationals kept in lowest terms with positive denominator.  gmpy2.mpq is
-used when available (often quoted as 10-50x faster than
-fractions.Fraction on large coefficients, a figure this project has not
-measured); the stdlib Fraction is a drop-in fallback.  The two types
-compare and hash equal, so callers may mix them freely.
+rationals kept in lowest terms with positive denominator.  Rat is the
+stdlib fractions.Fraction; the heavy exact work runs on Python integers
+and meets Rat at the report boundary.
 """
 
 from __future__ import annotations
@@ -13,12 +11,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    Rat = _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    Rat = Fraction
+Rat = Fraction
 
 
 def rat(value, den=None):
@@ -34,16 +27,12 @@ def rat(value, den=None):
             p, q = s.split("/", 1)
             return Rat(int(p)) / Rat(int(q))
         if "." in s or "e" in s or "E" in s:
-            f = Fraction(s)
-            return Rat(f.numerator) / Rat(f.denominator)
+            return Fraction(s)
         return Rat(int(s))
     if isinstance(value, float):
         # decimal round-trip, so rat(0.3) == 3/10 rather than the binary float
-        f = Fraction(repr(value))
-        return Rat(f.numerator) / Rat(f.denominator)
-    if isinstance(value, Fraction):
-        return Rat(value.numerator) / Rat(value.denominator)
-    return Rat(value)
+        return Fraction(repr(value))
+    return Rat(value)  # a Fraction subclass comes back a Fraction
 
 
 def _allow_digits(need: int) -> None:

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -67,6 +68,23 @@ def test_integer_form_matches_plain_fractions(pairs, m):
     assert spec.knot_denominator == math.factorial(n) * 2**n * math.prod(b * L for b in betas)
     assert spec.support_radius() == sum(betas, Fraction(0))
     assert SincProductSpec.odd_harmonic(m).betas == tuple(Fraction(1, 2 * k + 1) for k in range(m + 1))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: SincProductSpec.sinc_power(2**63), lambda: SincProductSpec.odd_harmonic(10**9),
+              lambda: sinc_power_breaking(0, 10**9)],
+    ids=["sinc_power(2**63)", "odd_harmonic(10**9)", "sinc_power_breaking(0, 10**9)"],
+)
+def test_family_size_refused_before_any_tuple(build):
+    # past MAX_FAMILY_SIZE a family is refused before its scales are built
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="at most %d" % borwein_engine.MAX_FAMILY_SIZE):
+        build()
+    assert time.perf_counter() - t0 < 1
+
+
+def test_largest_family_is_built():
+    assert len(SincProductSpec.odd_harmonic(borwein_engine.MAX_FAMILY_SIZE).betas) == 100_001
 
 
 # -- fourier spline -----------------------------------------------------------
@@ -147,10 +165,10 @@ def test_pruned_single_box():
 
 def test_pruned_57_factor_edge_value():
     spec = SincProductSpec.odd_harmonic(56)
-    value, stats = _point_eval_pruned_stats(spec, 3)
+    values, stats = _point_eval_pruned_stats(spec, [3])
     b = odd_harmonic_sum(56)
     c = math.prod(2 * k + 1 for k in range(1, 57))
-    assert value == rat(c) * (b - 3) ** 56 / (rat(2) ** 56 * math.factorial(56))
+    assert values[0] == rat(c) * (b - 3) ** 56 / (rat(2) ** 56 * math.factorial(56))
     assert stats.surviving == 1  # only the all-plus assignment reaches past 3
 
 
@@ -160,12 +178,17 @@ def test_pruned_matches_spline_randomized(monkeypatch):
         n = rng.randint(0, 9)
         spec = SincProductSpec(tuple(rat(1, rng.randint(1, 9)) for _ in range(n + 1)))
         F = reference_spline(spec)
-        for _ in range(8):
-            x = rat(rng.randint(-50, 50), rng.randint(1, 11))
+        xs = sorted((rat(rng.randint(-50, 50), rng.randint(1, 11)) for _ in range(8)), key=abs)
+        for x in xs:
             assert point_eval_pruned(spec, x) == F.evaluate(x), (spec.betas, x)
             with monkeypatch.context() as m:  # layers split into chunks of at most 2 entries
                 m.setattr(borwein_engine, "_LAYER_CAP", 2)
                 assert point_eval_pruned(spec, x) == F.evaluate(x), (spec.betas, x)
+        expected = [F.evaluate(x) for x in xs]  # every point from one DP, pruned at the lowest
+        assert _point_eval_pruned_stats(spec, xs)[0] == expected, spec.betas
+        with monkeypatch.context() as m:
+            m.setattr(borwein_engine, "_LAYER_CAP", 2)
+            assert _point_eval_pruned_stats(spec, xs)[0] == expected, spec.betas
 
 
 def test_pruned_budget_error_reports_counts():
@@ -177,7 +200,7 @@ def test_pruned_budget_error_reports_counts():
 
 
 def test_budget_exhaustion_refuses_after_one_dp(monkeypatch):
-    # the first point over budget refuses the request; no point is rerun
+    # the request's one DP over budget refuses it; nothing is rerun
     calls = []
     real = borwein_engine._point_eval_pruned_stats
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sincprod import cli, numeric_oracle
+from sincprod import borwein_engine, cli, numeric_oracle
 from sincprod.borwein_engine import MAX_SAMPLE_POINTS, ExactPathUnavailableError, SincProductSpec, fourier_spline
 from sincprod.exact_core import NonTerminatingSearchError
 from sincprod.numeric_oracle import ToleranceUnreachableError, numeric_sum
@@ -382,6 +382,14 @@ def test_every_infeasible_error_exits_three_with_json(capsys, monkeypatch, error
     assert json.loads(out) == {"error": {"type": error.__name__, "message": "refused"}}
 
 
+def _sinc_power_integral(n):
+    # the classical closed form of the integral of sinc^n(pi t)
+    return Fraction(
+        sum((-1) ** k * math.comb(n, k) * (n - 2 * k) ** (n - 1) for k in range((n + 1) // 2)),
+        2 ** (n - 1) * math.factorial(n - 1),
+    )
+
+
 def test_former_budget_fallbacks_are_fast(capsys):
     # sinc powers coalesce to n + 1 knots, so a small node budget suffices
     # at every sample point and no request falls back or stalls
@@ -390,11 +398,7 @@ def test_former_budget_fallbacks_are_fast(capsys):
         capsys, "--format", "json", "integral", "--family", "sinc-power", "--n", "30", "--node-budget", "20000"
     )
     assert code == 0 and time.perf_counter() - t0 < 1
-    n = 30  # the classical closed form of the integral of sinc^n(pi t)
-    expected = Fraction(
-        sum((-1) ** k * math.comb(n, k) * (n - 2 * k) ** (n - 1) for k in range((n + 1) // 2)),
-        2 ** (n - 1) * math.factorial(n - 1),
-    )
+    expected = _sinc_power_integral(30)
     d = json.loads(out)
     assert d["exact"] == "%d/%d" % (expected.numerator, expected.denominator)
     assert d["decimal"] == "0.251048514991"
@@ -402,6 +406,26 @@ def test_former_budget_fallbacks_are_fast(capsys):
     t0 = time.perf_counter()
     code, _, _ = run_cli(capsys, "deficit", "--family", "sinc-power", "--n", "40")
     assert code == 0 and time.perf_counter() - t0 < 1
+    # 200 sample points read off one pruned DP, not 200 DPs
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--format", "json", "integral", "--family", "sinc-power", "--n", "400")
+    assert code == 0 and time.perf_counter() - t0 < 2
+    expected = _sinc_power_integral(400)
+    assert json.loads(out)["exact"] == "%d/%d" % (expected.numerator, expected.denominator)
+
+
+def test_one_pruned_dp_per_request(capsys, monkeypatch):
+    calls = []
+    real = borwein_engine._point_eval_pruned_stats
+
+    def counting(spec, xs, *args):
+        calls.append(xs)
+        return real(spec, xs, *args)
+
+    monkeypatch.setattr(borwein_engine, "_point_eval_pruned_stats", counting)
+    code, _, _ = run_cli(capsys, "integral", "--family", "sinc-power", "--n", "30")
+    assert code == 0 and len(calls) == 1  # one call for x = 2, 4, ..., 30, not one per point
+    assert list(calls[0]) == list(range(2, 31, 2))
 
 
 def test_spline_dump_size_guard_exits_three(capsys):

@@ -18,6 +18,18 @@ def test_rat_parsing():
     assert rat(1, 3) == Fraction(1, 3)
 
 
+def test_rat_is_the_stdlib_fraction():
+    import sincprod
+
+    assert sincprod.Rat is Fraction
+    assert type(rat("0.25")) is Fraction and type(rat(0.3)) is Fraction
+
+    class Sub(Fraction):
+        pass
+
+    assert type(rat(Sub(2, 6))) is Fraction and rat(Sub(2, 6)) == Fraction(1, 3)
+
+
 def test_rat_str_always_has_denominator():
     assert rat_str(rat(1)) == "1/1"
     assert rat_str(rat(-88069, 45045)) == "-88069/45045"
