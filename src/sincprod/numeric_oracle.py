@@ -12,41 +12,44 @@ max(80, -log2(tol) + 30) bits.  Real scales given as text ('5pi/4'), the
 kernel's too, are read by parse_scale, at a precision past every one of
 these that a float tolerance reaches, so each computation rounds them once.
 
-Every integral is a head [0, T], integrated directly in equal panels
-half a period of the fastest frequency wide, plus a closed-form tail.
-Each panel takes one Gauss-Legendre rule whose degree is fixed before
-any evaluation: every factor is band-limited with an even nonnegative
-transform, so |f(x + i y)| <= f(0) cosh(omega y) (Paley-Wiener), and the
-product is bounded on the Bernstein ellipses around a panel; the rule's
-error is then at most (h/2) (64/15) M rho^(2-2n) / (rho^2 - 1)
-(Trefethen, ATAP Thm 19.3), and n is the fewest mpmath nodes that put
-this below 2^-(prec+20) h: 24 from 80 to 190 bits, 48 from 200 to 500.
+Every integral is a head [0, T], integrated directly, plus a
+closed-form tail.  Every factor is band-limited with an even
+nonnegative transform, so |f(x + i y)| <= f(0) cosh(omega y)
+(Paley-Wiener).  The head of a sinc product, weighted or not, is the
+product's Taylor series in t / T, T = pi / omega_max, multiplied out in
+fixed point with no transcendental call (_series_head).  The
+band-limited kernel needs many panels far from 0, where the series
+cannot run; each takes one Gauss-Legendre rule of a degree fixed before
+any evaluation, from the rule's error bound on the Bernstein ellipses
+(Trefethen, ATAP Thm 19.3): 24 nodes from 80 to 190 bits, 48 from 200
+to 500.
 Past T each factor is a finite sum of terms c e^(i w t) t^(-p), and
 each term integral_T^inf e^(i w t) t^(-p) dt equals T^(1-p) E_p(-i w T),
 with E_p the generalized exponential integral (DLMF 8.19), for any
 T > 0.  Equal (w, p) are merged and each conjugate pair +-w shares one
 E_1 call, from which E_p follows by recurrence.  For sinc products the
-terms are exact and the head is one panel.  The band-limited kernel
+terms are exact.  The band-limited kernel
 f(x) = (x sin x - cos x + e) / ((1 + x^2)(e - 1)) is expanded past
 x = a T >= 4 in 1/(1 + x^2) = sum_j (-1)^j x^(-2j-2), and the series is
 cut where a rigorous bound on the rest fits in the tolerance.  The tail
 is accurate to working precision, with guard bits for the cancellation
 a short head leaves, instead of needing the astronomically large
 truncation points an absolute-value bound would demand.  The error
-bound held to rel_tol or abs_tol is the quadrature's plus the rounding
-of head + tail, which is all that is left of an integral that is
+bound held to rel_tol or abs_tol is the head's plus the rounding of
+head + tail, which is all that is left of an integral that is
 exactly 0.
 
 Sums of sinc products over the integers work the same way: m below N
 is summed directly, term by term in fixed point on Python integers
 (each e^(i a_k m) is turned by e^(i a_k) once per m, with no sine
 call per term), and past N the summand is exactly a trigonometric
-sum over m^p whose frequencies, reduced modulo 2 pi, are merged and
-conjugate-paired as for integrals.  Each term sum_{m>=N} z^m m^(-p)
-takes a few steps of summation by parts (DLMF 2.10(ii)), in fixed
-point over forward differences of m^(-p) formed exactly in integers;
-as m^(-p) is completely monotone, the remainder is at most the last
-term kept, so the tail bound is rigorous.  A frequency at z = 1 up to
+sum over m^p whose frequencies, summed and reduced modulo 2 pi without
+rounding, are merged and conjugate-paired as for integrals.  Each term
+sum_{m>=N} z^m m^(-p) takes a few steps of summation by parts
+(DLMF 2.10(ii)), in fixed point over forward differences of m^(-p)
+formed exactly in integers; as m^(-p) is completely monotone, the
+remainder is at most the last term kept, so the tail bound is
+rigorous.  A frequency at z = 1 up to
 rounding takes the Hurwitz zeta(p, N) plus a bound for its drift.  N
 scales as 1 / min |1 - z| and is a few hundred on the paper's
 examples.
@@ -57,6 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import inf, lcm
+from operator import mul
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -163,12 +167,8 @@ class SumResult:
         }
 
 
-def _sinc(x):
-    return mp.sin(x) / x if x != 0 else mpf(1)
-
-
 # ---------------------------------------------------------------------------
-# integrals: a head in quadrature panels plus an exact E_p tail
+# integrals: a series or quadrature head plus an exact E_p tail
 # ---------------------------------------------------------------------------
 
 
@@ -204,7 +204,9 @@ def _expand(factors, budget):
         product = {}
         for (w, p), c in terms.items():
             for c2, w2, p2 in factor:
-                product[w + w2, p + p2] = product.get((w + w2, p + p2), 0) + c * c2
+                # keyed by the exact sum, so a + 1 - 1 and a - 1 + 1 merge
+                key = mp.fadd(w, w2, exact=True), p + p2
+                product[key] = product.get(key, 0) + c * c2
         terms = product
     return [(c, w, p) for (w, p), c in terms.items()], formed
 
@@ -217,16 +219,18 @@ def _merge_frequencies(terms, period=None):
     pair shares one frequency: Re(c e^(i w x)) = Re(conj(c) e^(-i w x)).
     Frequencies are folded onto w >= 0; with a period (2 pi, for integer
     x) they are first reduced modulo it and folded into
-    [0, period / 2].  Zero coefficients are dropped.
+    [0, period / 2].  Both are exact, so frequencies one modulo the period
+    meet, and their coefficients cancel where the summand vanishes (a
+    scale pi).  Zero coefficients are dropped.
     """
     merged = {}
     for c, w, p in terms:
         if period is not None:
-            w -= period * mp.floor(w / period)
+            w = mp.fsub(w, mp.fmul(period, mp.floor(w / period), exact=True), exact=True)
             if 2 * w > period:
-                c, w = mp.conj(c), period - w
+                c, w = mp.conj(c), mp.fsub(period, w, exact=True)
         elif w < 0:
-            c, w = mp.conj(c), -w
+            c, w = mp.conj(c), mp.fneg(w, exact=True)
         merged[w, p] = merged.get((w, p), 0) + c
     return [(c, w, p) for (w, p), c in merged.items() if c != 0]
 
@@ -258,6 +262,75 @@ def _tail(factors, T, budget):
                 total += (cs[p] * E).real if p in cs else 0
                 E = (ez - z * E) / p
         return total
+
+
+def _series_length(C):
+    """(J, bound): the fewest terms J >= 2 of _series_head's series whose
+    truncation bound 2 C pi^(2J) / (2J)!, in units of T, is at most
+    2^-(prec+20), and that bound."""
+    J, term, pi2 = 2, mp.pi**4 / 24, mp.pi**2
+    while 2 * C * term > mp.ldexp(1, -mp.mp.prec - 20):
+        term *= pi2 / ((2 * J + 1) * (2 * J + 2))
+        J += 1
+    return J, 2 * C * term
+
+
+def _series_head(factors, T):
+    """(integral_0^T prod f dt, a bound on its error) for factors
+    f(t) = sum c g(w t) over terms (c, w, odd), g = sinc (odd = 1) or
+    cos (odd = 0), with c = 1 or 2 and w T <= pi (up to rounding), from
+    the product's power series in s = t / T, with no transcendental call.
+
+    Each term's series c g(w T s) = sum_j c_j s^(2j) starts at c_0 = c and
+    goes on by c_j = -c_(j-1) x^2 / q_j, x = w T, q_j = (2j - 1 + odd)(2j + odd).
+    The factors' series are multiplied, truncated at J terms, and the head
+    is T sum_(j<J) c_j / (2j + 1).
+
+    Truncation.  c g(w T s) is dominated, coefficient by coefficient, by
+    c cosh(w T s), so f by C_f cosh(omega_f T s), with C_f the sum of its
+    c and omega_f its largest w; as cosh u cosh v <= cosh(u + v)
+    coefficientwise, the product is dominated by C cosh(pi s), with
+    C = prod C_f = prod f(0) and sum omega_f T = omega_max T = pi.  So
+    |c_j| <= C pi^(2j) / (2j)!, the terms past J shrink at least twofold
+    for J >= 2, and those dropped weigh at most 2 C T pi^(2J) / (2J)!;
+    _series_length picks J (28 at 128 bits and C = 1, 40 at 239 bits).
+
+    Rounding, in ulp, units of 2^-P.  Coefficients are integers times
+    2^-P.  X = x^2 2^P is rounded once, within 1 ulp; a term's c_j takes one
+    floor division of -c_(j-1) X by q_j 2^P, and as |c_j| <= 10 and
+    x^2 <= 10, its error e_j <= (10 e_(j-1) + 10) / q_j + 1 stays at most 7
+    (6 and 6.9 at the first two steps of a cosine, then q_j >= 30).  In
+    the l1 norm over the J coefficients a factor is then off by at most
+    7 J C_f ulp, and the norm of its dominant is at least C_f.  A product's
+    coefficients take one floor of the exact integer convolution, so the
+    errors of A B add as |A| e_B + |B| e_A + e_A e_B 2^-P + J; relative to
+    the dominants' norms N, whose product is at most C cosh(pi) < 12 C,
+    the relative errors add, plus J + 1 per product.  The sum over c_j /
+    (2j + 1), exact over lcm(1, 3, ..., 2J - 1), is then off by at most
+    R = 12 C n (8 J + 1) ulp for n factors, and P = prec + 20 +
+    bitlength(R) puts that below 2^-(prec+20).  The bound is T times the
+    truncation's and the rounding's; the head is formed at prec + 20 bits
+    and rounded once, as _quad_head rounds its rule."""
+    C = mp.fprod(sum(c for c, _, _ in f) for f in factors)
+    J, truncation = _series_length(C)
+    R = 12 * C * len(factors) * (8 * J + 1)
+    P = mp.mp.prec + 20 + int(mp.log(R, 2)) + 1
+    product = None
+    for f in factors:
+        series = [0] * J
+        for c, w, odd in f:
+            with mp.workprec(P + 10):
+                X = int(mp.nint(mp.ldexp((w * T) ** 2, P)))
+            cj = c << P
+            for j in range(J):
+                series[j] += cj
+                cj = -cj * X // ((2 * j + 1 + odd) * (2 * j + 2 + odd) << P)
+        product = series if product is None else \
+            [sum(map(mul, product[: j + 1], series[j::-1])) >> P for j in range(J)]
+    L = lcm(*range(1, 2 * J, 2))
+    with mp.extraprec(20):
+        head = T * mp.fdiv(sum(c * (L // (2 * j + 1)) for j, c in enumerate(product)), L << P)
+    return +head, T * (truncation + mp.ldexp(R, -P))
 
 
 def _gauss_bound(n, C, omega_h, h):
@@ -308,21 +381,22 @@ def _quad_head(factors, T, panels):
     return +head, panels * bound
 
 
-def _head_tail(factors, T, panels):
-    """(integral_0^inf prod f dt, an error bound) for factors
-    (f, terms, C, omega), each f equal to its terms past T: the head
-    [0, T] by _quad_head, the tail by _tail.  The bound is the head's
-    plus one rounding of |head| + |tail|, so a head and tail that cancel
-    to noise do not pass as accurate.  Work past MAX_ORACLE_WORK (a tail
-    term formed is charged 6, a panel 1,200) raises
-    ToleranceUnreachableError before it is done."""
+def _head_tail(terms, T, panels, head):
+    """(integral_0^inf prod f dt, an error bound) for factors equal past
+    T to their terms (lists of (c, w, p), as _tail takes them): the head
+    [0, T] is head(), a pair (value, error bound) from _series_head or
+    _quad_head over that many panels, and the tail is _tail's.  The
+    bound is the head's plus one rounding of |head| + |tail|, so a head
+    and tail that cancel to noise do not pass as accurate.  Work past
+    MAX_ORACLE_WORK (a tail term formed is charged 6, a panel or a series
+    head 1,200) raises ToleranceUnreachableError before any of it is done."""
     budget = MAX_ORACLE_WORK - 1200 * panels
     if budget < 0:
         raise ToleranceUnreachableError("the head [0, %s] needs %d quadrature panels, past the work cap"
                                         % (mp.nstr(T, 5), panels))
-    tail = _tail([terms for _, terms, _, _ in factors], T, budget // 6)
-    head, bound = _quad_head(factors, T, panels)
-    return head + tail, bound + mp.eps * (abs(head) + abs(tail))
+    tail = _tail(terms, T, budget // 6)
+    value, bound = head()
+    return value + tail, bound + mp.eps * (abs(value) + abs(tail))
 
 
 def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = None):
@@ -330,10 +404,11 @@ def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = Non
     the result, or within abs_tol when that is given.
 
     The head [0, T] is one half period of the fastest frequency,
-    T = pi / omega_max, integrated directly; the tail past T is exact
-    at any T.  ToleranceUnreachableError is raised when the
-    quadrature's error bound exceeds the tolerance: rel_tol of the
-    result, or abs_tol, which also serves integrals whose value is 0.
+    T = pi / omega_max, integrated from the product's power series in
+    fixed point (_series_head), and the tail past T is exact at any T
+    (_tail).  ToleranceUnreachableError is raised when the error bound
+    exceeds the tolerance: rel_tol of the result, or abs_tol, which also
+    serves integrals whose value is 0.
 
     A single undamped sinc factor is not absolutely integrable and is
     rejected (the exact engine handles that case in closed form).
@@ -349,14 +424,15 @@ def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = Non
         )
     with mp.workprec(_working_prec(min(rel_tol, abs_tol or rel_tol))):
         a_mp = [mpf(a) for a in rs.scales]
-        factors = [(lambda t, a=a: _sinc(a * t), _sinc_terms(a), 1, a) for a in a_mp]
+        series, terms = [[(1, a, 1)] for a in a_mp], [_sinc_terms(a) for a in a_mp]
         omega_max = mp.fsum(a_mp)
         if rs.weight is not None:
             ks = range(1, 2 * rs.weight.m + 2, 2)
-            factors.append((lambda t: 2 * mp.fsum(mp.cos(k * mp.pi * t) for k in ks),
-                            [(mpc(1), s * k * mp.pi, 0) for k in ks for s in (1, -1)], 2 * len(ks), ks[-1] * mp.pi))
+            series.append([(2, k * mp.pi, 0) for k in ks])
+            terms.append([(mpc(1), s * k * mp.pi, 0) for k in ks for s in (1, -1)])
             omega_max += ks[-1] * mp.pi
-        half, err = _head_tail(factors, mp.pi / omega_max, 1)
+        T = mp.pi / omega_max
+        half, err = _head_tail(terms, T, 1, lambda: _series_head(series, T))
         allowed, name = (rel_tol * abs(half), "rel_tol") if abs_tol is None else (mpf(abs_tol) / 2, "abs_tol")
         if err > allowed:
             raise ToleranceUnreachableError("quadrature error bound %s exceeds %s (%s), half-line integral %s"
@@ -555,7 +631,7 @@ def numeric_sum(
         budget = MAX_ORACLE_WORK - 2 * formed
         # each conjugate pair folds exactly here, not one rounding apart after the reduction mod 2 pi;
         # (-1)^m = e^(i pi m) is real, so the alternating shift may follow the fold
-        terms = [(c, w + shift, q) for c, w, q in _merge_frequencies(terms)]
+        terms = [(c, mp.fadd(w, shift, exact=True), q) for c, w, q in _merge_frequencies(terms)]
         freqs = sorted(((c, w) for c, w, _ in _merge_frequencies(terms, 2 * mp.pi)), key=lambda cw: cw[1])
         dists = [abs(1 - mp.expj(w)) for _, w in freqs]
 
@@ -701,8 +777,8 @@ def _kernel_integral(a_mp, g, tol):
     J = 1
     while (bound := _truncation_bound(a_mp, g[1], T, J)) > tol / 4:
         J += 1
-    kernels = [(lambda t, a=a: bandlimited_kernel(a * t), _kernel_terms(a, J), 1, a) for a in a_mp]
-    value, err = _head_tail([g] + kernels, T, panels)
+    factors = [g] + [(lambda t, a=a: bandlimited_kernel(a * t), _kernel_terms(a, J), 1, a) for a in a_mp]
+    value, err = _head_tail([terms for _, terms, _, _ in factors], T, panels, lambda: _quad_head(factors, T, panels))
     if err + bound > tol:
         raise ToleranceUnreachableError("quadrature error bound %s plus truncation bound %s exceeds %s"
                                         % (mp.nstr(err, 5), mp.nstr(bound, 5), mp.nstr(tol, 5)))

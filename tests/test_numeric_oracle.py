@@ -81,6 +81,47 @@ def test_integral_weighted_matches_exact_engine():
         assert abs(v - w) < 1e-9
 
 
+CROSS_SEED, CROSS_SPECS = 10, 60
+
+
+def _random_spec(rng):
+    """2 to 9 scales beta = a/d with a <= 4 and d <= 9, and no weight or W_m with m <= 2."""
+    return [rat(rng.randint(1, 4), rng.randint(1, 9)) for _ in range(rng.randint(2, 9))], rng.choice([None, 0, 1, 2])
+
+
+def _oracle_minus_exact(betas, m, oracle_betas):
+    """|numeric_integral - the exact engine's value| for prod sinc(pi beta t),
+    times W_m unless m is None, with the oracle given oracle_betas, read
+    by parse_scale, at rel_tol = abs_tol = 1e-15."""
+    weight = None if m is None else CosineWeightSpec(m)
+    spec = SincProductSpec(tuple(betas))
+    exact = integral_exact(spec) if weight is None else weighted_integral_exact(spec, weight)
+    scales = tuple(parse_scale("%dpi/%d" % (b.numerator, b.denominator)) for b in oracle_betas)
+    v = numeric_integral(RealScales(scales, weight=weight), rel_tol=1e-15, abs_tol=1e-15)
+    with mp.workprec(200):
+        return abs(v - _exact_float(exact.exact_value))
+
+
+def test_oracle_matches_exact_engine_on_random_specs():
+    # the two engines share no representation: exact rationals from the
+    # knot measure against a series head plus an E_p tail in floating point
+    rng = random.Random(CROSS_SEED)
+    for _ in range(CROSS_SPECS):
+        betas, m = _random_spec(rng)
+        assert _oracle_minus_exact(betas, m, betas) <= 1e-15, (betas, m)
+
+
+def test_random_spec_cross_check_catches_a_wrong_beta():
+    # the corpus's first unweighted spec (a weighted one may be 0 near its
+    # betas), its largest beta off by 1e-9 on the oracle's side
+    rng, m = random.Random(CROSS_SEED), 0
+    while m is not None:
+        betas, m = _random_spec(rng)
+    wrong = sorted(betas)[:-1] + [max(betas) + rat(1, 10**9)]
+    assert _oracle_minus_exact(betas, m, betas) <= 1e-15
+    assert _oracle_minus_exact(betas, m, wrong) > 1e-15
+
+
 def test_integral_kernel_factor_counts():
     # sin(2t)/t = 2 sinc(2t) is one more scale: the integral of
     # sinc(t) sin(2t)/t dt is pi, as the wider band covers the narrower
@@ -169,8 +210,8 @@ def test_short_head_tail_keeps_working_precision(monkeypatch, scales, want):
 
 
 def test_integral_error_estimate_checked(monkeypatch):
-    rule = numeric_oracle._gauss_rule
-    monkeypatch.setattr(numeric_oracle, "_gauss_rule", lambda *args: (rule(*args)[0], mp.mpf("1e-3")))
+    head = numeric_oracle._series_head
+    monkeypatch.setattr(numeric_oracle, "_series_head", lambda *args: (head(*args)[0], mp.mpf("1e-3")))
     with pytest.raises(ToleranceUnreachableError, match="rel_tol"):
         numeric_integral([1, 1], rel_tol=1e-12)
     assert numeric_integral([1, 1], rel_tol=1e-2) > 0
@@ -211,18 +252,19 @@ def test_zero_integral_checked_to_an_absolute_tolerance(scales):
     assert mp.mpf(rep["tail_bound"]) <= 1e-7 / 8
 
 
-@pytest.mark.parametrize("rel_tol, nodes", [(1e-12, 24), (1e-60, 48)])
-def test_head_evaluations_per_factor_are_fixed(monkeypatch, rel_tol, nodes):
-    # a count, not a time: one Gauss-Legendre rule on the entire head,
-    # its degree fixed by the band-limit bound, 24 nodes at 128 bits and
-    # 48 at 239 bits (the ladder of mp.quad evaluated 3 + 6 + 12 + 24 = 45
-    # and 93)
-    calls = []
-    sinc = numeric_oracle._sinc
-    monkeypatch.setattr(numeric_oracle, "_sinc", lambda x: calls.append(x) or sinc(x))
-    scales = _pi_scales(4)
-    v = numeric_integral(scales, rel_tol=rel_tol)
-    assert len(calls) == nodes * len(scales)
+@pytest.mark.parametrize("rel_tol, J", [(1e-12, 28), (1e-60, 40)])
+def test_series_head_makes_no_transcendental_call(monkeypatch, rel_tol, J):
+    # a count, not a time: no sine or cosine anywhere in the integral (the
+    # tail calls mp.expint and mp.exp), and the head's series is cut at 28
+    # terms at 128 bits and 40 at 239 bits
+    calls, lengths = [], []
+    for name in ("sin", "cos", "cos_sin", "expj"):
+        f = getattr(mp, name)
+        monkeypatch.setattr(mp, name, lambda *args, f=f: calls.append(args) or f(*args))
+    length = numeric_oracle._series_length
+    monkeypatch.setattr(numeric_oracle, "_series_length", lambda C: lengths.append(length(C)[0]) or length(C))
+    v = numeric_integral(_pi_scales(4), rel_tol=rel_tol)
+    assert calls == [] and lengths == [J]
     assert abs(v - 1) < rel_tol
 
 
@@ -245,13 +287,46 @@ def _integrand(factors):
     return lambda t: mp.fprod(f(t) for f, *_ in factors)
 
 
+def _series_heads(run):
+    """(factors, T, prec, head, bound) of each _series_head call run() makes."""
+    seen, series_head = [], numeric_oracle._series_head
+
+    def spy(factors, T):
+        out = series_head(factors, T)
+        seen.append((factors, T, mp.mp.prec) + out)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numeric_oracle, "_series_head", spy)
+        run()
+    return seen
+
+
+def _as_gauss(series):
+    """_series_head's factors, each a sum of c sinc(w t) or c cos(w t) over
+    its terms (c, w, odd), as _quad_head takes them: (f, terms, C, omega)."""
+    def function(f):
+        return lambda t: mp.fsum(c * ((mp.sin(w * t) / (w * t) if t else 1) if odd else mp.cos(w * t))
+                                 for c, w, odd in f)
+
+    return [(function(f), None, sum(c for c, _, _ in f), max(w for _, w, _ in f)) for f in series]
+
+
+def _series(betas, m):
+    """The head factors of prod sinc(pi beta t), times W_m(t) unless m is
+    None, and T = pi / omega_max, at the working precision."""
+    series = [[(1, +a, 1)] for a in _pi_times(betas)]
+    if m is not None:
+        series.append([(2, k * mp.pi, 0) for k in range(1, 2 * m + 2, 2)])
+    return series, mp.pi / mp.fsum(max(w for _, w, _ in f) for f in series)
+
+
 @pytest.fixture(scope="module")
 def factor_kinds():
-    """Each kind of factor the head integrates, as (f, C, omega), from the
-    oracle's own calls: sinc(a t), 2 sum cos(k pi t), sin(b t)/t, the
-    kernel f(a t) and 2 cos(w t)."""
+    """Each kind of factor the Gauss-Legendre head integrates, as
+    (f, C, omega), from the oracle's own calls: sin(b t)/t, the kernel
+    f(a t) and 2 cos(w t)."""
     def run():
-        numeric_integral(RealScales(tuple(_pi_scales(2)), weight=CosineWeightSpec(1)), rel_tol=1e-12)
         example5_integral(["0.5", "0.3"], "3/2", tol=1e-6)
         verify_ft_example5(["1/2"], tol=1e-6)
 
@@ -306,10 +381,39 @@ def _check_heads(heads, degrees=()):
 )
 @example(betas=[rat(1)] * 2, m=None, rel_tol=1e-12)
 @example(betas=[rat(1, 8)] * 6, m=2, rel_tol=1e-40)
+@example(betas=[1, rat(1, 3), rat(1, 5), rat(1, 7)], m=None, rel_tol=1e-200)
 def test_head_within_its_bound(betas, m, rel_tol):
+    # the series head within its bound plus one rounding of it, against
+    # tanh-sinh at twice its precision
     spec = RealScales(_pi_times(betas), weight=None if m is None else CosineWeightSpec(m))
-    heads = _heads(lambda: numeric_integral(spec, rel_tol=rel_tol, abs_tol=rel_tol))
-    _check_heads(heads, degrees=(1, 2, 3, 4, 5) if rel_tol == 1e-12 else ())
+    heads = _series_heads(lambda: numeric_integral(spec, rel_tol=rel_tol, abs_tol=rel_tol))
+    assert len(heads) == 1
+    for factors, T, prec, head, bound in heads:
+        with mp.workprec(2 * prec):
+            ref = mp.quad(_integrand(_as_gauss(factors)), [0, T])
+            assert abs(head - ref) <= bound + mp.ldexp(abs(head), 1 - prec), prec
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    betas=st.lists(st.fractions(min_value=rat(1, 8), max_value=2, max_denominator=12), min_size=2, max_size=6),
+    m=st.sampled_from([None, 0, 1, 2]),
+    prec=st.sampled_from([128, 239]),
+)
+@example(betas=[rat(1)] * 2, m=None, prec=128)
+@example(betas=[rat(1, 8)] * 6, m=2, prec=239)
+def test_series_and_gauss_heads_agree(betas, m, prec):
+    # the series head and the Gauss-Legendre rule on the same sinc and
+    # cosine factors agree within the sum of their bounds and roundings;
+    # and each mpmath degree of the rule, at twice the precision, is
+    # within _gauss_bound of the tanh-sinh reference
+    with mp.workprec(prec):
+        series, T = _series(betas, m)
+        factors = _as_gauss(series)
+        head, bound = numeric_oracle._series_head(series, T)
+        quad, quad_bound = numeric_oracle._quad_head(factors, T, 1)
+        assert abs(head - quad) <= bound + quad_bound + mp.ldexp(abs(head) + abs(quad), 1 - prec)
+    _check_heads([(factors, T, 1, prec, quad, quad_bound)], degrees=(1, 2, 3, 4, 5) if prec == 128 else ())
 
 
 @pytest.mark.parametrize(
@@ -333,9 +437,12 @@ def test_head_matches_the_gauss_legendre_ladder(p, rel_tol):
     # bit for bit the head mp.quad's ladder of degrees 1, 2, ... returns,
     # which stops at the degree the bound fixes, or one below it with the
     # same rounded value
-    ((factors, T, panels, prec, head, _),) = _heads(lambda: numeric_integral(_pi_scales(p - 1), rel_tol=rel_tol))
-    with mp.workprec(prec):
-        assert head == mp.quad(_integrand(factors), mp.linspace(0, T, panels + 1), method="gauss-legendre")
+    # on the head of numeric_integral's sinc factors, at its working precision
+    with mp.workprec(numeric_oracle._working_prec(rel_tol)):
+        series, T = _series(["1/%d" % (2 * k + 1) for k in range(p)], None)
+        factors = _as_gauss(series)
+        head, _ = numeric_oracle._quad_head(factors, T, 1)
+        assert head == mp.quad(_integrand(factors), [0, T], method="gauss-legendre")
 
 
 def test_integral_rejects_single_factor():
@@ -562,6 +669,8 @@ def test_by_parts_matches_the_mpc_loop(p):
         # the conjugate pairs fold before the pi shift: 3.14 and 0.86 shift to
         # pi + 3.14 and pi + 0.86, which fold to 0.0016 and 2.28, once each
         ([2.0, 1.14], True, 2, 25_115),
+        # 5 pi / 4 + 1 - 1 and 5 pi / 4 - 1 + 1 are one frequency, not two a rounding apart
+        ([parse_scale("5pi/4"), 1, 1], False, 3, 124),
     ],
 )
 def test_sum_makes_no_transcendental_call_per_term(monkeypatch, scales, alternating, merged, head):
@@ -574,6 +683,14 @@ def test_sum_makes_no_transcendental_call_per_term(monkeypatch, scales, alternat
     s = numeric_sum(scales, alternating=alternating)
     assert s.truncation_m == head
     assert len(calls) == len(set(scales)) + 3 * merged
+
+
+@pytest.mark.parametrize("tokens, alternating", [("pi/3,2,pi", False), ("2,pi,3pi/8", False), ("pi,1.25,2,pi", True)])
+def test_sum_with_a_pi_scale_has_no_tail(tokens, alternating):
+    # sinc(pi m) = 0 for m != 0: the frequencies w + pi and w - pi of the
+    # tail are one modulo 2 pi, reduced exactly, so their coefficients cancel
+    s = numeric_sum([parse_scale(t) for t in tokens.split(",")], alternating=alternating)
+    assert (s.value, s.tail_bound) == (1, 0) and s.truncation_m < 30
 
 
 def _poisson(betas, alternating):
