@@ -90,11 +90,13 @@ class RealScales:
     weight: object = None
 
     def __post_init__(self):
-        # keep the caller's values (mpf scales stay mpf); a float()
-        # round-trip here would silently cap the attainable accuracy
+        # keep the caller's values (mpf scales stay mpf), and test them as
+        # they are: mpmathify passes an mpf through and reads any other value
+        # at SCALE_PREC_BITS (a float() would read 1e-400 as 0)
         scales = tuple(self.scales)
-        if not scales or not all(float(a) > 0 and mp.isfinite(a) for a in map(mpf, scales)):
-            raise ValueError("scales must be a nonempty list of positive finite reals")
+        with mp.workprec(SCALE_PREC_BITS):
+            if not scales or not all(0 < a < inf for a in map(mp.mpmathify, scales)):
+                raise ValueError("scales must be a nonempty list of positive finite reals")
         object.__setattr__(self, "scales", scales)
 
 
@@ -592,7 +594,10 @@ def numeric_sum(
     one_sided: bool = False,
 ) -> SumResult:
     """sum over integers m of prod_k sinc(a_k m) (times (-1)^m when
-    alternating), within a rigorous bound tail_bound <= abs_tol.
+    alternating), within abs_tol.  tail_bound, at most abs_tol, bounds
+    the error of the tail rigorously; it does not count the rounding of
+    the head and of the value, which the working precision keeps about
+    40 bits below abs_tol.
 
     one_sided restricts to m >= 0; the summand is even in m, so
     one_sided = (two_sided + 1) / 2.
@@ -714,8 +719,10 @@ def lower_bound_check(a0, rest, abs_tol: float = 5e-10) -> dict:
     out true, so hypothesis violations with a failing inequality are
     visible counterexamples."""
     rest = list(rest)
-    if any(float(a) > float(a0) or float(a) <= 0 for a in rest) or float(a0) <= 0:
-        raise ValueError("requires a0 >= a_k > 0")
+    with mp.workprec(SCALE_PREC_BITS):  # mpf values are compared as they are, exactly
+        top = mp.mpmathify(a0)
+        if not (top > 0 and all(0 < mp.mpmathify(a) <= top for a in rest)):
+            raise ValueError("requires a0 >= a_k > 0")
     n = len(rest)
     lhs = numeric_sum([a0] + rest, abs_tol=abs_tol, one_sided=True)
     rhs = numeric_sum([a0] * (n + 1), abs_tol=abs_tol, one_sided=True)

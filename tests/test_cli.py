@@ -57,6 +57,19 @@ def test_breakpoint_reports_its_precision(capsys, threshold, mode, bits):
     assert code == 0 and (d["mode"], d["precision_bits"]) == (mode, bits)
 
 
+def test_breakpoint_where_the_estimate_drifts(capsys):
+    # the float estimate gives 12154671470588992 at t = 39/2, 13 short of n, so the
+    # search gallops past one step and bisects; S_n = (psi(n + 3/2) + gamma + 2 ln 2) / 2
+    # lies 4.8e-18 below t, and S_(n+1) 3.6e-17 above it
+    code, out, _ = run_cli(capsys, "--format", "json", "breakpoint", "--threshold", "39/2")
+    d = json.loads(out)
+    n = 12154671470589005
+    assert code == 0 and (d["breaking_point"], d["mode"]) == (n, "closed_form")
+    with mp.workprec(256):
+        s = [(mp.digamma(m + mp.mpf(3) / 2) + mp.euler + 2 * mp.ln2) / 2 for m in (n, n + 1)]
+        assert s[0] < mp.mpf(39) / 2 <= s[1]
+
+
 def test_integral_json_fields(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "integral", "--betas", "1")
     d = json.loads(out)
@@ -247,6 +260,8 @@ def test_oracle_outputs_are_pinned(capsys, line, plain, as_json, json_format):
         ("lower-bound --a0 pi/0 --rest 1,1", "usage error: cannot read scale 'pi/0': division by zero\n"),
         ("lower-bound --a0 1 --rest nan", "usage error: cannot read scale 'nan': invalid literal for int() with base 10: 'nan'\n"),
         ("lower-bound --a0 0 --rest 1,1", "usage error: requires a0 >= a_k > 0\n"),
+        # 1 + 1e-20 > 1, though the two are one float
+        ("lower-bound --a0 1 --rest 1.00000000000000000001,1", "usage error: requires a0 >= a_k > 0\n"),
         ("example5 --ft-omegas 1/0", "usage error: cannot read scale '1/0': division by zero\n"),
         ("example5 --a 0.5,0.3 --b nan",
          "usage error: cannot read scale 'nan': invalid literal for int() with base 10: 'nan'\n"),
@@ -448,11 +463,11 @@ def test_spline_dump_priced_past_the_budget_exits_three_at_once(capsys, family, 
 
 @pytest.mark.parametrize("command", ["integral", "spline-dump"])
 def test_huge_family_size_exits_two_at_once(capsys, command):
-    # a family spec holds its n scales before any price: 10^9 of them would take 8 GB
+    # the family refuses n before it builds its n scales: 10^9 of them would take 8 GB
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, command, "--family", "sinc-power", "--n", "1000000000")
     assert time.perf_counter() - t0 < 1
-    assert code == 2 and out == "" and "argument --n: at most 100000" in err
+    assert code == 2 and out == "" and "n must be at most 100000" in err
 
 
 def test_byte_identical_reruns(capsys):
@@ -533,11 +548,12 @@ def test_sum_near_resonance_exits_three_at_once(capsys):
     assert code == 3 and json.loads(out)["error"]["type"] == "ToleranceUnreachableError"
 
 
-@pytest.mark.parametrize("tiny", ["1e-40", "1e-60"])
+@pytest.mark.parametrize("tiny", ["1e-40", "1e-60", "1e-400"])
 def test_sum_with_a_tiny_scale_exits_three(capsys, tiny):
     # the frequencies 2 + a and 2 - a sit 2a apart, and the coefficients carry 1 / a:
     # without guard bits for that they collapse, and the sum reads 3.0961766135605095
-    # with tail_bound 0.0 against about pi (1 - a / 4); kept apart they need a head of about 44 / a terms
+    # with tail_bound 0.0 against about pi (1 - a / 4); kept apart they need a head of about 44 / a terms.
+    # 1e-400 is positive, though float() reads it as 0
     code, out, _ = run_cli(capsys, "--format", "json", "sum", "--scales", tiny + ",1,1")
     assert code == 3 and json.loads(out)["error"]["type"] == "ToleranceUnreachableError"
 

@@ -156,6 +156,14 @@ def test_breaking_point_bracket():
         assert interval_odd_harmonic_sum(n + 1, 512).strictly_above(threshold)
 
 
+@pytest.mark.parametrize("t, n", [(3, 55), (5, 3090), (7, 168802), (Fraction(39, 2), 12154671470589005)])
+def test_search_finds_n_from_any_start(t, n):
+    # the estimate lands on n or n + 1 wherever the other tests look, so the
+    # gallop past one step and the bisection run only from starts like these
+    for start in (max(n - 1000, 0), n + 1000, 0, 2 * n + 5):
+        assert exact_core._search(rat(t), start).n == n, start
+
+
 def test_breaking_point_interval_phase_forced(monkeypatch):
     # drive the closed-form enclosures even for small thresholds
     monkeypatch.setattr(exact_core, "EXACT_PROBE_CUTOFF", 0)

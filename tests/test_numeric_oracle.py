@@ -417,6 +417,26 @@ def test_series_and_gauss_heads_agree(betas, m, prec):
 
 
 @pytest.mark.parametrize(
+    "betas, m",
+    [([1, 1], None), ([rat(1, 8)] * 6, 2), ([1, rat(1, 3), rat(1, 5), rat(1, 7)], None), ([rat(1, 2), rat(2, 3), 1], 0)],
+)
+@pytest.mark.parametrize("prec", [128, 239])
+def test_series_head_within_its_bound_at_its_own_scale(monkeypatch, betas, m, prec):
+    # the series cut where _series_length cuts it at prec, but summed at
+    # prec + 40 bits: the truncation then dominates, and the head must lie
+    # within the bound with no slack for a rounding (it reaches 6e-5 of it)
+    with mp.workprec(prec + 40):
+        series, T = _series(betas, m)
+    with mp.workprec(prec):
+        chosen = numeric_oracle._series_length(mp.fprod(sum(c for c, _, _ in f) for f in series))
+    monkeypatch.setattr(numeric_oracle, "_series_length", lambda C: chosen)
+    with mp.workprec(prec + 40):
+        head, bound = numeric_oracle._series_head(series, T)
+    with mp.workprec(2 * prec + 40):
+        assert abs(head - mp.quad(_integrand(_as_gauss(series)), [0, T])) <= bound
+
+
+@pytest.mark.parametrize(
     "run",
     [
         lambda: example5_integral(["0.5", "0.3"], 1, tol=1e-6),
@@ -755,6 +775,22 @@ def test_sinc_cubed_tight_tolerance_is_fast():
     assert time.perf_counter() - t0 < 0.5
     with mp.workprec(200):
         assert abs(s.value - _exact_float(rat(249, 250))) <= s.tail_bound <= 1e-12
+
+
+@pytest.mark.parametrize("scales, want", [([1, 1, 1], lambda: 3 * mp.pi / 4), ([1, 2, 3], lambda: mp.pi / 3)])
+@pytest.mark.parametrize("tol", [1e-40, 1e-80])
+def test_sum_doubles_its_head_to_the_exact_value(monkeypatch, scales, want, tol):
+    # by Poisson summation the sum equals the integral while the transform lies
+    # inside (-2 pi, 2 pi): 3 pi / 4 for sinc^3, and Borwein's pi / a0 for
+    # a0 = 3 >= 1 + 2.  At these tolerances the first head's by-parts terms stop
+    # above target, so the head doubles, once or twice.  The error is held to
+    # abs_tol, not to tail_bound: it also takes the final rounding
+    outcomes, by_parts = [], numeric_oracle._by_parts
+    monkeypatch.setattr(numeric_oracle, "_by_parts", lambda *args: outcomes.append(by_parts(*args)) or outcomes[-1])
+    s = numeric_sum(scales, abs_tol=tol)
+    assert outcomes[0] is None
+    with mp.workprec(400):
+        assert abs(s.value - want()) <= tol
 
 
 def _direct_sum(scales, alternating, M):
