@@ -1,16 +1,21 @@
-"""Byte identity of the CLI on a seeded corpus, one digest per argv.
+"""Byte identity of the CLI and the oracle on a seeded corpus, one digest
+per request.
 
 The corpus is built in code from fixed seeds: the CLI argv of the three
 benchmark workloads at seeds 1 to 3 (``bench/workloads.build``), then
-1,500 random exact requests.  Each argv runs through ``cli.main`` in
-this process; its exit code, stdout and stderr are hashed to 16 hex
-digits and compared, in corpus order, with ``cli_digests.txt``.
+1,500 random exact requests, then the library requests of
+``oracle-crosscheck`` at seeds 1 to 3 (``numeric_integral`` rendered to
+40 digits and ``verify_theorem1`` reports), each run as the benchmark
+worker runs it (``bench/worker._prepare``).  Each argv runs through
+``cli.main`` in this process; its exit code, stdout and stderr are
+hashed to 16 hex digits, as is each library request's success flag and
+JSON output, and compared, in corpus order, with ``cli_digests.txt``.
 
 A change that moves an output on purpose rewrites that file with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
-and lists each moved argv, with its old and new output, in CHANGES.md.
+and lists each moved request, with its old and new output, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -18,10 +23,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import random
 import sys
 from pathlib import Path
 
+import mpmath as mp
+
+import sincprod
 from sincprod import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,14 +38,22 @@ DIGESTS = Path(__file__).with_name("cli_digests.txt")
 WORKLOADS = ("exact-deficits", "breakpoint-scan", "oracle-crosscheck")
 
 
-def _workload_argv() -> list:
+def _bench(module: str):
     sys.path.insert(0, str(ROOT / "bench"))
     try:
-        import workloads
+        return __import__(module)
     finally:
         sys.path.remove(str(ROOT / "bench"))
+
+
+def _workload_argv() -> list:
     return [req.payload["cli"] for name in WORKLOADS for seed in (1, 2, 3)
-            for req in workloads.build(name, seed) if "cli" in req.payload]
+            for req in _bench("workloads").build(name, seed) if "cli" in req.payload]
+
+
+def _oracle_library_requests() -> list:
+    return [req.payload for seed in (1, 2, 3)
+            for req in _bench("workloads").build("oracle-crosscheck", seed) if "lib" in req.payload]
 
 
 def _random_exact_argv(count: int = 1500, seed: int = 24) -> list:
@@ -61,34 +78,39 @@ def _random_exact_argv(count: int = 1500, seed: int = 24) -> list:
 
 
 def corpus() -> list:
-    return _workload_argv() + _random_exact_argv()
+    """CLI argv (lists) and library requests (dicts, as bench/workloads writes them)."""
+    return _workload_argv() + _random_exact_argv() + _oracle_library_requests()
 
 
-def run(argv) -> tuple:
-    """(exit code, stdout, stderr) of one cli.main call."""
+def run(request) -> tuple:
+    """(exit code, stdout, stderr) of one cli.main call, or the success flag
+    and JSON output of one library request."""
+    if isinstance(request, dict):
+        ok, output = _bench("worker")._prepare(request, sincprod, mp)()
+        return ok, json.dumps(output, sort_keys=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+        code = cli.main(list(request))
     return code, out.getvalue(), err.getvalue()
 
 
 def digest(result) -> str:
-    code, out, err = result
-    return hashlib.sha256(b"%d\0%s\0%s" % (code, out.encode(), err.encode())).hexdigest()[:16]
+    return hashlib.sha256(b"\0".join(b"%d" % r if isinstance(r, int) else r.encode() for r in result)).hexdigest()[:16]
 
 
 def test_corpus_outputs_are_byte_identical():
-    argvs = corpus()
+    requests = corpus()
     want = DIGESTS.read_text().split()
-    assert len(want) == len(argvs), "corpus has %d argv, %s holds %d digests" % (len(argvs), DIGESTS.name, len(want))
+    assert len(want) == len(requests), "corpus has %d requests, %s holds %d digests" % (
+        len(requests), DIGESTS.name, len(want))
     moved = []
-    for argv, old in zip(argvs, want):
-        result = run(argv)
+    for request, old in zip(requests, want):
+        result = run(request)
         if digest(result) != old:
-            code, out, err = result
-            moved.append("%s\n  -> exit %d, stdout %r, stderr %r" % (" ".join(argv), code, out[:1000], err[:1000]))
-    assert not moved, "%d of %d argv moved:\n%s" % (len(moved), len(argvs), "\n".join(moved))
+            name = json.dumps(request, sort_keys=True) if isinstance(request, dict) else " ".join(request)
+            moved.append("%s\n  -> %r" % (name, tuple(r if isinstance(r, int) else r[:1000] for r in result)))
+    assert not moved, "%d of %d requests moved:\n%s" % (len(moved), len(requests), "\n".join(moved))
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text("".join(digest(run(argv)) + "\n" for argv in corpus()))
+    DIGESTS.write_text("".join(digest(run(request)) + "\n" for request in corpus()))
