@@ -41,8 +41,8 @@ EXIT_INFEASIBLE = 3
 
 
 def _parse_spec(args) -> SincProductSpec:
-    if args.betas and args.family:
-        raise ValueError("give either --betas or --family, not both")
+    if args.betas and (args.family or args.n is not None):
+        raise ValueError("give either --betas or --family with --n, not both")
     if args.betas:
         return SincProductSpec(tuple(_rational(tok) for tok in args.betas.split(",")))
     if args.family:

@@ -26,9 +26,14 @@ to 500.
 Past T each factor is a finite sum of terms c e^(i w t) t^(-p), and
 each term integral_T^inf e^(i w t) t^(-p) dt equals T^(1-p) E_p(-i w T),
 with E_p the generalized exponential integral (DLMF 8.19), for any
-T > 0.  Equal (w, p) are merged and each conjugate pair +-w shares one
-E_1 call, from which E_p follows by recurrence.  For sinc products the
-terms are exact.  The band-limited kernel
+T > 0.  Equal (w, p) are merged, each conjugate pair +-w shares one
+frequency, and the sum runs in fixed point on Python integers
+(_tail_sum).  For x = w T <= 4, as every frequency of a sinc product
+has (x <= pi), one run of x^k / k! gives e^(i x) and E_1(-i x) from its
+power series (DLMF 6.6.2), with one logarithm per frequency, and E_p
+follows by the recurrence in p (DLMF 8.19.12); the kernel's faster
+frequencies seed E_1 from mp.expint.  For sinc products the terms are
+exact.  The band-limited kernel
 f(x) = (x sin x - cos x + e) / ((1 + x^2)(e - 1)) is expanded past
 x = a T >= 4 in 1/(1 + x^2) = sum_j (-1)^j x^(-2j-2), and the series is
 cut where a rigorous bound on the rest fits in the tolerance.  The tail
@@ -238,43 +243,119 @@ def _merge_frequencies(terms, period=None):
 
 
 def _tail(factors, T, budget):
-    """integral_T^inf of the product of factors, exact to precision: a
-    merged term (_merge_frequencies) gives Re(c T^(1-p) E_p(-i w T)), or
-    Re(c) T^(1-p) / (p - 1) at w = 0.  Each w calls E_1 once, and
-    p E_(p+1)(z) = e^(-z) - z E_p(z) (DLMF 8.19.12) scales an error by
-    |z| / p per step, by x^K / K! at most for x >= |z| and K = min(p, x).
-    Terms of size up to T prod sum |c| T^(-p) cancel down to the tail, so
-    the guard bits are log2 of that size and of x^K / K!, plus the top p."""
+    """integral_T^inf of the product of factors, exact to precision: the
+    integer _tail_sum forms, divided once.  Terms of size up to
+    T prod sum |c| T^(-p) cancel down to the tail, and
+    p E_(p+1)(z) = e^(-z) - z E_p(z) scales an error by |z| / p per step,
+    by x^K / K! at most for x >= |z| and K = min(p, x); so the guard bits
+    are log2 of that size and of x^K / K!, plus the top p, and _tail_sum
+    works 16 bits past them."""
     size = T * mp.fprod(mp.fsum(abs(c) * T**-p for c, _, p in factor) for factor in factors)
     p_max = sum(max(p for _, _, p in factor) for factor in factors)
     x = T * mp.fsum(max(abs(w) for _, w, _ in factor) for factor in factors)
     K = min(p_max, int(x))
     with mp.extraprec(max(0, int(mp.log(size, 2) + K * mp.log(x + 1, 2) - mp.loggamma(K + 1) / mp.ln2)) + p_max):
-        by_w = {}
-        for c, w, p in _merge_frequencies(_expand(factors, budget)[0]):
-            by_w.setdefault(w, {})[p] = c * T ** (1 - p)
-        total = mpf(0)
-        for w, cs in by_w.items():
-            if w == 0:
-                total += mp.fsum(c.real / (p - 1) for p, c in cs.items())
-                continue
-            z = -1j * w * T
-            E, ez = mp.expint(1, z), mp.exp(-z)
-            for p in range(1, max(cs) + 1):
-                total += (cs[p] * E).real if p in cs else 0
-                E = (ez - z * E) / p
-        return total
+        S, P = _tail_sum(factors, T, budget)
+        return mp.ldexp(S, -2 * P)
+
+
+def _tail_sum(factors, T, budget):
+    """(S, P): integral_T^inf of the product of factors as S 2^(-2P), with
+    P = prec + 16, on Python integers.
+
+    A merged term (c, w, p) of the product (_expand, _merge_frequencies)
+    gives Re(C E_p(-i x)), C = c T^(1-p), x = w T (DLMF 8.19), for any
+    T > 0.  Each C is rounded to P bits once, each E_p is a pair of
+    integers over 2^P, and S, the sum of the Re(C E_p), is exact.  At
+    w = 0, E_p = 1 / (p - 1).  For w > 0, x is taken exactly, and while
+    x <= 4 one run of t_k = x^k / k!, floored from t_0 = 2^P until it
+    reaches 0, gives e^(ix) and E_1(-ix) = -gamma - ln x + i pi / 2 -
+    sum_(k>=1) (ix)^k / (k k!) (DLMF 6.6.2), with one mp.log; past 4,
+    where those series would cancel from e^x, mp.expint and mp.expj give
+    them.  Then p E_(p+1) = e^(ix) + i x E_p (DLMF 8.19.12).
+
+    Rounding, in ulp, units of 2^-P, with a complex error counted as
+    |re| + |im|.  Each t_k takes one floor, so its error is
+    e_k <= e_(k-1) x / k + 1 <= 6 for x <= 4, and the run has stopped by
+    K, the first k with x^k / k! < 2^-P; the terms past the stop weigh at
+    most 2 e_K.  So e^(ix) and E_1, with one ulp for each of gamma, pi / 2
+    and ln x, are off by at most h = 6 K + 9 (h = 9 from mpmath, K = 0).
+    A step of the recurrence floors each part once, so E_p is off by
+    e_1 = h, e_(p+1) <= (h + x e_p) / p + 2, and by e_p = 1 at w = 0.
+    A merged C takes at most n + m - 2 roundings of P bits in _expand and
+    _merge_frequencies, for n factors and m terms merged into it, less
+    than one more for T^(1-p) and one ulp in fixed point; and
+    |E_p(-i x)| <= 1 / (p - 1) for p >= 2, |ln x| + 3 for p = 1.  So
+    S 2^-2P is off by at most the sum over merged terms of
+
+        ((n + m - 1) s + 1) |E_p| + s e_p  ulp,
+
+    with s the sum of |c|_1 T^(1-p) over the m terms, |c|_1 the product
+    of the |re| + |im| of the factors' coefficients.
+    """
+    with mp.extraprec(16):
+        P = mp.mp.prec
+        terms = _merge_frequencies(_expand(factors, budget)[0])
+
+        def fixed(v):  # v 2^P, rounded to the nearest integer
+            return (v.to_fixed(P + 1) + 1) >> 1
+
+        with mp.workprec(P + 20):
+            powers, by_w = {}, {}
+            for c, w, p in terms:
+                if p not in powers:
+                    powers[p] = T ** (1 - p)
+                C = c * powers[p]
+                by_w.setdefault(w, {})[p] = fixed(C.real), fixed(C.imag)
+            gamma, half_pi, S = fixed(+mp.euler), fixed(mp.pi / 2), 0
+            for w, cs in by_w.items():
+                if w == 0:
+                    S += sum(cr * ((1 << P) // (p - 1)) for p, (cr, _) in cs.items())
+                    continue
+                x = mp.fmul(w, T, exact=True)
+                num, shift = (x.man << x.exp, 0) if x.exp >= 0 else (x.man, -x.exp)
+                if num <= 4 << shift:
+                    # t_k by fours, as i^k turns: e^(ix) = er + i ei, and the
+                    # sum of (ix)^k / (k k!) is br + i bi
+                    t, k, er, ei, br, bi = 1 << P, 0, 1 << P, 0, 0, 0
+                    while t:
+                        t = (t * num >> shift) // (k + 1)
+                        ei, bi = ei + t, bi + t // (k + 1)
+                        t = (t * num >> shift) // (k + 2)
+                        er, br = er - t, br - t // (k + 2)
+                        t = (t * num >> shift) // (k + 3)
+                        ei, bi = ei - t, bi - t // (k + 3)
+                        t = (t * num >> shift) // (k + 4)
+                        er, br = er + t, br + t // (k + 4)
+                        k += 4
+                    Er, Ei = -gamma - fixed(mp.log(x)) - br, half_pi - bi
+                else:
+                    e, E = mp.expj(x), mp.expint(1, mpc(0, -x))
+                    er, ei, Er, Ei = fixed(e.real), fixed(e.imag), fixed(E.real), fixed(E.imag)
+                for p in range(1, max(cs) + 1):
+                    if p > 1:  # (p - 1) E_p = e^(ix) + i x E_(p-1)
+                        Er, Ei = (((er << shift) - num * Ei) // (p - 1) >> shift,
+                                  ((ei << shift) + num * Er) // (p - 1) >> shift)
+                    if p in cs:
+                        cr, ci = cs[p]
+                        S += cr * Er - ci * Ei
+        return S, P
 
 
 def _series_length(C):
     """(J, bound): the fewest terms J >= 2 of _series_head's series whose
     truncation bound 2 C pi^(2J) / (2J)!, in units of T, is at most
-    2^-(prec+20), and that bound."""
-    J, term, pi2 = 2, mp.pi**4 / 24, mp.pi**2
-    while 2 * C * term > mp.ldexp(1, -mp.mp.prec - 20):
-        term *= pi2 / ((2 * J + 1) * (2 * J + 2))
+    2^-(prec+20), and that bound, rounded up.  The test runs on integers,
+    2 C pi'^(2J) 2^(prec+20) <= (2J)! with pi' = pi + 2^-64 or a little
+    more: for prec >= 72, that is the J and no less than the bound that
+    prec-bit roundings of pi^(2J) / (2J)! give."""
+    prec = mp.mp.prec
+    pi = int(mp.ldexp(mp.pi, 64)) + 2
+    J, num, factorial = 2, 2 * int(mp.ceil(C)) * pi**4 << prec + 20, 24
+    while num > factorial << 128 * J:
+        num, factorial = num * pi**2, factorial * (2 * J + 1) * (2 * J + 2)
         J += 1
-    return J, 2 * C * term
+    return J, mp.ldexp(mp.fdiv(num, factorial, rounding="u"), -prec - 20 - 128 * J)
 
 
 def _series_head(factors, T):
@@ -594,10 +675,11 @@ def numeric_sum(
     one_sided: bool = False,
 ) -> SumResult:
     """sum over integers m of prod_k sinc(a_k m) (times (-1)^m when
-    alternating), within abs_tol.  tail_bound, at most abs_tol, bounds
-    the error of the tail rigorously; it does not count the rounding of
-    the head and of the value, which the working precision keeps about
-    40 bits below abs_tol.
+    alternating), within abs_tol.  tail_bound bounds the error of the
+    tail rigorously, and a sum whose tail_bound would pass abs_tol raises
+    ToleranceUnreachableError; it does not count the rounding of the head
+    and of the value, which the working precision keeps about 40 bits
+    below abs_tol.
 
     one_sided restricts to m >= 0; the summand is even in m, so
     one_sided = (two_sided + 1) / 2.
@@ -666,6 +748,8 @@ def numeric_sum(
             value = 1 + body
         else:
             value, bound = 1 + 2 * body, 2 * bound
+        if bound > abs_tol:
+            raise ToleranceUnreachableError("the tail bound %s exceeds abs_tol %s" % (mp.nstr(bound, 5), abs_tol))
         return SumResult(value, N - 1, bound, float(abs_tol), one_sided)
 
 

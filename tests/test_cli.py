@@ -314,6 +314,14 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "weighted-integral", "--betas", "1", "--weights", "0")[0] == 2
 
 
+@pytest.mark.parametrize("command", ["integral", "deficit", "spline-dump"])
+@pytest.mark.parametrize("spec", [["--family", "odd-harmonic"], ["--n", "5"], ["--family", "sinc-power", "--n", "5"]])
+def test_betas_with_family_or_n_exits_two(capsys, command, spec):
+    code, out, err = run_cli(capsys, command, "--betas", "1,1", *spec)
+    assert (code, out) == (2, "")
+    assert "give either --betas or --family with --n, not both" in err
+
+
 def test_infeasible_exact_path_exits_three(capsys):
     # a sample point over its node budget refuses the request, however few knots the spec has
     for betas, budget in [(",".join("1/%d" % (k + 2) for k in range(25)), "10000"), ("1/2,1/3", "1")]:

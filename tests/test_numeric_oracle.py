@@ -129,14 +129,35 @@ def test_integral_kernel_factor_counts():
     assert abs(v - float(mp.pi)) < 1e-7
 
 
+def _expint(p, x):
+    """E_p(-i x) from one mp.expint call: E_1, then
+    p E_(p+1)(z) = e^(-z) - z E_p(z) in mpc arithmetic (mpmath's own
+    E_p, p >= 2, takes 20 ms at 296 bits and 370 ms at 840)."""
+    if x == 0:
+        return mp.mpf(1) / (p - 1)
+    E, z = mp.expint(1, mp.mpc(0, -x)), mp.mpc(0, -x)
+    for q in range(1, p):
+        E = (mp.exp(-z) - z * E) / q
+    return E
+
+
+def test_expint_reference_matches_mpmath():
+    with mp.workprec(296):
+        for p, x in [(2, mp.mpf(3) / 1000), (5, mp.pi), (12, mp.mpf(1) / 3), (3, mp.mpf(14))]:
+            assert abs(_expint(p, x) - mp.expint(p, mp.mpc(0, -x))) <= mp.ldexp(1, -280)
+
+
 def _naive_tail(factors, T):
-    """The tail with one E_p call per expansion term, unmerged."""
-    total = mp.mpf(0)
+    """The tail with one E_p per expansion term, unmerged; E_p comes from
+    _expint, and an equal (w, p) reuses it."""
+    total, seen = mp.mpf(0), {}
     for combo in itertools.product(*factors):
         c = mp.fprod(term[0] for term in combo)
         w = mp.fsum(term[1] for term in combo)
         p = sum(term[2] for term in combo)
-        total += (c * T ** (1 - p) * mp.expint(p, -1j * w * T)).real
+        if (w, p) not in seen:
+            seen[w, p] = _expint(p, w * T)
+        total += (c * T ** (1 - p) * seen[w, p]).real
     return total
 
 
@@ -174,13 +195,79 @@ def test_kernel_tail_merge_matches_naive_sum(a, T, J):
         assert abs(got - want) <= mp.mpf("1e-30") * abs(want)
 
 
+def _tail_count(factors, T, P):
+    """_tail_sum's rounding count, in units of 2^-P: over the unmerged
+    terms grouped by their folded (w, p), ((n + m - 1) s + 1) |E_p| + s e_p."""
+    groups = {}
+    for combo in itertools.product(*factors):
+        w, p = abs(mp.fsum(term[1] for term in combo)), sum(term[2] for term in combo)
+        l1 = mp.fprod(abs(mp.re(term[0])) + abs(mp.im(term[0])) for term in combo)
+        m, s = groups.get((w, p), (0, 0))
+        groups[w, p] = m + 1, s + l1 * T ** (1 - p)
+    count = 0
+    for (w, p), (m, s) in groups.items():
+        x, e = w * T, 1
+        if w:
+            K = 0
+            if x <= 4:  # the first k with x^k / k! < 2^-P
+                K = next(k for k in itertools.count(1) if x**k / mp.factorial(k) < mp.ldexp(1, -P))
+            e = h = 6 * K + 9
+            for q in range(1, p):
+                e = (h + x * e) / q + 2
+        size = 1 / mp.mpf(p - 1) if p >= 2 else abs(mp.log(x)) + 3
+        count += ((len(factors) + m - 1) * s + 1) * size + s * e
+    return count
+
+
+def _sinc_tail_factors(scales, m=None):
+    """The tail terms of prod_k sinc(a_k t), times W_m(t) when m is given, and T = pi / omega_max."""
+    a_mp = [mp.mpf(a) for a in scales]
+    factors, omega_max = [_sinc_terms(a) for a in a_mp], mp.fsum(a_mp)
+    if m is not None:
+        factors.append([(mp.mpc(1), s * k * mp.pi, 0) for k in range(1, 2 * m + 2, 2) for s in (1, -1)])
+        omega_max += (2 * m + 1) * mp.pi
+    return factors, mp.pi / omega_max
+
+
+@pytest.mark.parametrize("prec", [128, 400])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _sinc_tail_factors([1, 1]),  # frequencies 2 and 0
+        lambda: _sinc_tail_factors([1, mp.mpf(1) / 3, mp.mpf(2) / 7]),
+        lambda: _sinc_tail_factors(_pi_scales(3)),
+        lambda: _sinc_tail_factors(_pi_scales(4), 1),
+        lambda: _sinc_tail_factors(_pi_scales(6)),
+        lambda: _sinc_tail_factors([1] * 8, 0),
+        lambda: _sinc_tail_factors([1] * 6 + [mp.mpf(1) / 2] * 6),
+        lambda: _sinc_tail_factors([1] * 3 + [mp.mpf(1) / 2] * 3 + [mp.mpf(1) / 3] * 3, 0),
+        lambda: ([_sinc_terms(mp.mpf(1)), _kernel_terms(mp.mpf(1) / 2, 2)], mp.mpf(9)),
+        lambda: ([_sinc_terms(mp.mpf(1))] + [_kernel_terms(a, 1) for a in (mp.mpf(1) / 2, mp.mpf(3) / 10)], mp.mpf(14)),
+    ],
+    ids=["2", "3", "4", "5-weighted", "7", "8-weighted", "12", "9-weighted", "kernel-9", "kernel-14"],
+)
+def test_tail_sum_within_its_rounding_count(build, prec):
+    # the integer sum before its one division, at P = prec + 16, against the
+    # unmerged terms at 2 prec + 40 bits: within the docstring's count, no slack
+    with mp.workprec(prec):
+        factors, T = build()
+        S, P = numeric_oracle._tail_sum(factors, T, MAX_ORACLE_WORK)
+    with mp.workprec(2 * prec + 40):
+        error = abs(mp.ldexp(S, -2 * P) - _naive_tail(factors, T))
+        assert error <= mp.ldexp(_tail_count(factors, T, prec + 16), -prec - 16)
+
+
 @pytest.mark.parametrize("scales, calls", [([1] * 8, 4), (_pi_scales(4), 16)])
-def test_tail_one_expint_call_per_distinct_frequency(monkeypatch, scales, calls):
-    seen = []
-    expint = mp.expint
-    monkeypatch.setattr(mp, "expint", lambda *args: seen.append(args) or expint(*args))
+def test_tail_one_log_call_per_distinct_frequency(monkeypatch, scales, calls):
+    # a sinc tail seeds E_1 from its power series: no expint call, and one
+    # natural logarithm per distinct nonzero frequency (the one-argument
+    # calls; the guard bits and the precision take logarithms to base 2)
+    seen = {"expint": [], "log": []}
+    for name in seen:
+        f = getattr(mp, name)
+        monkeypatch.setattr(mp, name, lambda *args, f=f, name=name: seen[name].append(args) or f(*args))
     numeric_integral(scales, rel_tol=1e-12)
-    assert len(seen) == calls
+    assert seen["expint"] == [] and sum(len(args) == 1 for args in seen["log"]) == calls
 
 
 def _exact_float(x):
@@ -254,11 +341,12 @@ def test_zero_integral_checked_to_an_absolute_tolerance(scales):
 
 @pytest.mark.parametrize("rel_tol, J", [(1e-12, 28), (1e-60, 40)])
 def test_series_head_makes_no_transcendental_call(monkeypatch, rel_tol, J):
-    # a count, not a time: no sine or cosine anywhere in the integral (the
-    # tail calls mp.expint and mp.exp), and the head's series is cut at 28
-    # terms at 128 bits and 40 at 239 bits
+    # a count, not a time: no sine, cosine, exponential or exponential
+    # integral anywhere in the integral (the tail takes one mp.log per
+    # frequency), and the head's series is cut at 28 terms at 128 bits and
+    # 40 at 239 bits
     calls, lengths = [], []
-    for name in ("sin", "cos", "cos_sin", "expj"):
+    for name in ("sin", "cos", "cos_sin", "expj", "expint", "exp"):
         f = getattr(mp, name)
         monkeypatch.setattr(mp, name, lambda *args, f=f: calls.append(args) or f(*args))
     length = numeric_oracle._series_length
@@ -266,6 +354,26 @@ def test_series_head_makes_no_transcendental_call(monkeypatch, rel_tol, J):
     v = numeric_integral(_pi_scales(4), rel_tol=rel_tol)
     assert calls == [] and lengths == [J]
     assert abs(v - 1) < rel_tol
+
+
+def _float_series_length(C):
+    """_series_length as a product of prec-bit roundings, its first form."""
+    J, term, pi2 = 2, mp.pi**4 / 24, mp.pi**2
+    while 2 * C * term > mp.ldexp(1, -mp.mp.prec - 20):
+        term *= pi2 / ((2 * J + 1) * (2 * J + 2))
+        J += 1
+    return J, 2 * C * term
+
+
+def test_series_length_matches_the_float_loop():
+    # the same J at every precision from 72 to 1,200 bits and C up to 2^20,
+    # and a bound no smaller than the rounded product's
+    for prec in range(72, 1201, 23):
+        with mp.workprec(prec):
+            for C in [1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 32, 64, 100, 1000, 2**20]:
+                J, bound = numeric_oracle._series_length(mp.mpf(C))
+                float_J, float_bound = _float_series_length(mp.mpf(C))
+                assert J == float_J and float_bound <= bound <= float_bound * (1 + mp.ldexp(1, -50)), (prec, C)
 
 
 def _heads(run):
@@ -506,6 +614,22 @@ def test_sum_tail_bound_is_rigorous():
     a = numeric_sum(scales, abs_tol=1e-8)
     b = numeric_sum(scales, abs_tol=5e-9)
     assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_sum_checks_its_bound_before_it_returns(monkeypatch, one_sided):
+    # a tail bound past abs_tol is refused, not returned
+    by_parts = numeric_oracle._by_parts
+
+    def loose(*args):
+        out = by_parts(*args)
+        return out and (out[0], mp.ldexp(out[1], 40))
+
+    scales = [1.25, 1.0, 0.75]  # a tail bound of 8.6e-26 at abs_tol 1e-20
+    assert numeric_sum(scales, abs_tol=1e-20, one_sided=one_sided).tail_bound <= 1e-20
+    monkeypatch.setattr(numeric_oracle, "_by_parts", loose)
+    with pytest.raises(ToleranceUnreachableError, match="tail bound .* exceeds abs_tol 1e-20"):
+        numeric_sum(scales, abs_tol=1e-20, one_sided=one_sided)
 
 
 def test_sum_alternating_two_factors_allowed():

@@ -1,4 +1,5 @@
 import decimal
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,20 @@ def test_rat_str_huge_numerator():
     x = rat(10**6000 + 1, 3)
     s = rat_str(x)
     assert s.endswith("/3") and len(s) > 6000
+
+
+def test_rat_str_past_the_int_str_digit_limit():
+    # at the default limit of 4,300 digits "%d" refuses a 5,000-digit
+    # numerator, and rat_str must lift the limit and print it all
+    saved = sys.get_int_max_str_digits()
+    x = Fraction(10**4999 + 3, 7**1000)
+    sys.set_int_max_str_digits(0)
+    want = str(x.numerator) + "/" + str(x.denominator)
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert rat_str(x) == want and len(want) > 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_to_decimal_known_values():
