@@ -260,85 +260,59 @@ def _tail(factors, T, budget):
 
 
 def _tail_sum(factors, T, budget):
-    """(S, P): integral_T^inf of the product of factors as S 2^(-2P), with
+    """(S, P): integral_T^inf of the product of factors as S 2^(-2P),
     P = prec + 16, on Python integers.
 
-    A merged term (c, w, p) of the product (_expand, _merge_frequencies)
-    gives Re(C E_p(-i x)), C = c T^(1-p), x = w T (DLMF 8.19), for any
-    T > 0.  Each C is rounded to P bits once, each E_p is a pair of
-    integers over 2^P, and S, the sum of the Re(C E_p), is exact.  At
-    w = 0, E_p = 1 / (p - 1).  For w > 0, x is taken exactly, and while
-    x <= 4 one run of t_k = x^k / k!, floored from t_0 = 2^P until it
-    reaches 0, gives e^(ix) and E_1(-ix) = -gamma - ln x + i pi / 2 -
-    sum_(k>=1) (ix)^k / (k k!) (DLMF 6.6.2), with one mp.log; past 4,
-    where those series would cancel from e^x, mp.expint and mp.expj give
-    them.  Then p E_(p+1) = e^(ix) + i x E_p (DLMF 8.19.12).
+    A merged term (c, w, p) of the product gives Re(C E_p(-i x)),
+    C = c T^(1-p) rounded to P bits once and x = w T taken exactly, and
+    S sums them exactly.  For x <= 4 one run of t_k = x^k / k!, floored
+    from t_0 = 2^P until it reaches 0, gives e^(ix) and
+    E_1(-ix) = -gamma - ln x + i pi / 2 - sum_(k>=1) (ix)^k / (k k!)
+    (DLMF 6.6.2) with one mp.log; past 4, where the series would cancel
+    from e^x, mp.expint and mp.expj give them.  Then
+    p E_(p+1) = e^(ix) + i x E_p (DLMF 8.19.12), which at x = 0 gives
+    E_p = 1 / (p - 1) from p = 2.
 
-    Rounding, in ulp, units of 2^-P, with a complex error counted as
-    |re| + |im|.  Each t_k takes one floor, so its error is
-    e_k <= e_(k-1) x / k + 1 <= 6 for x <= 4, and the run has stopped by
-    K, the first k with x^k / k! < 2^-P; the terms past the stop weigh at
-    most 2 e_K.  So e^(ix) and E_1, with one ulp for each of gamma, pi / 2
-    and ln x, are off by at most h = 6 K + 9 (h = 9 from mpmath, K = 0).
-    A step of the recurrence floors each part once, so E_p is off by
-    e_1 = h, e_(p+1) <= (h + x e_p) / p + 2, and by e_p = 1 at w = 0.
-    A merged C takes at most n + m - 2 roundings of P bits in _expand and
-    _merge_frequencies, for n factors and m terms merged into it, less
-    than one more for T^(1-p) and one ulp in fixed point; and
-    |E_p(-i x)| <= 1 / (p - 1) for p >= 2, |ln x| + 3 for p = 1.  So
-    S 2^-2P is off by at most the sum over merged terms of
-
-        ((n + m - 1) s + 1) |E_p| + s e_p  ulp,
-
-    with s the sum of |c|_1 T^(1-p) over the m terms, |c|_1 the product
-    of the |re| + |im| of the factors' coefficients.
+    Rounding, in ulp (2^-P), a complex error counted as |re| + |im|.
+    Each t_k takes one floor: its error e_k <= e_(k-1) x / k + 1 <= 6 for
+    x <= 4, the run stops by K, the first k with x^k / k! < 2^-P, and the
+    terms past it weigh at most 2 e_K.  So e^(ix) and E_1 are off by at
+    most h = 6 K + 9, with one ulp for gamma + ln x and pi / 2 (h = 9 from
+    mpmath), and E_p by e_1 = h, e_(p+1) = (h + x e_p) / p + 2, as a
+    step floors each part once (e_p = 1 at x = 0).  A merged C takes at
+    most n + m - 2 roundings of P bits in _expand and _merge_frequencies,
+    for n factors and m terms merged into it, less than one for T^(1-p)
+    and one ulp in fixed point, and |E_p(-i x)| <= 1 / (p - 1) for p >= 2
+    (|ln x| + 3 for p = 1).  So S 2^-2P is off by at most the sum over
+    merged terms of ((n + m - 1) s + 1) |E_p| + s e_p ulp, s the sum over
+    its m terms of |c|_1 T^(1-p), |c|_1 the product of the factors'
+    |re c| + |im c|.
     """
     with mp.extraprec(16):
-        P = mp.mp.prec
+        P, S, by_w = mp.mp.prec, 0, {}
         terms = _merge_frequencies(_expand(factors, budget)[0])
-
-        def fixed(v):  # v 2^P, rounded to the nearest integer
-            return (v.to_fixed(P + 1) + 1) >> 1
-
         with mp.workprec(P + 20):
-            powers, by_w = {}, {}
             for c, w, p in terms:
-                if p not in powers:
-                    powers[p] = T ** (1 - p)
-                C = c * powers[p]
-                by_w.setdefault(w, {})[p] = fixed(C.real), fixed(C.imag)
-            gamma, half_pi, S = fixed(+mp.euler), fixed(mp.pi / 2), 0
+                by_w.setdefault(w, {})[p] = _fixed(c * T ** (1 - p), P)
             for w, cs in by_w.items():
-                if w == 0:
-                    S += sum(cr * ((1 << P) // (p - 1)) for p, (cr, _) in cs.items())
-                    continue
                 x = mp.fmul(w, T, exact=True)
-                num, shift = (x.man << x.exp, 0) if x.exp >= 0 else (x.man, -x.exp)
+                num, shift = x.man << max(x.exp, 0), max(-x.exp, 0)
                 if num <= 4 << shift:
-                    # t_k by fours, as i^k turns: e^(ix) = er + i ei, and the
-                    # sum of (ix)^k / (k k!) is br + i bi
-                    t, k, er, ei, br, bi = 1 << P, 0, 1 << P, 0, 0, 0
+                    # sums of t_k and of t_k / k by k mod 4, as i^k turns
+                    t, k, ts, qs = 1 << P, 0, [1 << P, 0, 0, 0], [0] * 4
                     while t:
-                        t = (t * num >> shift) // (k + 1)
-                        ei, bi = ei + t, bi + t // (k + 1)
-                        t = (t * num >> shift) // (k + 2)
-                        er, br = er - t, br - t // (k + 2)
-                        t = (t * num >> shift) // (k + 3)
-                        ei, bi = ei - t, bi - t // (k + 3)
-                        t = (t * num >> shift) // (k + 4)
-                        er, br = er + t, br + t // (k + 4)
-                        k += 4
-                    Er, Ei = -gamma - fixed(mp.log(x)) - br, half_pi - bi
+                        k += 1
+                        t = (t * num >> shift) // k
+                        ts[k & 3] += t
+                        qs[k & 3] += t // k
+                    g, h = _fixed(mpc(mp.euler + mp.log(x), mp.pi / 2), P) if num else (0, 0)
+                    er, ei, Er, Ei = ts[0] - ts[2], ts[1] - ts[3], qs[2] - qs[0] - g, h - qs[1] + qs[3]
                 else:
-                    e, E = mp.expj(x), mp.expint(1, mpc(0, -x))
-                    er, ei, Er, Ei = fixed(e.real), fixed(e.imag), fixed(E.real), fixed(E.imag)
+                    (er, ei), (Er, Ei) = _fixed(mp.expj(x), P), _fixed(mp.expint(1, mpc(0, -x)), P)
                 for p in range(1, max(cs) + 1):
-                    if p > 1:  # (p - 1) E_p = e^(ix) + i x E_(p-1)
-                        Er, Ei = (((er << shift) - num * Ei) // (p - 1) >> shift,
-                                  ((ei << shift) + num * Er) // (p - 1) >> shift)
-                    if p in cs:
-                        cr, ci = cs[p]
-                        S += cr * Er - ci * Ei
+                    cr, ci = cs.get(p, (0, 0))
+                    S += cr * Er - ci * Ei
+                    Er, Ei = ((er << shift) - num * Ei) // p >> shift, ((ei << shift) + num * Er) // p >> shift
         return S, P
 
 
@@ -349,13 +323,11 @@ def _series_length(C):
     2 C pi'^(2J) 2^(prec+20) <= (2J)! with pi' = pi + 2^-64 or a little
     more: for prec >= 72, that is the J and no less than the bound that
     prec-bit roundings of pi^(2J) / (2J)! give."""
-    prec = mp.mp.prec
-    pi = int(mp.ldexp(mp.pi, 64)) + 2
-    J, num, factorial = 2, 2 * int(mp.ceil(C)) * pi**4 << prec + 20, 24
+    prec, pi, J, factorial = mp.mp.prec + 20, int(mp.ldexp(mp.pi, 64)) + 2, 2, 24
+    num = 2 * int(C) * pi**4 << prec
     while num > factorial << 128 * J:
-        num, factorial = num * pi**2, factorial * (2 * J + 1) * (2 * J + 2)
-        J += 1
-    return J, mp.ldexp(mp.fdiv(num, factorial, rounding="u"), -prec - 20 - 128 * J)
+        num, factorial, J = num * pi**2, factorial * (2 * J + 1) * (2 * J + 2), J + 1
+    return J, mp.ldexp(mp.fdiv(num, factorial, rounding="u"), -prec - 128 * J)
 
 
 def _series_head(factors, T):
