@@ -57,12 +57,11 @@ remainder is at most the last term kept, so the tail bound is
 rigorous.  A frequency at z = 1 up to
 rounding takes the Hurwitz zeta(p, N) plus a bound for its drift.  N
 scales as 1 / min |1 - z| and is a few hundred on the paper's
-examples.
+examples.  The loops of a sum live in oracle_sums.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import inf, lcm
 from operator import mul
@@ -72,6 +71,7 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from . import InfeasibleError
+from .oracle_sums import _by_parts, _drift_bound, _fixed, _head, _near_prefix
 from .rational import rat
 
 DEFAULT_PREC_BITS = 128
@@ -498,146 +498,6 @@ def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = Non
 # ---------------------------------------------------------------------------
 # sums of sinc products
 # ---------------------------------------------------------------------------
-
-
-def _drift_bound(p, N, delta):
-    """Bound on sum_{m>=N} |e^(i delta m) - 1| m^(-p), from
-    |e^(i delta m) - 1| <= min(2, delta m): delta zeta(p - 1, N) for
-    p >= 3; for p = 2, delta (1/N + ln(K/N)) below K = 2/delta plus
-    2 sum_{m>K} m^(-2) <= 2 delta above it."""
-    if delta == 0:
-        return mpf(0)
-    if p >= 3:
-        return delta * (mpf(N) ** (1 - p) + mpf(N) ** (2 - p) / (p - 2))
-    return delta * (3 + mp.log(1 + 2 / (delta * N)))
-
-
-def _head_length(p, dist):
-    """First tail index N for a smallest distance |1 - z| of dist.  The
-    summation-by-parts terms shrink by about (p + k) / (N dist) at step
-    k, so N dist = 4 (p + 8) shrinks them fourfold over the first eight
-    steps, and they keep shrinking for 3p + 24 more."""
-    return int(mp.ceil(4 * (p + 8) / dist))
-
-
-def _near_prefix(freqs, dists, p, limit):
-    """(near, N): the longest prefix of near-1 frequencies whose drift
-    bound, at the head length N the rest would need, stays within limit.
-    freqs are sorted by |1 - z|, so one pass grows the prefix until the
-    bound passes limit.  For p >= 3 the bound is linear in w, so a
-    prefix's is that of the running sum of |c| w; p = 2 (at most three
-    merged frequencies) sums a logarithm per frequency."""
-    total = mpf(0)
-    for k, (c, w) in enumerate(freqs, 1):
-        N = _head_length(p, dists[k] if k < len(freqs) else 2)
-        total += abs(c) * w
-        drift = (_drift_bound(p, N, total) if p >= 3
-                 else mp.fsum(abs(c) * _drift_bound(p, N, w) for c, w in freqs[:k]))
-        if drift > limit:
-            return k - 1, _head_length(p, dists[k - 1])
-    return len(freqs), _head_length(p, 2)
-
-
-def _differences(p, N, K):
-    """([P Delta^k g(N) for k < K], P), g(m) = m^(-p): the forward
-    differences as exact integer numerators over their common
-    denominator P = lcm(N, ..., N + K - 1)^p, that of g(N), ...,
-    g(N + K - 1).  They are kept exact because the differences cancel
-    by up to (2N)^K."""
-    P = lcm(*range(N, N + K)) ** p
-    row = [P // (N + j) ** p for j in range(K)]
-    diffs = []
-    for _ in range(K):
-        diffs.append(row[0])
-        row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
-    return diffs, P
-
-
-def _fixed(z, bits):
-    """The complex number z as a pair of integers, its parts times 2^bits
-    rounded to the nearest."""
-    return int(mp.nint(mp.ldexp(z.real, bits))), int(mp.nint(mp.ldexp(z.imag, bits)))
-
-
-def _by_parts(freqs, dists, p, N, target):
-    """sum_{m>=N} z^m m^(-p) for each z = e^(i w) of freqs, at distance
-    |1 - z| of dists, by summation by parts (DLMF 2.10(ii)) taken K times:
-
-        sum_{k<K} z^(N+k) Delta^k g(N) / (1 - z)^(k+1) + R_K,  g(m) = m^(-p).
-
-    g is completely monotone, so sum_{m>=N} |Delta^K g(m)| telescopes
-    to |Delta^(K-1) g(N)| and |R_K| <= |Delta^(K-1) g(N)| / |1 - z|^K,
-    the size of the last term kept.  The terms shrink by about
-    (p + k) / (N |1 - z|), so they are added while they shrink, up to
-    K ~ N min|1 - z| of them, which costs nothing past the table of
-    differences (_differences, exact integers over one denominator P).
-    The factors t_k = z^(N+k) / (1 - z)^(k+1) are turned by z / (1 - z)
-    in fixed point at Q = prec + K + bitlength(K) + 8 bits, which keep
-    each t_k to the working precision although |1 - z| <= 2 shrinks it
-    by up to 2^-K; sum_k t_k P Delta^k g(N) is formed exactly and
-    divided by P 2^Q once.  Returns sum_j Re(c_j * tail_j) and
-    sum_j |c_j| * size_j, or None when the last term kept for some
-    frequency is above target (a longer head is then needed)."""
-    K = int(N * min(dists)) + 1
-    diffs, P = _differences(p, N, K)
-    Q = mp.mp.prec + K + K.bit_length() + 8
-    den = P << Q
-    value = bound = mpf(0)
-    for (c, w), dist in zip(freqs, dists):
-        with mp.workprec(Q + 10):
-            z = mp.expj(w)
-            (tr, ti), (qr, qi) = _fixed(mp.expj(w * N) / (1 - z), Q), _fixed(z / (1 - z), Q)
-        # |term_k| = |Delta^k g(N)| / |1 - z|^(k+1), as |z| = 1, stops shrinking
-        # when |Delta^k g(N)| >= |Delta^(k-1) g(N)| |1 - z|
-        sr = si = kept = 0
-        for d in diffs:
-            if kept and abs(d) >= abs(diffs[kept - 1]) * dist:
-                break
-            sr, si = sr + tr * d, si + ti * d
-            tr, ti = (tr * qr - ti * qi) >> Q, (tr * qi + ti * qr) >> Q
-            kept += 1
-        last = mp.fdiv(abs(diffs[kept - 1]), P) / dist**kept
-        if last > target:
-            return None
-        value += (c * mpc(mp.fdiv(sr, den), mp.fdiv(si, den))).real
-        bound += abs(c) * last
-    return value, bound
-
-
-def _head(a_mp, N, alternating):
-    """sum_{m=1}^{N-1} prod_k sinc(a_k m), times (-1)^m when alternating,
-    as an mpf of P bits.
-
-    Each e^(i a m) is carried as a pair of integers scaled by 2^P and
-    turned by round(e^(i a) 2^P) once per m; equal scales share one
-    turn, raised to their multiplicity.  The sines are multiplied in
-    fixed point, floor-divided by m^p and summed exactly, and the sum is
-    divided by prod_k a_k once, at P bits.  A turn adds at most 3 ulp
-    (units of 2^-P) to a sine, so the sine at m is off by at most 3m
-    ulp, the product at m by 3pm + p and its quotient by m^p by
-    (3pm + p) / m^p + 1.  Summed, the head is off by at most
-
-        (N + 3p (ln N + 2)) 2^-P / prod_k a_k + (p + 1) 2^-P |head|,
-
-    and P = prec + bitlength(N) + 8 keeps that below 2^-prec / prod_k a_k
-    for N >= 2p + 16, as numeric_sum's are (its prec has guard bits for
-    the 1 / prod_k a_k)."""
-    p = len(a_mp)
-    P = mp.mp.prec + N.bit_length() + 8
-    with mp.workprec(P + 10):
-        turns = [(*_fixed(mp.expj(a), P), e) for a, e in Counter(a_mp).items()]
-    cs, sn = [1 << P] * len(turns), [0] * len(turns)
-    total = 0
-    for m in range(1, N):
-        v = 1 << P
-        for j, (rc, rs, e) in enumerate(turns):
-            c, s = cs[j], sn[j]
-            cs[j], sn[j] = c, s = (c * rc - s * rs) >> P, (c * rs + s * rc) >> P
-            v = v * s**e >> P * e
-        v //= m**p
-        total += -v if alternating and m & 1 else v
-    with mp.workprec(P):
-        return mp.ldexp(total, -P) / mp.fprod(a_mp)
 
 
 def numeric_sum(

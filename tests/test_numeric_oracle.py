@@ -21,9 +21,7 @@ from sincprod.numeric_oracle import (
     RealScales,
     ToleranceUnreachableError,
     _by_parts,
-    _differences,
     _drift_bound,
-    _head_length,
     _kernel_terms,
     _near_prefix,
     _sinc_terms,
@@ -37,6 +35,7 @@ from sincprod.numeric_oracle import (
     verify_ft_example5,
     verify_theorem1,
 )
+from sincprod.oracle_sums import _differences, _head_length
 from sincprod.rational import rat
 
 
