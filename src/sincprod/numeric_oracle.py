@@ -298,15 +298,21 @@ def _tail_sum(factors, T, budget):
                 x = mp.fmul(w, T, exact=True)
                 num, shift = x.man << max(x.exp, 0), max(-x.exp, 0)
                 if num <= 4 << shift:
-                    # sums of t_k and of t_k / k by k mod 4, as i^k turns
-                    t, k, ts, qs = 1 << P, 0, [1 << P, 0, 0, 0], [0] * 4
+                    # t_k by fours, as i^k turns: e^(ix) = er + i ei, and
+                    # the sum of (ix)^k / (k k!) is br + i bi
+                    t, k, er, ei, br, bi = 1 << P, 0, 1 << P, 0, 0, 0
                     while t:
-                        k += 1
-                        t = (t * num >> shift) // k
-                        ts[k & 3] += t
-                        qs[k & 3] += t // k
+                        t = (t * num >> shift) // (k + 1)
+                        ei, bi = ei + t, bi + t // (k + 1)
+                        t = (t * num >> shift) // (k + 2)
+                        er, br = er - t, br - t // (k + 2)
+                        t = (t * num >> shift) // (k + 3)
+                        ei, bi = ei - t, bi - t // (k + 3)
+                        t = (t * num >> shift) // (k + 4)
+                        er, br = er + t, br + t // (k + 4)
+                        k += 4
                     g, h = _fixed(mpc(mp.euler + mp.log(x), mp.pi / 2), P) if num else (0, 0)
-                    er, ei, Er, Ei = ts[0] - ts[2], ts[1] - ts[3], qs[2] - qs[0] - g, h - qs[1] + qs[3]
+                    Er, Ei = -g - br, h - bi
                 else:
                     (er, ei), (Er, Ei) = _fixed(mp.expj(x), P), _fixed(mp.expint(1, mpc(0, -x)), P)
                 for p in range(1, max(cs) + 1):

@@ -73,8 +73,17 @@ def _differences(p, N, K):
 
 def _fixed(z, bits):
     """The complex number z as a pair of integers, its parts times 2^bits
-    rounded to the nearest."""
-    return int(mp.nint(mp.ldexp(z.real, bits))), int(mp.nint(mp.ldexp(z.imag, bits)))
+    rounded to the nearest, ties to even (as mp.nint rounds), on the
+    parts' mantissas."""
+    out = []
+    for v in (z.real, z.imag):
+        shift = -v.exp - bits
+        if shift <= 0:
+            out.append(v.to_fixed(bits))
+        else:
+            q, r = divmod(v.to_fixed(-v.exp), 1 << shift)
+            out.append(q + (2 * r > 1 << shift or 2 * r == 1 << shift and q & 1))
+    return tuple(out)
 
 
 def _by_parts(freqs, dists, p, N, target):

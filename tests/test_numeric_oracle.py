@@ -35,7 +35,7 @@ from sincprod.numeric_oracle import (
     verify_ft_example5,
     verify_theorem1,
 )
-from sincprod.oracle_sums import _differences, _head_length
+from sincprod.oracle_sums import _differences, _fixed, _head_length
 from sincprod.rational import rat
 
 
@@ -733,6 +733,19 @@ def test_difference_table_is_exact():
         table, P = _differences(p, N, K)
         # the same differences over the reference's denominator, a multiple of P
         assert D % P == 0 and [n * (D // P) for n in table] == numerators, (N, p, K)
+
+
+def test_fixed_rounds_as_nint():
+    # _fixed rounds on the mantissas; the reference scales by 2^bits and
+    # takes mpmath's nearest integer, ties to even
+    rng = random.Random(29)
+    for _ in range(3000):
+        prec, bits = rng.choice([53, 138, 400]), rng.choice([0, 3, 60, 128, 410])
+        with mp.workprec(prec):
+            tie = mp.ldexp(2 * rng.randrange(-10**6, 10**6) + 1, -bits - 1)  # exactly half an ulp off
+            z = mp.mpc(tie, mp.expj(mp.mpf(rng.uniform(-9, 9))).imag * mp.mpf(10) ** rng.randrange(-5, 6))
+            want = tuple(int(mp.nint(mp.ldexp(v, bits))) for v in (z.real, z.imag))
+            assert _fixed(z, bits) == want, (z, bits)
 
 
 def _head_reference(scales, N, alternating):
