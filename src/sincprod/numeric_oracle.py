@@ -325,7 +325,8 @@ def _tail_sum(factors, T, budget):
 def _series_length(C):
     """(J, bound): the fewest terms J >= 2 of _series_head's series whose
     truncation bound 2 C pi^(2J) / (2J)!, in units of T, is at most
-    2^-(prec+20), and that bound, rounded up.  The test runs on integers,
+    2^-(prec+20), and that bound, rounded up, for an integer C (a product
+    of sums of c = 1 or 2).  The test runs on integers,
     2 C pi'^(2J) 2^(prec+20) <= (2J)! with pi' = pi + 2^-64 or a little
     more: for prec >= 72, that is the J and no less than the bound that
     prec-bit roundings of pi^(2J) / (2J)! give."""
