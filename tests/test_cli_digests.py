@@ -6,7 +6,9 @@ benchmark workloads at seeds 1 to 3 (``bench/workloads.build``), then
 1,500 random exact requests, then the library requests of
 ``oracle-crosscheck`` at seeds 1 to 3 (``numeric_integral`` rendered to
 40 digits and ``verify_theorem1`` reports), each run as the benchmark
-worker runs it (``bench/worker._prepare``).  Each argv runs through
+worker runs it (``bench/worker._prepare``), then 150 random ``sum`` and
+``lower-bound`` requests, the near-resonant sums of d scales 2 pi / d
+and three sums of 8 to 12 factors.  Each argv runs through
 ``cli.main`` in this process; its exit code, stdout and stderr are
 hashed to 16 hex digits, as is each library request's success flag and
 JSON output, and compared, in corpus order, with ``cli_digests.txt``.
@@ -32,6 +34,7 @@ import mpmath as mp
 
 import sincprod
 from sincprod import cli
+from sincprod.numeric_oracle import parse_scale
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("cli_digests.txt")
@@ -77,9 +80,49 @@ def _random_exact_argv(count: int = 1500, seed: int = 24) -> list:
     return out
 
 
+def _random_sum_argv(count: int = 150, seed: int = 30) -> list:
+    """2 to 6 scales of sum's grammar ('1', a/b with a <= 5 and b <= 6, 'pi',
+    '5pi/4', '2pi/3'), plain, alternating or one-sided, or one lower-bound
+    check of up to 6 such scales whose a0 is mostly the largest; abs_tol
+    from 1e-8 to 1e-30."""
+    rng = random.Random(seed)
+
+    def scale():
+        k = rng.random()
+        if k < 0.3:
+            return "1"
+        return "%d/%d" % (rng.randint(1, 5), rng.randint(1, 6)) if k < 0.65 else rng.choice(["pi", "5pi/4", "2pi/3"])
+
+    out = []
+    for _ in range(count):
+        scales = [scale() for _ in range(rng.randint(2, 6))]
+        if rng.random() < 0.8:
+            argv = ["sum", "--scales", ",".join(scales)] + rng.choice([[], ["--alternating"], ["--one-sided"]])
+        else:
+            if rng.random() < 0.9:
+                scales.sort(key=parse_scale, reverse=True)
+            argv = ["lower-bound", "--a0", scales[0], "--rest", ",".join(scales[1:])]
+        out.append(["--format", "json"] + argv + ["--abs-tol", "1e-%d" % rng.randint(8, 30)])
+    return out
+
+
+def _resonant_sum_argv() -> list:
+    """d scales 2 pi / d, d = 3 to 11, whose frequencies meet 2 pi and its
+    multiples exactly, plain and alternating, at abs_tol 1e-10 and 1e-30;
+    then pi / (2k + 1) for 1 <= k <= 8, 1 / (2k + 1) for k < 8 (alternating) and
+    pi / (2k + 1) for k < 12 (one-sided), whose factor sinc(pi m) leaves only m = 0."""
+    out = [["--format", "json", "sum", "--scales", ",".join(["2pi/%d" % d] * d), *alternating, "--abs-tol", tol]
+           for d in range(3, 12) for alternating in ([], ["--alternating"]) for tol in ("1e-10", "1e-30")]
+    for scales, ks, extra in [("pi/%d", range(1, 9), ["--abs-tol", "1e-20"]), ("1/%d", range(8), ["--alternating"])]:
+        out.append(["--format", "json", "sum", "--scales", ",".join(scales % (2 * k + 1) for k in ks), *extra])
+    return out + [["--format", "json", "sum", "--scales", ",".join("pi/%d" % (2 * k + 1) for k in range(12)),
+                   "--one-sided"]]
+
+
 def corpus() -> list:
     """CLI argv (lists) and library requests (dicts, as bench/workloads writes them)."""
-    return _workload_argv() + _random_exact_argv() + _oracle_library_requests()
+    return (_workload_argv() + _random_exact_argv() + _oracle_library_requests() + _random_sum_argv()
+            + _resonant_sum_argv())
 
 
 def run(request) -> tuple:
