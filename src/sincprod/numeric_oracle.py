@@ -26,10 +26,13 @@ to 500.
 Past T each factor is a finite sum of terms c e^(i w t) t^(-p), and
 each term integral_T^inf e^(i w t) t^(-p) dt equals T^(1-p) E_p(-i w T),
 with E_p the generalized exponential integral (DLMF 8.19), for any
-T > 0.  Equal (w, p) are merged, each conjugate pair +-w shares one
-frequency, and the sum runs in fixed point on Python integers
-(_tail_sum).  For x = w T <= 4, as every frequency of a sinc product
-has (x <= pi), one run of x^k / k! gives e^(i x) and E_1(-i x) from its
+T > 0.  The product is multiplied out on Python integers (_expand):
+every frequency is an integer over one power of two, so sums of
+frequencies are exact, and each factor's coefficients are rounded once
+to Gaussian integers, so products are exact too.  Equal (w, p) are
+merged, each conjugate pair +-w shares one frequency, and the sum runs
+in fixed point on Python integers (_tail_sum).  For x = w T <= 4, as
+every frequency of a sinc product has (x <= pi), one run of x^k / k! gives e^(i x) and E_1(-i x) from its
 power series (DLMF 6.6.2), with one logarithm per frequency, and E_p
 follows by the recurrence in p (DLMF 8.19.12); the kernel's faster
 frequencies seed E_1 from mp.expint.  For sinc products the terms are
@@ -48,16 +51,18 @@ Sums of sinc products over the integers work the same way: m below N
 is summed directly, term by term in fixed point on Python integers
 (each e^(i a_k m) is turned by e^(i a_k) once per m, with no sine
 call per term), and past N the summand is exactly a trigonometric
-sum over m^p whose frequencies, summed and reduced modulo 2 pi without
-rounding, are merged and conjugate-paired as for integrals.  Each term
-sum_{m>=N} z^m m^(-p) takes a few steps of summation by parts
+sum over m^p, expanded as for integrals, whose frequencies, on the
+grid of the scales and of pi, are reduced modulo 2 pi in integers and
+merged and conjugate-paired; only the few merged terms become mpf.
+Each term sum_{m>=N} z^m m^(-p) takes a few steps of summation by parts
 (DLMF 2.10(ii)), in fixed point over forward differences of m^(-p)
 formed exactly in integers; as m^(-p) is completely monotone, the
 remainder is at most the last term kept, so the tail bound is
 rigorous.  A frequency at z = 1 up to
 rounding takes the Hurwitz zeta(p, N) plus a bound for its drift.  N
 scales as 1 / min |1 - z| and is a few hundred on the paper's
-examples.  The loops of a sum live in oracle_sums.
+examples.  The expansion that both tails share and the loops of a sum
+live in oracle_sums.
 """
 
 from __future__ import annotations
@@ -70,19 +75,14 @@ from types import SimpleNamespace
 import mpmath as mp
 from mpmath import mpc, mpf
 
-from . import InfeasibleError
-from .oracle_sums import _by_parts, _drift_bound, _fixed, _head, _near_prefix
+from .oracle_sums import (ToleranceUnreachableError, _by_parts, _drift_bound, _expand, _fixed, _head,
+                          _merge_frequencies, _near_prefix, _nearest)
 from .rational import rat
 
 DEFAULT_PREC_BITS = 128
 
 MAX_ORACLE_WORK = 120_000  # work units of one integral or sum, charged where the work is counted
 KERNEL_TAIL_START = 4
-
-
-class ToleranceUnreachableError(InfeasibleError):
-    """An integral's error bound exceeds the requested tolerance, or
-    an integral or a sum needs more work than MAX_ORACLE_WORK."""
 
 
 @dataclass(frozen=True)
@@ -198,50 +198,6 @@ def _kernel_terms(a, J):
     return out
 
 
-def _expand(factors, budget):
-    """Terms (c, w, p) of the product of factors, each a list of terms
-    (c, w, p) of c e^(i w t) t^(-p), with equal (w, p) merged, and the
-    number of terms formed.  Raises ToleranceUnreachableError before a
-    factor's terms would take that number past budget."""
-    terms, formed = {(mpf(0), 0): mpc(1)}, 0
-    for factor in factors:
-        formed += len(terms) * len(factor)
-        if formed > budget:
-            raise ToleranceUnreachableError("the tail needs more terms than the %d the work cap leaves" % budget)
-        product = {}
-        for (w, p), c in terms.items():
-            for c2, w2, p2 in factor:
-                # keyed by the exact sum, so a + 1 - 1 and a - 1 + 1 merge
-                key = mp.fadd(w, w2, exact=True), p + p2
-                product[key] = product.get(key, 0) + c * c2
-        terms = product
-    return [(c, w, p) for (w, p), c in terms.items()], formed
-
-
-def _merge_frequencies(terms, period=None):
-    """Merged terms (c, w, p) of a real sum of c e^(i w x) x^(-p).
-
-    The sum is real, so it equals the real part of the sum over the
-    returned terms, in which equal (w, p) are merged and each conjugate
-    pair shares one frequency: Re(c e^(i w x)) = Re(conj(c) e^(-i w x)).
-    Frequencies are folded onto w >= 0; with a period (2 pi, for integer
-    x) they are first reduced modulo it and folded into
-    [0, period / 2].  Both are exact, so frequencies one modulo the period
-    meet, and their coefficients cancel where the summand vanishes (a
-    scale pi).  Zero coefficients are dropped.
-    """
-    merged = {}
-    for c, w, p in terms:
-        if period is not None:
-            w = mp.fsub(w, mp.fmul(period, mp.floor(w / period), exact=True), exact=True)
-            if 2 * w > period:
-                c, w = mp.conj(c), mp.fsub(period, w, exact=True)
-        elif w < 0:
-            c, w = mp.conj(c), mp.fneg(w, exact=True)
-        merged[w, p] = merged.get((w, p), 0) + c
-    return [(c, w, p) for (w, p), c in merged.items() if c != 0]
-
-
 def _tail(factors, T, budget):
     """integral_T^inf of the product of factors, exact to precision: the
     integer _tail_sum forms, divided once.  Terms of size up to
@@ -263,11 +219,12 @@ def _tail_sum(factors, T, budget):
     """(S, P): integral_T^inf of the product of factors as S 2^(-2P),
     P = prec + 16, on Python integers.
 
-    A merged term (c, w, p) of the product gives Re(C E_p(-i x)),
-    C = c T^(1-p) rounded to P bits once and x = w T taken exactly, and
-    S sums them exactly.  For x <= 4 one run of t_k = x^k / k!, floored
-    from t_0 = 2^P until it reaches 0, gives e^(ix) and
-    E_1(-ix) = -gamma - ln x + i pi / 2 - sum_(k>=1) (ix)^k / (k k!)
+    A merged term (W, p) of the product (_expand, _merge_frequencies),
+    of frequency w = W 2^-ew and coefficient c, gives Re(C E_p(-i x)),
+    C = c T^(1-p) rounded to P bits once and x = W 2^-ew T an exact
+    integer quotient, and S sums them exactly.  For x <= 4 one run of
+    t_k = x^k / k!, floored from t_0 = 2^P until it reaches 0, gives
+    e^(ix) and E_1(-ix) = -gamma - ln x + i pi / 2 - sum_(k>=1) (ix)^k / (k k!)
     (DLMF 6.6.2) with one mp.log; past 4, where the series would cancel
     from e^x, mp.expint and mp.expj give them.  Then
     p E_(p+1) = e^(ix) + i x E_p (DLMF 8.19.12), which at x = 0 gives
@@ -279,24 +236,28 @@ def _tail_sum(factors, T, budget):
     terms past it weigh at most 2 e_K.  So e^(ix) and E_1 are off by at
     most h = 6 K + 9, with one ulp for gamma + ln x and pi / 2 (h = 9 from
     mpmath), and E_p by e_1 = h, e_(p+1) = (h + x e_p) / p + 2, as a
-    step floors each part once (e_p = 1 at x = 0).  A merged C takes at
-    most n + m - 2 roundings of P bits in _expand and _merge_frequencies,
-    for n factors and m terms merged into it, less than one for T^(1-p)
-    and one ulp in fixed point, and |E_p(-i x)| <= 1 / (p - 1) for p >= 2
-    (|ln x| + 3 for p = 1).  So S 2^-2P is off by at most the sum over
-    merged terms of ((n + m - 1) s + 1) |E_p| + s e_p ulp, s the sum over
-    its m terms of |c|_1 T^(1-p), |c|_1 the product of the factors'
-    |re c| + |im c|.
+    step floors each part once (e_p = 1 at x = 0).  _expand rounds each
+    factor's c once, within u = 2^(e - P) in |re c| + |im c| (|c|_1) for
+    2^e above the factor's largest part, and multiplies and merges
+    exactly.  Over the terms merged into one (w, p), let s0 and s sum
+    T^(1-p) times the products of their factors' |c|_1 and of |c|_1 + u:
+    C is then off by at most d = (s - s0) 2^P from _expand, s from
+    T^(1-p) at P + 20 bits and one from its nearest integer.
+    |E_p(-i x)| <= 1 / (p - 1) for p >= 2 (|ln x| + 3 for p = 1), so
+    S 2^-2P is off by at most the sum over merged terms of
+    (d + s + 1) |E_p| + (s + 1) e_p ulp.
     """
     with mp.extraprec(16):
         P, S, by_w = mp.mp.prec, 0, {}
-        terms = _merge_frequencies(_expand(factors, budget)[0])
+        terms, ew, sc, _ = _expand(factors, P, budget)
         with mp.workprec(P + 20):
-            for c, w, p in terms:
-                by_w.setdefault(w, {})[p] = _fixed(c * T ** (1 - p), P)
-            for w, cs in by_w.items():
-                x = mp.fmul(w, T, exact=True)
-                num, shift = x.man << max(x.exp, 0), max(-x.exp, 0)
+            terms = _merge_frequencies(terms)
+            powers = {p: T ** (1 - p) for p in {p for _, p in terms}}
+            for (W, p), c in terms.items():
+                by_w.setdefault(W, {})[p] = [_nearest(v * powers[p].man, sc - powers[p].exp - P) for v in c]
+            for W, cs in by_w.items():
+                num, shift = W * T.man << max(T.exp - ew, 0), max(ew - T.exp, 0)
+                x = mp.ldexp(num, -shift)
                 if num <= 4 << shift:
                     # t_k by fours, as i^k turns: e^(ix) = er + i ei, and
                     # the sum of (ix)^k / (k k!) is br + i bi
@@ -526,10 +487,11 @@ def numeric_sum(
     m = 1 .. N - 1 are summed directly (truncation_m = N - 1).  For
     m >= N the summand is exactly m^(-p) times the real part of
     sum_j c_j z_j^m, z_j = e^(i w_j), with the frequencies of the sinc
-    factors (_expand) folded onto w >= 0, shifted by pi when alternating,
-    reduced modulo 2 pi and merged (_merge_frequencies).  Frequencies next to z = 1 (exact
-    resonances, up to the rounding of the scales) take the Hurwitz
-    zeta(p, N), and their drift |e^(i w m) - 1| <= min(2, w m) goes
+    factors (_expand, integers on the grid of the scales and pi) folded
+    onto w >= 0, shifted by pi when alternating, reduced modulo 2 pi and
+    merged, all exactly (_merge_frequencies).  Frequencies next to
+    z = 1 (exact resonances, up to the rounding of the scales) take the
+    Hurwitz zeta(p, N), and their drift |e^(i w m) - 1| <= min(2, w m) goes
     into the bound, as long as it fits in half of the tolerance.  The
     others take the summation-by-parts expansion of _by_parts, and N
     is set by the smallest |1 - z| among them.  Work past
@@ -552,13 +514,11 @@ def numeric_sum(
         a_mp = [mpf(a) for a in rs.scales]
         # the bound covers the sum over m >= 1, which the two-sided sum doubles
         tol = mpf(abs_tol) if one_sided else mpf(abs_tol) / 2
-        shift = mp.pi if alternating else 0
-        terms, formed = _expand([_sinc_terms(a) for a in a_mp], MAX_ORACLE_WORK // 2)
+        terms, ew, S, formed = _expand([_sinc_terms(a) for a in a_mp], mp.mp.prec, MAX_ORACLE_WORK // 2, +mp.pi)
         budget = MAX_ORACLE_WORK - 2 * formed
-        # each conjugate pair folds exactly here, not one rounding apart after the reduction mod 2 pi;
-        # (-1)^m = e^(i pi m) is real, so the alternating shift may follow the fold
-        terms = [(c, mp.fadd(w, shift, exact=True), q) for c, w, q in _merge_frequencies(terms)]
-        freqs = sorted(((c, w) for c, w, _ in _merge_frequencies(terms, 2 * mp.pi)), key=lambda cw: cw[1])
+        pi = int(mp.ldexp(mp.pi, ew))
+        freqs = [(mpc(mp.ldexp(cr, -S), mp.ldexp(ci, -S)), mp.ldexp(W, -ew))
+                 for (W, _), (cr, ci) in sorted(_merge_frequencies(terms, 2 * pi, pi * alternating).items())]
         dists = [abs(1 - mp.expj(w)) for _, w in freqs]
 
         near, N = _near_prefix(freqs, dists, p, tol / 2)

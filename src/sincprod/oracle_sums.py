@@ -1,12 +1,22 @@
-"""The loops of the numeric oracle's sums (numeric_oracle.numeric_sum).
+"""The integer kernels of the numeric oracle: the expansion both tails
+share, and the loops of the sums (numeric_oracle.numeric_sum).
+
+A tail multiplies out a product of factors, finite sums of terms
+c e^(i w t) t^(-p), into up to prod len(factor) terms.  _expand does it
+on Python integers: the frequencies are integers over one power of two,
+so they add exactly, and each factor's coefficients are rounded once to
+Gaussian integers, so products and merges are exact; _merge_frequencies
+folds conjugate pairs together and, for sums over the integers,
+reduces the frequencies modulo 2 pi exactly.  numeric_integral's tail
+and numeric_sum both consume that form.
 
 numeric_sum plans a sum and checks its bound; the work is done here, on
 Python integers where it can be: the head term by term in fixed point
 (_head), the tail by summation by parts over exact forward differences
 (_differences, _by_parts), and the prefix of near-resonant frequencies
 that take the Hurwitz zeta function instead, with its drift bound
-(_near_prefix, _drift_bound, _head_length).  _fixed, the rounding of a
-complex number to fixed point, serves numeric_oracle's integral tail too.
+(_near_prefix, _drift_bound, _head_length).  _fixed and _nearest, the
+roundings to fixed point, serve numeric_oracle's integral tail too.
 """
 
 from __future__ import annotations
@@ -16,6 +26,13 @@ from math import lcm
 
 import mpmath as mp
 from mpmath import mpc, mpf
+
+from . import InfeasibleError
+
+
+class ToleranceUnreachableError(InfeasibleError):
+    """An integral's error bound exceeds the requested tolerance, or
+    an integral or a sum needs more work than MAX_ORACLE_WORK."""
 
 
 def _drift_bound(p, N, delta):
@@ -71,19 +88,75 @@ def _differences(p, N, K):
     return diffs, P
 
 
+def _nearest(n, shift):
+    """The integer n 2^-shift rounded to the nearest, ties to even."""
+    if shift <= 0:
+        return n << -shift
+    q, r = divmod(n, 1 << shift)
+    return q + (2 * r > 1 << shift or 2 * r == 1 << shift and q & 1)
+
+
 def _fixed(z, bits):
     """The complex number z as a pair of integers, its parts times 2^bits
     rounded to the nearest, ties to even (as mp.nint rounds), on the
     parts' mantissas."""
-    out = []
-    for v in (z.real, z.imag):
-        shift = -v.exp - bits
-        if shift <= 0:
-            out.append(v.to_fixed(bits))
-        else:
-            q, r = divmod(v.to_fixed(-v.exp), 1 << shift)
-            out.append(q + (2 * r > 1 << shift or 2 * r == 1 << shift and q & 1))
-    return tuple(out)
+    return tuple(_nearest(v.to_fixed(-v.exp), -v.exp - bits) for v in (z.real, z.imag))
+
+
+def _expand(factors, P, budget, *extra):
+    """The product of factors, each a list of terms (c, w, p) of
+    c e^(i w t) t^(-p), on integers: (terms, ew, S, formed), terms mapping
+    each (W, p) to [Cr, Ci] for the term (Cr + i Ci) 2^-S e^(i W 2^-ew t) t^(-p),
+    and formed the number of terms formed.
+
+    ew is the least exponent that makes every w, and each value of extra,
+    an integer W over 2^ew, so frequencies add exactly and equal (W, p)
+    merge.  Each factor's coefficients are rounded once, to the nearest
+    multiple of 2^(e - P), 2^e above the largest of their parts, so a
+    part is off by at most 2^(e - P - 1); products and sums are then exact.
+    Raises ToleranceUnreachableError before a factor's terms would take
+    formed past budget."""
+    ew = max(-mp.mpmathify(w).exp for w in [*extra, *(w for f in factors for _, w, _ in f)])
+    terms, S, formed = {(0, 0): [1, 0]}, 0, 0
+    for factor in factors:
+        formed += len(terms) * len(factor)
+        if formed > budget:
+            raise ToleranceUnreachableError("the tail needs more terms than the %d the work cap leaves" % budget)
+        sf = P - max(mp.mag(v) for c, _, _ in factor for v in (c.real, c.imag) if v)
+        factor, product, S = [(*_fixed(c, sf), int(mp.ldexp(w, ew)), q) for c, w, q in factor], {}, S + sf
+        for (W, p), (ar, ai) in terms.items():
+            for br, bi, W2, q in factor:
+                c = product.setdefault((W + W2, p + q), [0, 0])
+                c[0] += ar * br - ai * bi
+                c[1] += ar * bi + ai * br
+        terms = product
+    return terms, ew, S, formed
+
+
+def _merge_frequencies(terms, period=0, shift=0):
+    """_expand's terms of a real sum of c e^(i w x) x^(-p), merged.
+
+    The sum is real, so it equals the real part of the sum over the
+    returned terms, in which each conjugate pair shares one frequency:
+    Re(c e^(i w x)) = Re(conj(c) e^(-i w x)).  Frequencies W are folded
+    onto W >= 0; with a period (2 pi, for integer x, on W's grid) they are
+    then shifted by shift (pi, for (-1)^x = e^(i pi x), which is real),
+    reduced modulo the period and folded into [0, period / 2].  All of it
+    is exact, so frequencies one modulo the period meet, and their
+    coefficients cancel where the summand vanishes (a scale pi).  Equal
+    (W, p) are merged and zero coefficients dropped."""
+    merged = {}
+    for (W, p), (cr, ci) in terms.items():
+        if W < 0:
+            W, ci = -W, -ci
+        if period:
+            W = (W + shift) % period
+            if 2 * W > period:
+                W, ci = period - W, -ci
+        c = merged.setdefault((W, p), [0, 0])
+        c[0] += cr
+        c[1] += ci
+    return {key: c for key, c in merged.items() if c != [0, 0]}
 
 
 def _by_parts(freqs, dists, p, N, target):
@@ -101,12 +174,24 @@ def _by_parts(freqs, dists, p, N, target):
     The factors t_k = z^(N+k) / (1 - z)^(k+1) are turned by z / (1 - z)
     in fixed point at Q = prec + K + bitlength(K) + 8 bits, which keep
     each t_k to the working precision although |1 - z| <= 2 shrinks it
-    by up to 2^-K; sum_k t_k P Delta^k g(N) is formed exactly and
-    divided by P 2^Q once.  Returns sum_j Re(c_j * tail_j) and
+    by up to 2^-K; sr + i si = sum_k t_k P Delta^k g(N) 2^Q is formed
+    exactly and divided by P 2^Q once.  Returns sum_j Re(c_j * tail_j) and
     sum_j |c_j| * size_j, or None when the last term kept for some
-    frequency is above target (a longer head is then needed)."""
+    frequency is above target (a longer head is then needed).
+
+    Rounding, in ulp (2^-Q) of sr and si, for a = 1 / |1 - z| = |t_0|, as
+    |z| = 1, and mpmath's operations at Q + 10 bits each within one ulp
+    there (2^-(Q+9), relative).  e^(i w N) / (1 - z), whose phase w N is
+    rounded, is then within (|w N| + a + 4) 2^-(Q+9) of its value,
+    relative, and z / (1 - z) within (a + 4) 2^-(Q+9); rounded to the
+    nearest, t_0 is off by e_0 = sqrt(2) / 2 + a (|w N| + a + 4) 2^-9 and
+    the turn by h = sqrt(2) / 2 + a (a + 4) 2^-9, in modulus.  A turn
+    floors each part once, so e_(k+1) <= (a + h 2^-Q) e_k + a^(k+1) h +
+    sqrt(2), and sr and si are off by at most
+    sqrt(2) sum_(k<kept) e_k |P Delta^k g(N)| together."""
     K = int(N * min(dists)) + 1
     diffs, P = _differences(p, N, K)
+    sizes = [abs(d) for d in diffs]
     Q = mp.mp.prec + K + K.bit_length() + 8
     den = P << Q
     value = bound = mpf(0)
@@ -115,15 +200,17 @@ def _by_parts(freqs, dists, p, N, target):
             z = mp.expj(w)
             (tr, ti), (qr, qi) = _fixed(mp.expj(w * N) / (1 - z), Q), _fixed(z / (1 - z), Q)
         # |term_k| = |Delta^k g(N)| / |1 - z|^(k+1), as |z| = 1, stops shrinking
-        # when |Delta^k g(N)| >= |Delta^(k-1) g(N)| |1 - z|
+        # when |Delta^k g(N)| >= |Delta^(k-1) g(N)| |1 - z|, decided on the
+        # integers of dist = man 2^exp
+        man, up, down = dist.man, max(-dist.exp, 0), max(dist.exp, 0)
         sr = si = kept = 0
         for d in diffs:
-            if kept and abs(d) >= abs(diffs[kept - 1]) * dist:
+            if kept and sizes[kept] << up >= sizes[kept - 1] * man << down:
                 break
             sr, si = sr + tr * d, si + ti * d
             tr, ti = (tr * qr - ti * qi) >> Q, (tr * qi + ti * qr) >> Q
             kept += 1
-        last = mp.fdiv(abs(diffs[kept - 1]), P) / dist**kept
+        last = mp.fdiv(sizes[kept - 1], P) / dist**kept
         if last > target:
             return None
         value += (c * mpc(mp.fdiv(sr, den), mp.fdiv(si, den))).real

@@ -18,11 +18,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sincprod import borwein_engine, cli, numeric_oracle
+from sincprod import borwein_engine, cli, exact_core, numeric_oracle
 from sincprod.borwein_engine import MAX_SAMPLE_POINTS, ExactPathUnavailableError, SincProductSpec, fourier_spline
 from sincprod.exact_core import NonTerminatingSearchError
 from sincprod.numeric_oracle import ToleranceUnreachableError, numeric_sum
-from sincprod.rational import rat
+from sincprod.rational import rat, rat_str
 from sincprod.spline_engine import SplineSizeError
 from sincprod import verify as verify_mod
 
@@ -600,6 +600,38 @@ def test_breakpoint_beyond_max_precision_exits_three(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert json.loads(out)["error"]["type"] == "NonTerminatingSearchError"
+
+
+def test_breakpoint_straddle_past_max_exact_terms_exits_three(capsys, monkeypatch):
+    # t = S_301 exactly: every enclosure of S_301 straddles it, so the search
+    # falls back to the exact sum, which these caps refuse past 300 terms
+    monkeypatch.setattr(exact_core, "EXACT_TERM_CUTOFF", 300)
+    monkeypatch.setattr(exact_core, "MAX_EXACT_TERMS", 300)
+    monkeypatch.setattr(exact_core, "MAX_PRECISION_BITS", 256)
+    with pytest.raises(NonTerminatingSearchError, match="MAX_EXACT_TERMS = 300 terms"):
+        exact_core.breaking_point(exact_core.HarmonicFamily.odd_harmonic(), exact_core.odd_harmonic_sum(301))
+    code, out, err = run_cli(capsys, "breakpoint", "--threshold", rat_str(exact_core.odd_harmonic_sum(301)))
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"error": {
+        "type": "NonTerminatingSearchError",
+        "message": "S_n straddles the threshold at 256 bits for an n of 9 bits; the exact S_n is summed "
+                   "only up to MAX_EXACT_TERMS = 300 terms",
+    }}
+
+
+def test_example5_past_its_error_bound_exits_three(capsys, monkeypatch):
+    # a quadrature head whose bound is 1 leaves the bound plus the truncation
+    # bound past the tolerance, which example5 refuses instead of printing
+    quad_head = numeric_oracle._quad_head
+    monkeypatch.setattr(numeric_oracle, "_quad_head", lambda *args: (quad_head(*args)[0], mp.mpf(1)))
+    with pytest.raises(ToleranceUnreachableError, match="quadrature error bound 1.0 plus truncation bound"):
+        numeric_oracle.example5_integral([0.5], 1)
+    code, out, err = run_cli(capsys, "example5", "--a", "0.5", "--b", "1")
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"error": {
+        "type": "ToleranceUnreachableError",
+        "message": "quadrature error bound 1.0 plus truncation bound 1.4337e-8 exceeds 5e-07",
+    }}
 
 
 def test_breakpoint_threshold_beyond_int_str_limit():

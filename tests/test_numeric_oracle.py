@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -195,16 +196,18 @@ def test_kernel_tail_merge_matches_naive_sum(a, T, J):
 
 
 def _tail_count(factors, T, P):
-    """_tail_sum's rounding count, in units of 2^-P: over the unmerged
-    terms grouped by their folded (w, p), ((n + m - 1) s + 1) |E_p| + s e_p."""
+    """_tail_sum's rounding count, in units of 2^-P: over the unmerged terms
+    grouped by their folded (w, p), (d + s + 1) |E_p| + (s + 1) e_p, with
+    u = 2^(e - P) for each factor, 2^e above the largest part of its c."""
+    us = [mp.ldexp(1, max(mp.mag(v) for c, _, _ in f for v in (c.real, c.imag) if v) - P) for f in factors]
     groups = {}
     for combo in itertools.product(*factors):
         w, p = abs(mp.fsum(term[1] for term in combo)), sum(term[2] for term in combo)
-        l1 = mp.fprod(abs(mp.re(term[0])) + abs(mp.im(term[0])) for term in combo)
-        m, s = groups.get((w, p), (0, 0))
-        groups[w, p] = m + 1, s + l1 * T ** (1 - p)
+        l1 = [abs(mp.re(term[0])) + abs(mp.im(term[0])) for term in combo]
+        s0, s = groups.get((w, p), (0, 0))
+        groups[w, p] = s0 + mp.fprod(l1) * T ** (1 - p), s + mp.fprod(map(sum, zip(l1, us))) * T ** (1 - p)
     count = 0
-    for (w, p), (m, s) in groups.items():
+    for (w, p), (s0, s) in groups.items():
         x, e = w * T, 1
         if w:
             K = 0
@@ -214,7 +217,7 @@ def _tail_count(factors, T, P):
             for q in range(1, p):
                 e = (h + x * e) / q + 2
         size = 1 / mp.mpf(p - 1) if p >= 2 else abs(mp.log(x)) + 3
-        count += ((len(factors) + m - 1) * s + 1) * size + s * e
+        count += (mp.ldexp(s - s0, P) + s + 1) * size + (s + 1) * e
     return count
 
 
@@ -818,6 +821,40 @@ def test_by_parts_matches_the_mpc_loop(p):
             assert abs(bound - want_bound) <= (K + 2) * mp.ldexp(want_bound, 1 - prec)
 
 
+@pytest.mark.parametrize("prec", [128, 300])
+@pytest.mark.parametrize("p", [2, 3, 5, 9])
+def test_by_parts_sums_within_their_rounding_count(monkeypatch, p, prec):
+    # sr and si before their one division, against t_k at 2 Q + 40 bits: within
+    # the docstring's count at its Q, with no slack; w = 3 puts |1 - z| near 2
+    rng = random.Random(13 * p + prec)
+    with mp.workprec(prec):
+        ws = sorted(mp.mpf(10) ** rng.uniform(-2, 0.3) for _ in range(3)) + [mp.mpf(3)]
+        dists = [abs(1 - mp.expj(w)) for w in ws]
+        N = _head_length(p, dists[0])
+        calls, fdiv = [], mp.fdiv
+        monkeypatch.setattr(mp, "fdiv", lambda *args: calls.append(args) or fdiv(*args))
+        _by_parts([(mp.mpc(1), w) for w in ws], dists, p, N, mp.inf)
+        monkeypatch.undo()
+    K = int(N * dists[0]) + 1
+    diffs, P = _differences(p, N, K)
+    Q = prec + K + K.bit_length() + 8
+    sums = [num for num, den in calls if den != P]  # sr and si of each frequency, over P << Q'
+    Q_own = (calls[-1][1] // P).bit_length() - 1
+    for w, dist, sr, si in zip(ws, dists, sums[::2], sums[1::2]):
+        ratio = Fraction(dist.man) * Fraction(2) ** dist.exp
+        kept = next((k for k in range(1, K) if abs(diffs[k]) >= abs(diffs[k - 1]) * ratio), K)
+        with mp.workprec(2 * Q + 40):
+            z, root2 = mp.expj(w), mp.sqrt(2)
+            a, t, q = 1 / abs(1 - z), mp.expj(w * N) / (1 - z), z / (1 - z)
+            e, h = root2 / 2 + a * (abs(w * N) + a + 4) / 512, root2 / 2 + a * (a + 4) / 512
+            want = count = 0
+            for k in range(kept):
+                want, count = want + t * diffs[k], count + e * abs(diffs[k])
+                t, e = t * q, (a + mp.ldexp(h, -Q)) * e + a ** (k + 1) * h + root2
+            error = abs(mp.ldexp(sr, Q - Q_own) - mp.ldexp(want.real, Q)) + abs(mp.ldexp(si, Q - Q_own) - mp.ldexp(want.imag, Q))
+            assert error <= root2 * count, (w, N, kept)
+
+
 @pytest.mark.parametrize(
     "scales, alternating, merged, head",
     [
@@ -847,6 +884,30 @@ def test_sum_with_a_pi_scale_has_no_tail(tokens, alternating):
     # tail are one modulo 2 pi, reduced exactly, so their coefficients cancel
     s = numeric_sum([parse_scale(t) for t in tokens.split(",")], alternating=alternating)
     assert (s.value, s.tail_bound) == (1, 0) and s.truncation_m < 30
+
+
+class _Planned(Exception):
+    pass
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
+def test_sum_frequencies_reduce_into_zero_to_pi(monkeypatch, d):
+    # d scales 2 pi / d: frequencies j 2 pi lie on the period itself, and a
+    # reduction by a rounded quotient w / (2 pi) can leave them a rounding
+    # below 0; reduced exactly, every one lies in [0, pi] at every precision
+    seen = []
+
+    def plan(freqs, *args):
+        seen.append((mp.mp.prec, all(0 <= w <= mp.pi for _, w in freqs)))
+        raise _Planned
+
+    monkeypatch.setattr(numeric_oracle, "_near_prefix", plan)
+    scales = [parse_scale("2pi/%d" % d)] * d
+    for bits in range(128, 400):
+        with pytest.raises(_Planned):
+            # _working_prec(abs_tol) = bits
+            numeric_sum(scales, abs_tol=float(mp.ldexp(0.9, 40 - bits)))
+    assert [prec for prec, inside in seen if not inside] == []
 
 
 def _poisson(betas, alternating):
