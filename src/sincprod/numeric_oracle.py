@@ -28,8 +28,9 @@ each term integral_T^inf e^(i w t) t^(-p) dt equals T^(1-p) E_p(-i w T),
 with E_p the generalized exponential integral (DLMF 8.19), for any
 T > 0.  The product is multiplied out on Python integers (_expand):
 every frequency is an integer over one power of two, so sums of
-frequencies are exact, and each factor's coefficients are rounded once
-to Gaussian integers, so products are exact too.  Equal (w, p) are
+frequencies are exact, and each factor's coefficients, weighted by
+powers of T as their terms weigh in the tail, are rounded once to
+Gaussian integers, so products are exact too.  Equal (w, p) are
 merged, each conjugate pair +-w shares one frequency, and the sum runs
 in fixed point on Python integers (_tail_sum).  For x = w T <= 4, as
 every frequency of a sinc product has (x <= pi), one run of x^k / k! gives e^(i x) and E_1(-i x) from its
@@ -221,7 +222,7 @@ def _tail_sum(factors, T, budget):
 
     A merged term (W, p) of the product (_expand, _merge_frequencies),
     of frequency w = W 2^-ew and coefficient c, gives Re(C E_p(-i x)),
-    C = c T^(1-p) rounded to P bits once and x = W 2^-ew T an exact
+    C = c T^(1-p) in units of 2^-P and x = W 2^-ew T an exact
     integer quotient, and S sums them exactly.  For x <= 4 one run of
     t_k = x^k / k!, floored from t_0 = 2^P until it reaches 0, gives
     e^(ix) and E_1(-ix) = -gamma - ln x + i pi / 2 - sum_(k>=1) (ix)^k / (k k!)
@@ -236,25 +237,36 @@ def _tail_sum(factors, T, budget):
     terms past it weigh at most 2 e_K.  So e^(ix) and E_1 are off by at
     most h = 6 K + 9, with one ulp for gamma + ln x and pi / 2 (h = 9 from
     mpmath), and E_p by e_1 = h, e_(p+1) = (h + x e_p) / p + 2, as a
-    step floors each part once (e_p = 1 at x = 0).  _expand rounds each
-    factor's c once, within u = 2^(e - P) in |re c| + |im c| (|c|_1) for
-    2^e above the factor's largest part, and multiplies and merges
-    exactly.  Over the terms merged into one (w, p), let s0 and s sum
-    T^(1-p) times the products of their factors' |c|_1 and of |c|_1 + u:
-    C is then off by at most d = (s - s0) 2^P from _expand, s from
-    T^(1-p) at P + 20 bits and one from its nearest integer.
+    step floors each part once (e_p = 1 at x = 0).  _expand takes each
+    term weighted by T^(q - p), c' = c T^(q - p) at P + 20 bits for q the
+    least p of its factor, so a factor is rounded at P bits below the
+    largest term it brings to the tail, not below its largest c (a kernel
+    factor's c grow as a^(-2j) while its terms shrink as (a T)^(-2j)); a
+    factor whose terms share one p keeps its c as they are.  It rounds
+    each factor's c' once, within u = 2^(e - P) (1 + 2^-16) in
+    |re c'| + |im c'| (|c'|_1) for 2^e above the factor's largest part,
+    the weighting's roundings included, and multiplies and merges
+    exactly.  Let R = T^(1 - sum of the q), at P + 20 bits, and over the
+    terms merged into one (w, p) let s0 and s sum R times the products
+    of their factors' |c'|_1 and of |c'|_1 + u: C, the merged sum times
+    R, is then off by at most d = (s - s0) 2^P from _expand, s 2^-19
+    from R and one from its nearest integer, and |C| <= s + 2^-P.
     |E_p(-i x)| <= 1 / (p - 1) for p >= 2 (|ln x| + 3 for p = 1), so
     S 2^-2P is off by at most the sum over merged terms of
-    (d + s + 1) |E_p| + (s + 1) e_p ulp.
+    (d + s 2^-19 + 1) |E_p| + (s + 2^-P) e_p ulp.
     """
     with mp.extraprec(16):
         P, S, by_w = mp.mp.prec, 0, {}
-        terms, ew, sc, _ = _expand(factors, P, budget)
         with mp.workprec(P + 20):
-            terms = _merge_frequencies(terms)
-            powers = {p: T ** (1 - p) for p in {p for _, p in terms}}
-            for (W, p), c in terms.items():
-                by_w.setdefault(W, {})[p] = [_nearest(v * powers[p].man, sc - powers[p].exp - P) for v in c]
+            weighted, p0 = [], 1
+            for factor in factors:
+                q = min(q for _, _, q in factor)
+                weighted.append([(c * T ** (q - p) if p > q else c, w, p) for c, w, p in factor])
+                p0 -= q
+            terms, ew, sc, _ = _expand(weighted, P, budget)
+            R = T**p0
+            for (W, p), c in _merge_frequencies(terms).items():
+                by_w.setdefault(W, {})[p] = [_nearest(v * R.man, sc - R.exp - P) for v in c]
             for W, cs in by_w.items():
                 num, shift = W * T.man << max(T.exp - ew, 0), max(ew - T.exp, 0)
                 x = mp.ldexp(num, -shift)

@@ -114,6 +114,8 @@ def _expand(factors, P, budget, *extra):
     merge.  Each factor's coefficients are rounded once, to the nearest
     multiple of 2^(e - P), 2^e above the largest of their parts, so a
     part is off by at most 2^(e - P - 1); products and sums are then exact.
+    The rounding is relative to a factor's largest c, so terms of unequal
+    weight come weighted (_tail_sum's by powers of T).
     Raises ToleranceUnreachableError before a factor's terms would take
     formed past budget."""
     ew = max(-mp.mpmathify(w).exp for w in [*extra, *(w for f in factors for _, w, _ in f)])

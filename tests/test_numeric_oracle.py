@@ -197,15 +197,20 @@ def test_kernel_tail_merge_matches_naive_sum(a, T, J):
 
 def _tail_count(factors, T, P):
     """_tail_sum's rounding count, in units of 2^-P: over the unmerged terms
-    grouped by their folded (w, p), (d + s + 1) |E_p| + (s + 1) e_p, with
-    u = 2^(e - P) for each factor, 2^e above the largest part of its c."""
-    us = [mp.ldexp(1, max(mp.mag(v) for c, _, _ in f for v in (c.real, c.imag) if v) - P) for f in factors]
-    groups = {}
+    grouped by their folded (w, p), (d + s 2^-19 + 1) |E_p| + (s + 2^-P) e_p,
+    for the terms weighted c' = c T^(q - p), q the least p of their factor,
+    R = T^(1 - sum of the q) and u = 2^(e - P) (1 + 2^-16) for each factor,
+    2^e above the largest part of its c' at P + 20 bits."""
+    least = [min(p for _, _, p in f) for f in factors]
+    with mp.workprec(P + 20):
+        weighted = [[c * T ** (q - p) for c, _, p in f] for f, q in zip(factors, least)]
+    us = [mp.ldexp(1 + mp.ldexp(1, -16), max(mp.mag(v) for c in f for v in (c.real, c.imag) if v) - P) for f in weighted]
+    R, groups = T ** (1 - sum(least)), {}
     for combo in itertools.product(*factors):
         w, p = abs(mp.fsum(term[1] for term in combo)), sum(term[2] for term in combo)
-        l1 = [abs(mp.re(term[0])) + abs(mp.im(term[0])) for term in combo]
+        l1 = [(abs(mp.re(c)) + abs(mp.im(c))) * T ** (q - p) for (c, _, p), q in zip(combo, least)]
         s0, s = groups.get((w, p), (0, 0))
-        groups[w, p] = s0 + mp.fprod(l1) * T ** (1 - p), s + mp.fprod(map(sum, zip(l1, us))) * T ** (1 - p)
+        groups[w, p] = s0 + mp.fprod(l1) * R, s + mp.fprod(map(sum, zip(l1, us))) * R
     count = 0
     for (w, p), (s0, s) in groups.items():
         x, e = w * T, 1
@@ -217,7 +222,7 @@ def _tail_count(factors, T, P):
             for q in range(1, p):
                 e = (h + x * e) / q + 2
         size = 1 / mp.mpf(p - 1) if p >= 2 else abs(mp.log(x)) + 3
-        count += (mp.ldexp(s - s0, P) + s + 1) * size + (s + 1) * e
+        count += (mp.ldexp(s - s0, P) + mp.ldexp(s, -19) + 1) * size + (s + mp.ldexp(1, -P)) * e
     return count
 
 
@@ -245,8 +250,10 @@ def _sinc_tail_factors(scales, m=None):
         lambda: _sinc_tail_factors([1] * 3 + [mp.mpf(1) / 2] * 3 + [mp.mpf(1) / 3] * 3, 0),
         lambda: ([_sinc_terms(mp.mpf(1)), _kernel_terms(mp.mpf(1) / 2, 2)], mp.mpf(9)),
         lambda: ([_sinc_terms(mp.mpf(1))] + [_kernel_terms(a, 1) for a in (mp.mpf(1) / 2, mp.mpf(3) / 10)], mp.mpf(14)),
+        # a kernel factor's c grow as a^(-2j): 10^18 apart at j = 0 and 9
+        lambda: ([_sinc_terms(mp.mpf(1)), _kernel_terms(mp.mpf(1) / 10, 10)], mp.mpf(40)),
     ],
-    ids=["2", "3", "4", "5-weighted", "7", "8-weighted", "12", "9-weighted", "kernel-9", "kernel-14"],
+    ids=["2", "3", "4", "5-weighted", "7", "8-weighted", "12", "9-weighted", "kernel-9", "kernel-14", "kernel-40"],
 )
 def test_tail_sum_within_its_rounding_count(build, prec):
     # the integer sum before its one division, at P = prec + 16, against the
@@ -1111,6 +1118,18 @@ def test_kernel_at_zero():
 def test_example5_integral_is_pi():
     v = example5_integral(["0.5", "0.3"], 1, tol=1e-6)
     assert abs(v - mp.pi) < 1e-6
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-20])
+@pytest.mark.parametrize(
+    "a, b", [(["355/113000"], "1/7"), (["1/300"], "1/50"), (["0.1"], 1), (["0.05", "0.04"], "1/5")]
+)
+def test_example5_small_scales_is_pi_within_tol(a, b, tol):
+    # a kernel factor's c grow as a^(-2j) while its tail terms shrink as
+    # (a T)^(-2j): the tail keeps precision only if it is rounded by the terms
+    v = example5_integral(a, b, tol=tol)
+    with mp.workprec(128):
+        assert abs(v - mp.pi) <= tol
 
 
 def test_example5_violated_hypothesis_departs_from_pi():
