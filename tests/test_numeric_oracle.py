@@ -204,7 +204,8 @@ def _tail_count(factors, T, P):
     least = [min(p for _, _, p in f) for f in factors]
     with mp.workprec(P + 20):
         weighted = [[c * T ** (q - p) for c, _, p in f] for f, q in zip(factors, least)]
-    us = [mp.ldexp(1 + mp.ldexp(1, -16), max(mp.mag(v) for c in f for v in (c.real, c.imag) if v) - P) for f in weighted]
+    us = [mp.ldexp(1 + mp.ldexp(1, -16), max(mp.mag(v) for c in f for v in (c.real, c.imag) if v) - P)
+          for f in weighted]
     R, groups = T ** (1 - sum(least)), {}
     for combo in itertools.product(*factors):
         w, p = abs(mp.fsum(term[1] for term in combo)), sum(term[2] for term in combo)
