@@ -8,7 +8,9 @@ benchmark workloads at seeds 1 to 3 (``bench/workloads.build``), then
 40 digits and ``verify_theorem1`` reports), each run as the benchmark
 worker runs it (``bench/worker._prepare``), then 150 random ``sum`` and
 ``lower-bound`` requests, the near-resonant sums of d scales 2 pi / d
-and three sums of 8 to 12 factors.  Each argv runs through
+and three sums of 8 to 12 factors, then 91 seeded ``spline-dump``
+requests and 110 ``integral``, ``weighted-integral`` and ``deficit`` requests
+in csv and plain format.  Each argv runs through
 ``cli.main`` in this process; its exit code, stdout and stderr are
 hashed to 16 hex digits, as is each library request's success flag and
 JSON output, and compared, in corpus order, with ``cli_digests.txt``.
@@ -119,10 +121,40 @@ def _resonant_sum_argv() -> list:
                    "--one-sided"]]
 
 
+def _spline_and_format_argv(seed: int = 31) -> list:
+    """spline-dump on 60 specs of 1 to 7 factors drawn from a pool of 1 to 3
+    scales a/d (a <= 3, d <= 9), so single, repeated and non-unit scales occur,
+    on odd-harmonic n = 0 to 11 and on sinc-power n = 1 to 12 and 16 to 40 by 4;
+    then 110 exact requests in csv and plain format, on such specs with a unit
+    scale added half the time, or on a family of n up to 60."""
+    rng = random.Random(seed)
+
+    def betas():
+        pool = ["%d/%d" % (rng.randint(1, 3), rng.randint(1, 9)) for _ in range(rng.randint(1, 3))]
+        return [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+
+    out = [["spline-dump", "--betas", ",".join(betas())] for _ in range(60)]
+    out += [["spline-dump", "--family", "odd-harmonic", "--n", str(n)] for n in range(12)]
+    out += [["spline-dump", "--family", "sinc-power", "--n", str(n)] for n in [*range(1, 13), *range(16, 41, 4)]]
+    for _ in range(110):
+        command = rng.choice(["integral", "weighted-integral", "deficit"])
+        weights = ["--weights", str(rng.randint(command == "weighted-integral", 3))] if command != "integral" else []
+        if rng.random() < 0.4:
+            family = rng.choice(["odd-harmonic", "sinc-power"])
+            # odd-harmonic F at 2 needs seconds to minutes of DP past n = 20
+            top = 20 if family == "odd-harmonic" and weights[1:] in ([], ["0"]) else 60
+            spec = ["--family", family, "--n", str(rng.randint(1, top))]
+        else:
+            spec = ["--betas", ",".join(betas() + ["1"] * (rng.random() < 0.5))]
+        argv = ["--format", rng.choice(["csv", "plain"]), command, *spec, *weights]
+        out.append(argv + ["--digits", str(rng.randint(1, 30))] * (rng.random() < 0.3))
+    return out
+
+
 def corpus() -> list:
     """CLI argv (lists) and library requests (dicts, as bench/workloads writes them)."""
     return (_workload_argv() + _random_exact_argv() + _oracle_library_requests() + _random_sum_argv()
-            + _resonant_sum_argv())
+            + _resonant_sum_argv() + _spline_and_format_argv())
 
 
 def run(request) -> tuple:
