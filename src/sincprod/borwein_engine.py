@@ -11,9 +11,9 @@ form of a B-spline).  This signed knot measure {S: w_S} is the one
 representation of F here.  Scaled by L, the lcm of the scale
 denominators, knots and weights are integers; merging the +-beta_k L
 shifts of each factor into a dict coalesces equal sums, so sinc^n has
-n + 1 knots, not 2^n.  A spec works out L, its integer scales beta_k L
-and D = n! 2^n prod_k beta_k L = L^(n+1) / C once each, from integers
-alone.  Here integral(F) = 2 (that is f(0) = 1) and
+n + 1 knots, not 2^n.  A spec stores its scales as integer pairs and
+works out L, its integer scales beta_k L and D = n! 2^n prod_k beta_k L
+= L^(n+1) / C once each, from the pairs alone.  Here integral(F) = 2 and
 
     integral of f dt             = F(0)
     integral of W_m(t) f(t) dt   = 2 * (F(1) + F(3) + ... + F(2m+1))
@@ -32,8 +32,8 @@ over the measure, scales sorted descending, dropping each entry s whose
 largest completion s + (remaining scales) stays at or below x L for the
 lowest point x.  Each surviving knot adds to every point it passes.
 Near the support edge only O(n) entries survive, which makes the
-57-factor deficit instant.  The exported spline takes its pieces from
-suffix moments of the full measure.
+57-factor deficit instant.  The exported spline takes its pieces right of 0
+from suffix moments of the full measure, and mirrors them: F is even.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import InfeasibleError
-from .rational import Rat, rat, rat_str, to_decimal
+from .rational import Rat, rat, rat_str, ratio_str, to_decimal
 from .spline_engine import PiecewisePolynomial, SplineSizeError
 
 NODE_BUDGET_DEFAULT = 4 * 10**6  # pruned knot entries per request (2-3 us each), or spline words (about 1 us)
@@ -69,63 +69,69 @@ class ExactPathUnavailableError(InfeasibleError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SincProductSpec:
-    """Scale factors beta_k > 0 of f(t) = prod_k sinc(beta_k pi t)."""
+    """Scale factors beta_k > 0 of f(t) = prod_k sinc(beta_k pi t), read by rat, or given as their
+    integer pairs (p, q) in lowest terms, q > 0: the pairs alone are stored and decide equality and
+    hash.  The rest derives from them when first read: L, the integer scales, R, D and betas as Rat."""
 
-    betas: tuple
+    pairs: tuple
 
-    def __post_init__(self):
-        betas = tuple(rat(b) for b in self.betas)
-        if not betas:
+    def __init__(self, betas=(), pairs=()):
+        pairs = tuple(pairs) or tuple((b.numerator, b.denominator) for b in map(rat, betas))
+        if not pairs:
             raise ValueError("at least one scale factor is required")
-        if any(b.numerator <= 0 for b in betas):
+        if any(p <= 0 for p, _ in pairs):
             raise ValueError("scale factors must be positive")
-        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def odd_harmonic(cls, n: int) -> "SincProductSpec":
         if not 0 <= n <= MAX_FAMILY_SIZE:
             raise ValueError("n must be >= 0" if n < 0 else "n must be at most %d" % MAX_FAMILY_SIZE)
-        return cls(tuple(Rat(1, 2 * k + 1) for k in range(n + 1)))
+        return cls(pairs=tuple((1, 2 * k + 1) for k in range(n + 1)))
 
     @classmethod
     def sinc_power(cls, n: int) -> "SincProductSpec":
         if not 1 <= n <= MAX_FAMILY_SIZE:
             raise ValueError("n must be >= 1" if n < 1 else "n must be at most %d" % MAX_FAMILY_SIZE)
-        return cls((rat(1),) * n)
+        return cls(pairs=((1, 1),) * n)
+
+    @cached_property
+    def betas(self):
+        return tuple(Rat(p, q) for p, q in self.pairs)
 
     @cached_property
     def scaled_radius(self):
         """(R L, L): the support radius R over the lcm L of the scale denominators, merged by
         halves (1.0 s at 10^5 odd-harmonic scales; a running lcm and sum take 22 s)."""
-        def merge(betas):
-            if len(betas) <= 16:  # a short run is cheaper summed straight
-                L = math.lcm(*(b.denominator for b in betas))
-                return sum(b.numerator * (L // b.denominator) for b in betas), L
-            (S1, L1), (S2, L2) = merge(betas[: len(betas) // 2]), merge(betas[len(betas) // 2 :])
+        def merge(pairs):
+            if len(pairs) <= 16:  # a short run is cheaper summed straight
+                L = math.lcm(*(q for _, q in pairs))
+                return sum(p * (L // q) for p, q in pairs), L
+            (S1, L1), (S2, L2) = merge(pairs[: len(pairs) // 2]), merge(pairs[len(pairs) // 2 :])
             L = math.lcm(L1, L2)
             return S1 * (L // L1) + S2 * (L // L2), L
-        return merge(self.betas)
+        return merge(self.pairs)
 
     @cached_property
     def integer_form(self):
         """(L, scales): the lcm L of the scale denominators, the integers beta_k L."""
         L = self.scaled_radius[1]
-        return L, tuple(b.numerator * (L // b.denominator) for b in self.betas)
+        return L, tuple(p * (L // q) for p, q in self.pairs)
 
     @cached_property
     def knot_denominator(self):
         """D = n! 2^n prod_k beta_k L (apart from integer_form: no support check needs it).
         C = L^(n+1) / D, and F(x) = L sum_{s > xL} w_s (q s - p)^n / (q^n D) for xL = p/q."""
-        n = len(self.betas) - 1
+        n = len(self.pairs) - 1
         return math.factorial(n) * 2**n * math.prod(self.integer_form[1])
 
     def support_radius(self):
         return Rat(*self.scaled_radius)
 
     def has_unit_scale(self) -> bool:
-        return any(b == 1 for b in self.betas)
+        return (1, 1) in self.pairs
 
 
 @dataclass(frozen=True)
@@ -159,9 +165,13 @@ class EvalReport:
 
     def to_dict(self, command: str, spec: SincProductSpec, weights: CosineWeightSpec | None = None) -> dict:
         exact, deficit = rat_str(self.exact_value), self.deficit  # a deficit report renders its value once
+        try:  # the pairs are in lowest terms
+            spec_strs = ["%d/%d" % pair for pair in spec.pairs]
+        except ValueError:  # past the int/str digit limit
+            spec_strs = [ratio_str(p, q, 1) for p, q in spec.pairs]
         return {
             "command": command,
-            "spec": [rat_str(b) for b in spec.betas],
+            "spec": spec_strs,
             "weights": weights.m if weights is not None else None,
             "exact": exact,
             "decimal": self.decimal,
@@ -177,20 +187,18 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def fourier_spline(spec: SincProductSpec) -> PiecewisePolynomial:
-    """Normalized transform F of the sinc product, as an exact spline.
+def _spline_rows(spec: SincProductSpec, cell, neg):
+    """(breakpoints, pieces) of the normalized transform F, ascending: breakpoints cell(s, L), and
+    F(x) = sum_k c_k x^k on a piece, c_k = cell(numerator, D) with trailing zeros trimmed, formed
+    right of 0 alone: F is even, so the mirror of a piece has the coefficients (-1)^k c_k (neg).
 
-    Breakpoints are all signed sums of the scales, weight-0 knots
-    included.  Walking the knots right to left, the piece left of knot
-    s_j has the coefficient of x^k equal to
-    C binom(n, k) (-1)^k m_(n-k) / L^(n-k), with the integer suffix
-    moments m_i = sum_{s >= s_j} w_s s^i.  Before any knot is merged the
-    build is priced in 64-bit words, as _sample_report prices the integer
-    form: prod (m_i + 1) - 1 pieces (m_i the multiplicities of the distinct scales)
-    times n + 1 coefficients times the words of D, refused past NODE_BUDGET_DEFAULT (SplineSizeError).
-    """
-    n, count = len(spec.betas) - 1, 1
-    for mult in Counter(spec.betas).values():
+    Breakpoints are all signed sums of the scales, weight-0 knots included.  Walking the knots right to
+    left, the piece left of knot s_j has c_k = binom(n, k) (-1)^k L^(k+1) m_(n-k) / D, with the integer
+    suffix moments m_i = sum_{s >= s_j} w_s s^i.  The build is priced before any knot is merged, in 64-bit
+    words as _sample_report prices the integer form: prod (m_i + 1) - 1 pieces (m_i the multiplicities of
+    the distinct scales) x (n + 1) coefficients x the words of D, past NODE_BUDGET_DEFAULT a SplineSizeError."""
+    n, count = len(spec.pairs) - 1, 1
+    for mult in Counter(spec.pairs).values():
         count *= mult + 1
         words = (count - 1) * (n + 1)
         if words > NODE_BUDGET_DEFAULT:  # past the cap at one word of D, which is then never formed
@@ -211,14 +219,29 @@ def fourier_spline(spec: SincProductSpec) -> PiecewisePolynomial:
     order = sorted(knots)
     factors = [(-1) ** k * math.comb(n, k) * L ** (k + 1) for k in range(n + 1)]
     moments = [0] * (n + 1)
-    pieces = []
-    for s in reversed(order[1:]):
+    half = []  # the pieces from the support edge in to the middle one
+    for s in reversed(order[(len(order) + 1) // 2 :]):
         term = knots[s]
         for i in range(n + 1):
             moments[i] += term
             term *= s
-        pieces.append(tuple(Rat(f * moments[n - k], D) for k, f in enumerate(factors)))
-    return PiecewisePolynomial(tuple(Rat(s, L) for s in order), tuple(reversed(pieces)))
+        cs = [f * moments[n - k] for k, f in enumerate(factors)]
+        while len(cs) > 1 and not cs[-1]:
+            cs.pop()
+        half.append([cell(c, D) for c in cs])
+    left = [[neg(c) if k & 1 else c for k, c in enumerate(p)] for p in half[: (len(order) - 1) // 2]]
+    return [cell(s, L) for s in order], left + half[::-1]
+
+
+def fourier_spline(spec: SincProductSpec) -> PiecewisePolynomial:
+    """Normalized transform F of the sinc product, as an exact spline."""
+    return PiecewisePolynomial(*_spline_rows(spec, Rat, Rat.__neg__))
+
+
+def spline_csv(spec: SincProductSpec) -> list:
+    """The lines of fourier_spline(spec).to_csv(), each cell rendered from its integers after one gcd."""
+    knots, pieces = _spline_rows(spec, ratio_str, lambda c: c[1:] if c[0] == "-" else c if c == "0/1" else "-" + c)
+    return ["%s,%s,%s\n" % (a, b, ",".join(p)) for a, b, p in zip(knots, knots[1:], pieces)]
 
 
 def edge_polynomial(spec: SincProductSpec):
@@ -293,7 +316,7 @@ def _point_eval_pruned_stats(spec, xs, node_budget=NODE_BUDGET_DEFAULT):
                         break
                     acc[j] += w * (q * s - p) ** n
     # D multiplies n + 1 integer scales, seconds at n in the thousands: formed once the budget admits the request
-    return [1 / (2 * x) if spec.betas == (x,) else Rat(L * a, q**n * spec.knot_denominator)
+    return [1 / (2 * x) if spec.pairs == ((x.numerator, q),) else Rat(L * a, q**n * spec.knot_denominator)
             for x, (_, q), a in zip(xs, pqs, acc)], stats
 
 
@@ -319,7 +342,7 @@ def _sample_report(spec, top, digits, node_budget, as_deficit=False) -> EvalRepo
     edge = math.floor(radius)  # a point exactly at the radius may carry a jump
     unit = spec.has_unit_scale()
     points = _sample_points(top + 2, edge) if unit else _sample_points(top % 2, min(top, edge))
-    words, cap = len(spec.betas) * spec.scaled_radius[1].bit_length() // 64, max(node_budget, NODE_BUDGET_DEFAULT)
+    words, cap = len(spec.pairs) * spec.scaled_radius[1].bit_length() // 64, max(node_budget, NODE_BUDGET_DEFAULT)
     if points and words > cap:
         raise ExactPathUnavailableError("exact path unavailable: the integer form takes %d words, past the node budget "
                                         "%d; use the numeric oracle (sincprod.numeric_oracle) instead" % (words, cap))

@@ -8,6 +8,7 @@ and meets Rat at the report boundary.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ def rat(value, den=None):
         _allow_digits(len(s))
         if "/" in s:
             p, q = s.split("/", 1)
-            return Rat(int(p)) / Rat(int(q))
+            return Rat(int(p), int(q))
         if "." in s or "e" in s or "E" in s:
             return Fraction(s)
         return Rat(int(s))
@@ -56,10 +57,16 @@ def rat_str(x) -> str:
     """Serialize as "p/q", always including the denominator."""
     if type(x) is not Rat:
         x = rat(x)
+    return ratio_str(x.numerator, x.denominator, 1)
+
+
+def ratio_str(p: int, q: int, g: int = 0) -> str:
+    """rat_str(Rat(p, q)) for integers p and q > 0, over g or else their gcd, with no Rat."""
+    g = g or math.gcd(p, q)
     try:
-        return "%d/%d" % (x.numerator, x.denominator)
+        return "%d/%d" % (p // g, q // g)
     except ValueError:  # past the int/str digit limit
-        return int_str(x.numerator) + "/" + int_str(x.denominator)
+        return int_str(p // g) + "/" + int_str(q // g)
 
 
 def _decimal_exponent(p: int, q: int) -> int:

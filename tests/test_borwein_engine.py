@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from sincprod.borwein_engine import (
     integral_exact,
     point_eval_pruned,
     sinc_power_breaking,
+    spline_csv,
     weighted_integral_exact,
 )
 from sincprod.exact_core import odd_harmonic_sum
@@ -83,6 +85,47 @@ def test_family_size_refused_before_any_tuple(build):
     assert time.perf_counter() - t0 < 1
 
 
+@pytest.mark.parametrize("family, n", [("odd_harmonic", n) for n in (0, 1, 7, 60)] + [("sinc_power", n) for n in (1, 2, 9)])
+def test_family_spec_equals_spec_of_its_fractions(family, n):
+    # a family spec is built from integer pairs, the other from Fractions
+    # through rat; no derived quantity may tell them apart
+    spec = getattr(SincProductSpec, family)(n)
+    betas = tuple(Fraction(1, 2 * k + 1) for k in range(n + 1)) if family == "odd_harmonic" else (Fraction(1),) * n
+    plain = SincProductSpec(betas)
+    assert spec == plain and hash(spec) == hash(plain) and spec.pairs == plain.pairs
+    for name in ("betas", "integer_form", "scaled_radius", "knot_denominator"):
+        assert getattr(spec, name) == getattr(plain, name), name
+    assert spec.support_radius() == plain.support_radius() == sum(betas)
+    assert spec.has_unit_scale() and plain.has_unit_scale()
+    weights = CosineWeightSpec(1)
+    report = weighted_integral_exact(spec, weights)
+    assert report.to_dict("weighted-integral", spec, weights) == report.to_dict("weighted-integral", plain, weights)
+    assert report.to_dict("x", spec)["spec"] == ["%d/%d" % (b.numerator, b.denominator) for b in betas]
+
+
+def test_spec_pairs_are_lowest_terms():
+    spec = SincProductSpec((rat(2, 6), "4/2", 3, "-4/-8"))
+    assert spec.pairs == ((1, 3), (2, 1), (3, 1), (1, 2)) and spec.betas == (rat(1, 3), 2, 3, rat(1, 2))
+    assert SincProductSpec(("2/2", "1/3")).has_unit_scale() and not SincProductSpec(("2/3",)).has_unit_scale()
+    assert SincProductSpec(pairs=spec.pairs) == spec and eval(repr(spec), {"SincProductSpec": SincProductSpec}) == spec
+    with pytest.raises(ValueError, match="positive"):
+        SincProductSpec(pairs=((1, 1), (0, 1)))
+
+
+def test_spec_and_spline_text_past_the_int_str_digit_limit():
+    # a scale of 5,001 digits prints whole, as rat_str prints it, in the
+    # report's spec and in the spline's cells
+    saved = sys.get_int_max_str_digits()
+    spec = SincProductSpec((Fraction(1, 10**5000), 1))
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert integral_exact(spec).to_dict("integral", spec)["spec"] == ["1/1" + "0" * 5000, "1/1"]
+        sys.set_int_max_str_digits(4300)
+        assert "".join(spline_csv(spec)) == fourier_spline(spec).to_csv()
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_largest_family_is_built():
     assert len(SincProductSpec.odd_harmonic(borwein_engine.MAX_FAMILY_SIZE).betas) == 100_001
 
@@ -117,6 +160,27 @@ def test_spline_matches_box_convolution_csv():
     for spec in specs:
         assert fourier_spline(spec).to_csv() == reference_spline(spec).to_csv(), spec.betas
     assert rat(0) in fourier_spline(specs[0]).breakpoints
+
+
+def _csv_corpus():
+    """Seeded specs of 1 to 7 scales from a pool of up to 3, plus a weight-0 knot
+    at 0 (1, 1, 2), pieces whose top coefficients vanish (1, 1/3: a constant
+    middle piece), one box, and a repeated non-unit scale."""
+    rng = random.Random(31)
+    specs = [SincProductSpec(b) for b in [(1, 1, 2), (1, rat(1, 3)), (rat(2, 3),), (rat(2, 5),) * 4]]
+    for _ in range(40):
+        pool = [rat(rng.randint(1, 3), rng.randint(1, 9)) for _ in range(rng.randint(1, 3))]
+        specs.append(SincProductSpec(tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))))
+    return specs
+
+
+def test_integer_row_csv_matches_both_spline_paths():
+    specs, trimmed = _csv_corpus(), 0
+    for spec in specs:
+        F = fourier_spline(spec)
+        assert "".join(spline_csv(spec)) == F.to_csv() == reference_spline(spec).to_csv(), spec.betas
+        trimmed += any(len(p) < len(spec.pairs) for p in F.pieces)
+    assert trimmed > 1 and rat(0) in fourier_spline(specs[0]).breakpoints
 
 
 def test_spline_size_guard_redirects():

@@ -299,6 +299,33 @@ def test_spline_dump_round_trips(capsys, tmp_path):
     assert target.read_text() == fourier_spline(SincProductSpec((rat(1), rat(1, 3), rat(1, 5)))).to_csv()
 
 
+@pytest.mark.parametrize("betas", ["1,1/3,1/5", "1,1,2", "2/3", "1/3,1/3,1/7,1", "1/2,1/3,1/4,1/5,1/6,1/7"])
+def test_spline_dump_output_file_matches_stdout(capsys, tmp_path, betas):
+    target = tmp_path / "spline.csv"
+    assert run_cli(capsys, "spline-dump", "--betas", betas, "--output", str(target)) == (0, "", "")
+    code, out, _ = run_cli(capsys, "spline-dump", "--betas", betas)
+    assert code == 0 and target.read_bytes() == out.encode()
+    assert out == fourier_spline(SincProductSpec(betas.split(","))).to_csv()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["integral", "--betas=1/0"], "cannot read rational '1/0': division by zero"),
+     (["integral", "--betas=1,1/-3"], "scale factors must be positive"),
+     (["integral", "--betas=-0/5"], "scale factors must be positive"),
+     (["breakpoint", "--threshold=1/0"], "cannot read rational '1/0': division by zero"),
+     (["breakpoint", "--threshold=1/-3"], "threshold must be positive"),
+     (["breakpoint", "--threshold=-0/5"], "threshold must be positive")],
+)
+def test_p_over_q_errors_keep_their_message(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", "usage error: %s\n" % message)
+
+
+def test_p_over_q_with_spaces_is_read(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "integral", "--betas", " 2/4 ,1")
+    assert code == 0 and json.loads(out)["spec"] == ["1/2", "1/1"]
+
+
 def test_spline_dump_stdout(capsys):
     code, out, _ = run_cli(capsys, "spline-dump", "--betas", "1,1")
     assert code == 0

@@ -19,6 +19,16 @@ def test_rat_parsing():
     assert rat(1, 3) == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("text, want", [("1/0", ZeroDivisionError), ("1/-3", Fraction(-1, 3)), (" 2/4 ", Fraction(1, 2)),
+                                        ("-0/5", Fraction(0)), ("1/2/3", ValueError), ("1.5/2", ValueError)])
+def test_rat_reads_p_over_q(text, want):
+    if isinstance(want, Fraction):
+        assert rat(text) == want and type(rat(text)) is Fraction
+    else:
+        with pytest.raises(want):
+            rat(text)
+
+
 def test_rat_is_the_stdlib_fraction():
     import sincprod
 
