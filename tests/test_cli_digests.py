@@ -10,7 +10,9 @@ worker runs it (``bench/worker._prepare``), then 150 random ``sum`` and
 ``lower-bound`` requests, the near-resonant sums of d scales 2 pi / d
 and three sums of 8 to 12 factors, then 91 seeded ``spline-dump``
 requests and 110 ``integral``, ``weighted-integral`` and ``deficit`` requests
-in csv and plain format.  Each argv runs through
+in csv and plain format, then 27 ``example5`` requests: kernels on and off
+the plateau, small scales, transform samples and two refusals.  Each argv
+runs through
 ``cli.main`` in this process; its exit code, stdout and stderr are
 hashed to 16 hex digits, as is each library request's success flag and
 JSON output, and compared, in corpus order, with ``cli_digests.txt``.
@@ -151,10 +153,29 @@ def _spline_and_format_argv(seed: int = 31) -> list:
     return out
 
 
+def _example5_argv() -> list:
+    """example5 on the plateau (sum a_k < b, value pi), at its edge (a = b = 1)
+    and off it, on the small scales whose head spans 9 to 65 half-periods, at
+    tol 1e-6 to 1e-30; transform samples at 0, +-1/2, 1 and 3/2; and the two
+    heads past the work cap, a = 1e-9 and omega = 1e9."""
+    cases = [("0.5,0.3", "1", "1e-6"), ("0.5,0.3", "1", "1e-20"), ("0.2", "1", "1e-12"), ("pi/8,pi/10", "1", "1e-8"),
+             ("1", "1", "1e-12"), ("1", "1", "1e-30"), ("0.9", "0.5", "1e-12"), ("0.5,0.5", "0.7", "1e-6"),
+             ("0.3,0.3,0.3", "1/2", "1e-6"), ("0.3,0.3,0.3", "1/2", "1e-12"),
+             ("355/113000", "1/7", "1e-6"), ("355/113000", "1/7", "1e-12"), ("355/113000", "1/7", "1e-20"),
+             ("0.02", "1", "1e-6"), ("0.02", "1", "1e-16"), ("0.1", "1", "1e-10"), ("0.1", "1", "1e-20"),
+             ("1/300", "1/50", "1e-14"), ("1/300", "1/50", "1e-20")]
+    out = [["--format", "json", "example5", "--a", a, "--b", b, "--tol", tol] for a, b, tol in cases]
+    out += [["--format", "json", "example5", "--ft-omegas=" + omegas, "--tol", tol]
+            for omegas, tol in [("0,1/2,-1/2,1,3/2", "1e-6"), ("0", "1e-16"), ("1/2", "1e-12"), ("-1/2", "1e-20"),
+                                ("1", "1e-16"), ("3/2", "1e-10")]]
+    return out + [["--format", "json", "example5", "--a", "1e-9", "--b", "1"],
+                  ["--format", "json", "example5", "--ft-omegas", "1e9"]]
+
+
 def corpus() -> list:
     """CLI argv (lists) and library requests (dicts, as bench/workloads writes them)."""
     return (_workload_argv() + _random_exact_argv() + _oracle_library_requests() + _random_sum_argv()
-            + _resonant_sum_argv() + _spline_and_format_argv())
+            + _resonant_sum_argv() + _spline_and_format_argv() + _example5_argv())
 
 
 def run(request) -> tuple:
