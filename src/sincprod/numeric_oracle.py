@@ -14,15 +14,12 @@ these that a float tolerance reaches, so each computation rounds them once.
 
 Every integral is a head [0, T], integrated directly, plus a
 closed-form tail.  Every factor is band-limited with an even
-nonnegative transform, so |f(x + i y)| <= f(0) cosh(omega y)
-(Paley-Wiener).  The head of a sinc product, weighted or not, is the
-product's Taylor series in t / T, T = pi / omega_max, multiplied out in
-fixed point with no transcendental call (_series_head).  The
-band-limited kernel needs many panels far from 0, where the series
-cannot run; each takes one Gauss-Legendre rule of a degree fixed before
-any evaluation, from the rule's error bound on the Bernstein ellipses
-(Trefethen, ATAP Thm 19.3): 24 nodes from 80 to 190 bits, 48 from 200
-to 500.
+nonnegative transform, so its Taylor series is dominated, coefficient
+by coefficient, by f(0) cosh(omega t).  The head is the product's
+Taylor series in t / T, multiplied out in fixed point with no
+transcendental call (_series_head), over n half-periods,
+T = n pi / omega_max: one for sinc products, weighted or not, up to 100
+for the band-limited kernel, with about n pi / ln 2 guard bits.
 Past T each factor is a finite sum of terms c e^(i w t) t^(-p), and
 each term integral_T^inf e^(i w t) t^(-p) dt equals T^(1-p) E_p(-i w T),
 with E_p the generalized exponential integral (DLMF 8.19), for any
@@ -69,7 +66,7 @@ live in oracle_sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, lcm
+from math import ceil, cosh, inf, lcm
 from operator import mul
 from types import SimpleNamespace
 
@@ -176,7 +173,7 @@ class SumResult:
 
 
 # ---------------------------------------------------------------------------
-# integrals: a series or quadrature head plus an exact E_p tail
+# integrals: a series head plus an exact E_p tail
 # ---------------------------------------------------------------------------
 
 
@@ -295,70 +292,98 @@ def _tail_sum(factors, T, budget):
         return S, P
 
 
-def _series_length(C):
+def _series_length(C, theta=mp.pi):
     """(J, bound): the fewest terms J >= 2 of _series_head's series whose
-    truncation bound 2 C pi^(2J) / (2J)!, in units of T, is at most
+    truncation bound 2 C theta^(2J) / (2J)!, in units of T, is at most
     2^-(prec+20), and that bound, rounded up, for an integer C (a product
     of sums of c = 1 or 2).  The test runs on integers,
-    2 C pi'^(2J) 2^(prec+20) <= (2J)! with pi' = pi + 2^-64 or a little
-    more: for prec >= 72, that is the J and no less than the bound that
-    prec-bit roundings of pi^(2J) / (2J)! give."""
-    prec, pi, J, factorial = mp.mp.prec + 20, int(mp.ldexp(mp.pi, 64)) + 2, 2, 24
-    num = 2 * int(C) * pi**4 << prec
+    2 C theta'^(2J) 2^(prec+20) <= (2J)! with theta' = theta + 2^-64 or a
+    little more: for theta = pi and prec >= 72, that is the J and no less
+    than the bound that prec-bit roundings of pi^(2J) / (2J)! give."""
+    prec, theta, J, factorial = mp.mp.prec + 20, int(mp.ldexp(theta, 64)) + 2, 2, 24
+    num = 2 * int(C) * theta**4 << prec
     while num > factorial << 128 * J:
-        num, factorial, J = num * pi**2, factorial * (2 * J + 1) * (2 * J + 2), J + 1
+        num, factorial, J = num * theta**2, factorial * (2 * J + 1) * (2 * J + 2), J + 1
     return J, mp.ldexp(mp.fdiv(num, factorial, rounding="u"), -prec - 128 * J)
 
 
-def _series_head(factors, T):
+def _kernel_moments(J, P):
+    """[mu_0, mu_2, ..., mu_(2J-2)] in units of 2^-P: mu_n = m_n / (1 - 1/e),
+    m_n = integral_0^1 v^n e^(-v) dv.  The kernel is the integral of its
+    transform, f(x) = integral_0^1 e^(-v) cos(v x) dv / (1 - 1/e), so its
+    Taylor coefficients are (-1)^j mu_(2j) / (2j)!, at most 1 / (2j)! as
+    0 < mu_n <= mu_0 = 1.  By parts, mu_(n-1) = (mu_n + 1 / (e - 1)) / n,
+    run backward from mu_N = 0 with (N + 1)! / (2J)! >= 2^(P+2): the start,
+    off by less than 2^(P+1) / (N + 1) ulp, is divided by each n, to below
+    1/2 ulp by n = 2J.  1 / (e - 1) is rounded down within 3 ulp and each
+    step floors, so e_(n-1) <= (e_n + 3) / n + 1: each mu_n is at most its
+    exact value and at most 10 ulp below it."""
+    with mp.workprec(P + 10):
+        E = int(mp.ldexp(1 / (mp.e - 1), P)) - 1
+    mu = [0]
+    for n in range(2 * J + (P + 2) // ((2 * J + 1).bit_length() - 1), 0, -1):
+        mu.append((mu[-1] + E) // n)
+    return mu[::-1][: 2 * J : 2]
+
+
+def _series_head(factors, T, theta):
     """(integral_0^T prod f dt, a bound on its error) for factors
-    f(t) = sum c g(w t) over terms (c, w, odd), g = sinc (odd = 1) or
-    cos (odd = 0), with c = 1 or 2 and w T <= pi (up to rounding), from
-    the product's power series in s = t / T, with no transcendental call.
+    f(t) = sum c g(w t) over terms (c, w, kind), g = cos (kind 0), sinc
+    (kind 1) or the band-limited kernel (kind 2), with c = 1 or 2 and
+    sum_f max w T <= theta (up to rounding), theta >= pi, from the
+    product's power series in s = t / T, with no transcendental call.
 
     Each term's series c g(w T s) = sum_j c_j s^(2j) starts at c_0 = c and
-    goes on by c_j = -c_(j-1) x^2 / q_j, x = w T, q_j = (2j - 1 + odd)(2j + odd).
-    The factors' series are multiplied, truncated at J terms, and the head
-    is T sum_(j<J) c_j / (2j + 1).
+    goes on by c_j = -c_(j-1) x^2 / q_j, x = w T, q_j = (2j - 1 + odd)(2j + odd)
+    (odd = 1 for sinc), times mu_(2j) of _kernel_moments for a kernel; the
+    head is T sum_(j<J) c_j / (2j + 1) over the factors' product, cut at J.
 
     Truncation.  c g(w T s) is dominated, coefficient by coefficient, by
     c cosh(w T s), so f by C_f cosh(omega_f T s), with C_f the sum of its
     c and omega_f its largest w; as cosh u cosh v <= cosh(u + v)
-    coefficientwise, the product is dominated by C cosh(pi s), with
-    C = prod C_f = prod f(0) and sum omega_f T = omega_max T = pi.  So
-    |c_j| <= C pi^(2j) / (2j)!, the terms past J shrink at least twofold
-    for J >= 2, and those dropped weigh at most 2 C T pi^(2J) / (2J)!;
-    _series_length picks J (28 at 128 bits and C = 1, 40 at 239 bits).
+    coefficientwise, the product is dominated by C cosh(theta s), with
+    C = prod C_f = prod f(0) and sum omega_f T <= theta.  So
+    |c_j| <= C theta^(2j) / (2j)!.  The cut puts J past theta, as
+    theta^(2J) / (2J)! >= (e / 2)^(2J) / (e sqrt(2J)) > 1/2 while J <= theta,
+    so the terms past J shrink at least fourfold and those dropped weigh at
+    most 2 C T theta^(2J) / (2J)!; _series_length picks J (28 at 128 bits
+    and 40 at 239 bits, for C = 1 and theta = pi).
 
     Rounding, in ulp, units of 2^-P.  Coefficients are integers times
-    2^-P.  X = x^2 2^P is rounded once, within 1 ulp; a term's c_j takes one
-    floor division of -c_(j-1) X by q_j 2^P, and as |c_j| <= 10 and
-    x^2 <= 10, its error e_j <= (10 e_(j-1) + 10) / q_j + 1 stays at most 7
-    (6 and 6.9 at the first two steps of a cosine, then q_j >= 30).  In
-    the l1 norm over the J coefficients a factor is then off by at most
-    7 J C_f ulp, and the norm of its dominant is at least C_f.  A product's
+    2^-P.  X = x^2 2^P is rounded once, within 1/2 + x^2 / 300 ulp, and
+    c_j takes one floor division of -c_(j-1) X by q_j 2^P.  Carried on by
+    prod_(i<k<=j) X / (q_k 2^P) <= x^(2(j-i)) / (2(j-i))!, the J floors
+    weigh at most J cosh x in the l1 norm over the coefficients, and X's
+    rounding, j c x^(2j-2) / (2j)! in c_j, at most c (1/2 + x^2 / 300)
+    sinh(x) / (2x) <= c (1/4 + J / 600) cosh x, as x <= theta < J.  A
+    kernel's c_j mu_(2j) take a floor more, and mu's error adds 10 |c_j|.
+    So a term is off by at most (2.01 J + 11) c cosh x, below 7 J times the
+    norm of its dominant's J coefficients (within 2^-(prec+20) of c cosh x,
+    and J > 3 as theta >= pi), and so is a factor.  A product's
     coefficients take one floor of the exact integer convolution, so the
     errors of A B add as |A| e_B + |B| e_A + e_A e_B 2^-P + J; relative to
-    the dominants' norms N, whose product is at most C cosh(pi) < 12 C,
-    the relative errors add, plus J + 1 per product.  The sum over c_j /
+    the dominants' norms N, whose product is at most C cosh theta, the
+    relative errors add, plus J + 1 per product.  The sum over c_j /
     (2j + 1), exact over lcm(1, 3, ..., 2J - 1), is then off by at most
-    R = 12 C n (8 J + 1) ulp for n factors, and P = prec + 20 +
-    bitlength(R) puts that below 2^-(prec+20).  The bound is T times the
-    truncation's and the rounding's; the head is formed at prec + 20 bits
-    and rounded once, as _quad_head rounds its rule."""
+    R = ceil(cosh theta) C n (8 J + 1) ulp for n factors (the counts' slack
+    covers theta and cosh theta in floats, theta < 710), and P = prec + 20 +
+    bitlength(R) puts that below 2^-(prec+20): cosh theta brings about
+    theta / ln 2 guard bits, for the terms' cancellation near e^theta.
+    The bound is T times the truncation's and the rounding's; the head is
+    formed at prec + 20 bits and rounded once."""
     C = mp.fprod(sum(c for c, _, _ in f) for f in factors)
-    J, truncation = _series_length(C)
-    R = 12 * C * len(factors) * (8 * J + 1)
+    J, truncation = _series_length(C, theta)
+    R = ceil(cosh(theta)) * C * len(factors) * (8 * J + 1)
     P = mp.mp.prec + 20 + int(mp.log(R, 2)) + 1
     product = None
     for f in factors:
         series = [0] * J
-        for c, w, odd in f:
+        for c, w, kind in f:
             with mp.workprec(P + 10):
                 X = int(mp.nint(mp.ldexp((w * T) ** 2, P)))
-            cj = c << P
+            cj, odd, mu = c << P, kind == 1, _kernel_moments(J, P) if kind == 2 else None
             for j in range(J):
-                series[j] += cj
+                series[j] += cj if mu is None else cj * mu[j] >> P
                 cj = -cj * X // ((2 * j + 1 + odd) * (2 * j + 2 + odd) << P)
         product = series if product is None else \
             [sum(map(mul, product[: j + 1], series[j::-1])) >> P for j in range(J)]
@@ -368,69 +393,21 @@ def _series_head(factors, T):
     return +head, T * (truncation + mp.ldexp(R, -P))
 
 
-def _gauss_bound(n, C, omega_h, h):
-    """Bound on the error of n-point Gauss-Legendre on a panel of width
-    h, for an entire integrand with |f(x + i y)| <= C e^(omega |y|) and
-    omega h = omega_h.  Mapped onto [-1, 1], f is bounded on the
-    Bernstein ellipse E_rho by M = C e^(omega_h (rho - 1/rho) / 4), and
-    the rule is off by at most (h/2) (64/15) M rho^(2-2n) / (rho^2 - 1)
-    (Trefethen, Approximation Theory and Approximation Practice,
-    Thm 19.3, whose n + 1 points are n here); rho = max(2, 8 n / omega_h)
-    nearly minimizes that."""
-    rho = max(mpf(2), 8 * n / omega_h)
-    return h * 32 * C * mp.exp(omega_h * (rho - 1 / rho) / 4) * rho ** (2 - 2 * n) / (15 * (rho**2 - 1))
-
-
-def _gauss_rule(C, omega_h, h):
-    """(d, bound): the smallest degree d of mpmath's Gauss-Legendre rule,
-    n = 3 2^(d-1) nodes, whose _gauss_bound on a panel of width h is at
-    most 2^-(prec+20) h, and that bound; the top degree mp.quad would
-    try, guess_degree(prec), and its bound if none is."""
-    prec = mp.mp.prec
-    for d in range(1, mp.mp._gauss_legendre.guess_degree(prec) + 1):
-        bound = _gauss_bound(3 << (d - 1), C, omega_h, h)
-        if bound <= mp.ldexp(h, -prec - 20):
-            break
-    return d, bound
-
-
-def _quad_head(factors, T, panels):
-    """(integral_0^T prod f dt, a bound on its error) for factors
-    (f, terms, C, omega), each f entire and bounded off the real line by
-    |f(x + i y)| <= C cosh(omega y), as f is, with C = f(0), when its
-    transform is even, nonnegative and zero past omega (sinc, sin(b t)/t,
-    the kernel and cosines alike).
-    [0, T] is cut into equal panels, each summed by one Gauss-Legendre
-    rule whose degree _gauss_rule fixes before any evaluation, from
-    prod C and the fastest frequency sum omega.  The rule is summed at
-    prec + 20 bits over mpmath's own cached nodes and rounded once, as
-    mp.quad sums the last rung of its ladder; the bound is the rule's,
-    summed over panels."""
-    prec, h = mp.mp.prec, T / panels
-    degree, bound = _gauss_rule(mp.fprod(c for *_, c, _ in factors), h * mp.fsum(w for *_, w in factors), h)
-    points, head = mp.linspace(0, T, panels + 1), mpf(0)
-    with mp.extraprec(20):
-        for a, b in zip(points, points[1:]):
-            nodes = mp.mp._gauss_legendre.get_nodes(a, b, degree, prec)
-            head += mp.fdot((w, mp.fprod(f(x) for f, *_ in factors)) for x, w in nodes)
-    return +head, panels * bound
-
-
-def _head_tail(terms, T, panels, head):
-    """(integral_0^inf prod f dt, an error bound) for factors equal past
-    T to their terms (lists of (c, w, p), as _tail takes them): the head
-    [0, T] is head(), a pair (value, error bound) from _series_head or
-    _quad_head over that many panels, and the tail is _tail's.  The
-    bound is the head's plus one rounding of |head| + |tail|, so a head
-    and tail that cancel to noise do not pass as accurate.  Work past
-    MAX_ORACLE_WORK (a tail term formed is charged 6, a panel or a series
-    head 1,200) raises ToleranceUnreachableError before any of it is done."""
+def _head_tail(series, terms, T, panels):
+    """(integral_0^inf prod f dt, an error bound) for factors given as
+    series, the (c, w, kind) terms of _series_head, and as the (c, w, p)
+    terms they equal past T = panels half-periods pi / omega_max: the head
+    [0, T] is _series_head's over the span panels pi, and the tail is
+    _tail's.  The bound is the head's plus one rounding of |head| + |tail|,
+    so a head and tail that cancel to noise do not pass as accurate.  Work
+    past MAX_ORACLE_WORK (a tail term formed is charged 6, a half-period of
+    the head 1,200) raises ToleranceUnreachableError before any is done."""
     budget = MAX_ORACLE_WORK - 1200 * panels
     if budget < 0:
         raise ToleranceUnreachableError("the head [0, %s] needs %d quadrature panels, past the work cap"
                                         % (mp.nstr(T, 5), panels))
     tail = _tail(terms, T, budget // 6)
-    value, bound = head()
+    value, bound = _series_head(series, T, panels * mp.pi)
     return value + tail, bound + mp.eps * (abs(value) + abs(tail))
 
 
@@ -466,8 +443,7 @@ def numeric_integral(scales, rel_tol: float = 1e-12, abs_tol: float | None = Non
             series.append([(2, k * mp.pi, 0) for k in ks])
             terms.append([(mpc(1), s * k * mp.pi, 0) for k in ks for s in (1, -1)])
             omega_max += ks[-1] * mp.pi
-        T = mp.pi / omega_max
-        half, err = _head_tail(terms, T, 1, lambda: _series_head(series, T))
+        half, err = _head_tail(series, terms, mp.pi / omega_max, 1)
         allowed, name = (rel_tol * abs(half), "rel_tol") if abs_tol is None else (mpf(abs_tol) / 2, "abs_tol")
         if err > allowed:
             raise ToleranceUnreachableError("quadrature error bound %s exceeds %s (%s), half-line integral %s"
@@ -665,22 +641,21 @@ def _truncation_bound(a_mp, g_terms, T, J):
     return at_T * mp.fsum(abs(c) * T ** (1 - p) / (p + 2 * J + len(E) - 1) for c, _, p in g_terms)
 
 
-def _kernel_integral(a_mp, g, tol):
+def _kernel_integral(a_mp, series, terms, tol):
     """integral_0^inf g(t) prod_k f(a_k t) dt within tol, for f the kernel
-    and g = (sin(b t)/t or 2 cos(w t), its terms, C, omega) as
-    _head_tail takes it.  T is the first multiple of pi / omega_max, the
-    fastest frequency sum a_k + omega, past KERNEL_TAIL_START / min a_k;
-    each f is cut to the fewest terms J whose _truncation_bound fits in
-    tol / 4, and that bound plus the quadrature's error bound must stay
-    within tol (else ToleranceUnreachableError)."""
-    omega_max = mp.fsum(a_mp) + g[3]
+    and g = sinc(w t) or 2 cos(w t), its one head term (c, w, kind) in
+    series and its tail terms.  T is the first multiple of pi / omega_max,
+    omega_max = sum a_k + w, past KERNEL_TAIL_START / min a_k; each f is cut
+    to the fewest terms J whose _truncation_bound fits in tol / 4, and that
+    bound plus the head's must stay within tol (else ToleranceUnreachableError)."""
+    omega_max = mp.fsum(a_mp) + series[0][1]
     panels = max(1, int(mp.ceil(KERNEL_TAIL_START * omega_max / (mp.pi * min(a_mp)))))
     T = panels * mp.pi / omega_max
     J = 1
-    while (bound := _truncation_bound(a_mp, g[1], T, J)) > tol / 4:
+    while (bound := _truncation_bound(a_mp, terms, T, J)) > tol / 4:
         J += 1
-    factors = [g] + [(lambda t, a=a: bandlimited_kernel(a * t), _kernel_terms(a, J), 1, a) for a in a_mp]
-    value, err = _head_tail([terms for _, terms, _, _ in factors], T, panels, lambda: _quad_head(factors, T, panels))
+    value, err = _head_tail([series] + [[(1, a, 2)] for a in a_mp], [terms] + [_kernel_terms(a, J) for a in a_mp],
+                            T, panels)
     if err + bound > tol:
         raise ToleranceUnreachableError("quadrature error bound %s plus truncation bound %s exceeds %s"
                                         % (mp.nstr(err, 5), mp.nstr(bound, 5), mp.nstr(tol, 5)))
@@ -696,14 +671,15 @@ def example5_integral(a, b, tol: float = 1e-6):
     """integral over R of prod_k f(a_k t) * sin(b t)/t dt with f the
     band-limited kernel above; equals pi exactly when sum a_k < b.
 
-    a_k and b are positive reals as RealScales takes them, rounded once
-    to the working precision; sin(b t)/t takes the terms of b sinc(b t)."""
+    a_k and b are positive reals as RealScales takes them.  At u = b t,
+    sin(b t)/t dt is sinc(u) du, so this integrates sinc(u) prod f(a_k u / b):
+    b stays out of the head's C, and each a_k / b is rounded once to the
+    working precision (from mpf, int and float values as they are)."""
     _check_tol("tol", tol)
     with mp.workprec(_kernel_prec_bits(tol)):
-        a_mp, b_mp = [mpf(x) for x in _as_scales(a).scales], mpf(RealScales((b,)).scales[0])
-        g = (lambda t: mp.sin(b_mp * t) / t if t else b_mp, [(c * b_mp, w, p) for c, w, p in _sinc_terms(b_mp)],
-             b_mp, b_mp)
-        return 2 * _kernel_integral(a_mp, g, tol / 2)
+        b = RealScales((b,)).scales[0]
+        a_mp = [mp.fdiv(x, b) for x in _as_scales(a).scales]
+        return 2 * _kernel_integral(a_mp, [(1, 1, 1)], _sinc_terms(mpf(1)), tol / 2)
 
 
 def example5_report(a, b, tol: float = 1e-6) -> dict:
@@ -722,8 +698,7 @@ def verify_ft_example5(omega_samples, tol: float = 1e-6) -> list:
     with mp.workprec(_kernel_prec_bits(tol)):
         for omega in omega_samples:
             w = abs(mpf(omega))
-            g = (lambda t: 2 * mp.cos(w * t), [(mpc(1), w, 0), (mpc(1), -w, 0)], 2, w)
-            numeric = _kernel_integral([mpf(1)], g, tol)
+            numeric = _kernel_integral([mpf(1)], [(2, w, 0)], [(mpc(1), w, 0), (mpc(1), -w, 0)], tol)
             closed = mp.pi / (1 - mp.exp(-1)) * mp.exp(-w) if w <= 1 else mpf(0)
             if w == 1:  # the transform jumps here, and its integral takes the mean of both sides
                 closed /= 2

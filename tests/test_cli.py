@@ -647,10 +647,10 @@ def test_breakpoint_straddle_past_max_exact_terms_exits_three(capsys, monkeypatc
 
 
 def test_example5_past_its_error_bound_exits_three(capsys, monkeypatch):
-    # a quadrature head whose bound is 1 leaves the bound plus the truncation
+    # a series head whose bound is 1 leaves the bound plus the truncation
     # bound past the tolerance, which example5 refuses instead of printing
-    quad_head = numeric_oracle._quad_head
-    monkeypatch.setattr(numeric_oracle, "_quad_head", lambda *args: (quad_head(*args)[0], mp.mpf(1)))
+    series_head = numeric_oracle._series_head
+    monkeypatch.setattr(numeric_oracle, "_series_head", lambda *args: (series_head(*args)[0], mp.mpf(1)))
     with pytest.raises(ToleranceUnreachableError, match="quadrature error bound 1.0 plus truncation bound"):
         numeric_oracle.example5_integral([0.5], 1)
     code, out, err = run_cli(capsys, "example5", "--a", "0.5", "--b", "1")
@@ -709,7 +709,7 @@ BAD_NUMBERS = ["", "1/0", "pi/0", "nan", "inf", "1e400", "-1/2", "2/3/4"]
 numbers = st.sampled_from(BAD_NUMBERS) | st.sampled_from(["1", "1/3", "2", "3/2", "5pi/4"])
 number_lists = st.lists(numbers, min_size=1, max_size=3).map(",".join)
 tolerances = st.sampled_from(["0", "nan", "1e-30", "1e-9"])
-# a head of about 1e9 panels, one of 60, and a transform sample far outside the band
+# a head of about 1e9 half-periods, one of 60, and a transform sample far outside the band
 example5_extras = st.sampled_from(["1e-9", "355/113000", "1e9"])
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sincprod.borwein_engine import (
@@ -360,7 +360,8 @@ def test_series_head_makes_no_transcendental_call(monkeypatch, rel_tol, J):
         f = getattr(mp, name)
         monkeypatch.setattr(mp, name, lambda *args, f=f: calls.append(args) or f(*args))
     length = numeric_oracle._series_length
-    monkeypatch.setattr(numeric_oracle, "_series_length", lambda C: lengths.append(length(C)[0]) or length(C))
+    monkeypatch.setattr(numeric_oracle, "_series_length",
+                        lambda *args: lengths.append(length(*args)[0]) or length(*args))
     v = numeric_integral(_pi_scales(4), rel_tol=rel_tol)
     assert calls == [] and lengths == [J]
     assert abs(v - 1) < rel_tol
@@ -386,32 +387,31 @@ def test_series_length_matches_the_float_loop():
                 assert J == float_J and float_bound <= bound <= float_bound * (1 + mp.ldexp(1, -50)), (prec, C)
 
 
-def _heads(run):
-    """(factors, T, panels, prec, head, bound) of each _quad_head call run() makes."""
-    seen, quad_head = [], numeric_oracle._quad_head
+def _integrand(series):
+    """The product of _series_head's factors, each a sum of c g(w t) over
+    its terms (c, w, kind), g = cos, sinc or bandlimited_kernel by kind:
+    the independent reference every head is checked against."""
+    def g(kind, x):
+        if kind == 2:
+            return bandlimited_kernel(x)
+        return mp.cos(x) if kind == 0 else (mp.sin(x) / x if x else mp.mpf(1))
 
-    def spy(factors, T, panels):
-        out = quad_head(factors, T, panels)
-        seen.append((factors, T, panels, mp.mp.prec) + out)
-        return out
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(numeric_oracle, "_quad_head", spy)
-        run()
-    return seen
+    return lambda t: mp.fprod(mp.fsum(c * g(kind, w * t) for c, w, kind in f) for f in series)
 
 
-def _integrand(factors):
-    return lambda t: mp.fprod(f(t) for f, *_ in factors)
+def _reference(series, T, theta):
+    """tanh-sinh of the product over [0, T] at the current precision, on
+    panels of at most 8 of the span theta's half-periods."""
+    return mp.quad(_integrand(series), mp.linspace(0, T, -(-int(mp.nint(theta / mp.pi)) // 8) + 1))
 
 
 def _series_heads(run):
-    """(factors, T, prec, head, bound) of each _series_head call run() makes."""
+    """(factors, T, theta, prec, head, bound) of each _series_head call run() makes."""
     seen, series_head = [], numeric_oracle._series_head
 
-    def spy(factors, T):
-        out = series_head(factors, T)
-        seen.append((factors, T, mp.mp.prec) + out)
+    def spy(factors, T, theta):
+        out = series_head(factors, T, theta)
+        seen.append((factors, T, theta, mp.mp.prec) + out)
         return out
 
     with pytest.MonkeyPatch.context() as m:
@@ -420,75 +420,36 @@ def _series_heads(run):
     return seen
 
 
-def _as_gauss(series):
-    """_series_head's factors, each a sum of c sinc(w t) or c cos(w t) over
-    its terms (c, w, odd), as _quad_head takes them: (f, terms, C, omega)."""
-    def function(f):
-        return lambda t: mp.fsum(c * ((mp.sin(w * t) / (w * t) if t else 1) if odd else mp.cos(w * t))
-                                 for c, w, odd in f)
-
-    return [(function(f), None, sum(c for c, _, _ in f), max(w for _, w, _ in f)) for f in series]
-
-
 def _series(betas, m):
     """The head factors of prod sinc(pi beta t), times W_m(t) unless m is
-    None, and T = pi / omega_max, at the working precision."""
+    None, T = pi / omega_max at the working precision, and the span pi."""
     series = [[(1, +a, 1)] for a in _pi_times(betas)]
     if m is not None:
         series.append([(2, k * mp.pi, 0) for k in range(1, 2 * m + 2, 2)])
-    return series, mp.pi / mp.fsum(max(w for _, w, _ in f) for f in series)
+    return series, mp.pi / mp.fsum(max(w for _, w, _ in f) for f in series), mp.pi
 
 
-@pytest.fixture(scope="module")
-def factor_kinds():
-    """Each kind of factor the Gauss-Legendre head integrates, as
-    (f, C, omega), from the oracle's own calls: sin(b t)/t, the kernel
-    f(a t) and 2 cos(w t)."""
-    def run():
-        example5_integral(["0.5", "0.3"], "3/2", tol=1e-6)
-        verify_ft_example5(["1/2"], tol=1e-6)
-
-    return [(f, C, omega) for factors, *_ in _heads(run) for f, _, C, omega in factors]
+def _kernel_series(a, g, n):
+    """The head factors of g(t) prod_k f(a_k t), f the band-limited kernel
+    and g = [(c, w, kind)] (sinc(w t) or 2 cos(w t)), over n half-periods:
+    T = n pi / omega_max at the working precision, and the span n pi."""
+    a = [mp.mpf(rat(x).numerator) / rat(x).denominator for x in a]
+    g = [(c, mp.mpf(rat(w).numerator) / rat(w).denominator, kind) for c, w, kind in g]
+    return [g] + [[(1, x, 2)] for x in a], n * mp.pi / (mp.fsum(a) + g[0][1]), n * mp.pi
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    data=st.data(),
-    x=st.floats(min_value=-40, max_value=40),
-    y=st.floats(min_value=-8, max_value=8),
-    near=st.sampled_from([None, 1, -1]),
-    shrink=st.integers(min_value=0, max_value=30),
-)
-def test_factors_are_bounded_off_the_real_line(factor_kinds, data, x, y, near, shrink):
-    # the premise of _gauss_bound: |f(x + i y)| <= C cosh(omega y); near
-    # picks a point 10^-3 to 57 times 10^-shrink from t = +-i / omega, where
-    # the kernel's denominator 1 + (omega t)^2 vanishes and its numerator too
-    f, C, omega = data.draw(st.sampled_from(factor_kinds))
-    with mp.workprec(300):
-        z = mp.mpc(x, y)
-        if near is not None:
-            assume(abs(z) >= 1e-3)  # 10^-33 at the nearest, far above 2^-300
-            z = near * mp.mpc(0, 1) / omega + z * mp.mpf(10) ** -shrink
-        assert abs(f(z)) <= C * mp.cosh(omega * z.imag) * (1 + mp.mpf(2) ** -250)
-
-
-def _check_heads(heads, degrees=()):
-    """Each head within its bound plus one rounding of it, against tanh-sinh
-    at twice its precision; and, for each mpmath degree in degrees, that
-    rule, summed at twice the precision, within panels * _gauss_bound."""
-    for factors, T, panels, prec, head, bound in heads:
-        F, C, omega = _integrand(factors), mp.fprod(c for *_, c, _ in factors), mp.fsum(w for *_, w in factors)
-        with mp.workprec(2 * prec):
-            points = mp.linspace(0, T, panels + 1)
-            ref = mp.quad(F, points)
-            assert abs(head - ref) <= bound + mp.ldexp(abs(head), 1 - prec), (prec, panels)
-            for d in degrees:
-                nodes = [mp.mp._gauss_legendre.get_nodes(a, b, d, 2 * prec) for a, b in zip(points, points[1:])]
-                rule = mp.fsum(mp.fdot((w, F(x)) for x, w in panel) for panel in nodes)
-                # the rule's bound, plus a rounding of each of its n evaluations, |f| <= C
-                n, h = 3 << (d - 1), T / panels
-                assert abs(rule - ref) <= panels * numeric_oracle._gauss_bound(n, C, omega * h, h) + \
-                    mp.ldexp(n * C * T, -2 * prec), d
+@pytest.mark.parametrize("J, P", [(3, 100), (28, 150), (296, 420)])
+def test_kernel_taylor_coefficients_within_their_rounding_count(J, P):
+    # the premise of the kernel's series head: each integer coefficient
+    # (-1)^j mu_(2j) / (2j)! is at most 1 / (2j)! (0 <= mu <= 1), and each
+    # mu_(2j) is at most m_(2j) / (1 - 1/e), m_n = integral_0^1 w^n e^(-w) dw
+    # by an independent tanh-sinh, and at least the stated 10 ulp below it
+    mu = numeric_oracle._kernel_moments(J, P)
+    assert len(mu) == J and all(0 <= m <= 1 << P for m in mu)
+    with mp.workprec(P + 40):
+        for j in range(J) if J < 50 else [0, 1, 2, 3, J // 2, J - 3, J - 2, J - 1]:
+            exact = mp.ldexp(mp.quad(lambda w: w ** (2 * j) * mp.exp(-w), [0, 1]) / (1 - mp.exp(-1)), P)
+            assert 0 <= exact - mu[j] <= 10, j
 
 
 @settings(max_examples=15, deadline=None)
@@ -506,52 +467,49 @@ def test_head_within_its_bound(betas, m, rel_tol):
     spec = RealScales(_pi_times(betas), weight=None if m is None else CosineWeightSpec(m))
     heads = _series_heads(lambda: numeric_integral(spec, rel_tol=rel_tol, abs_tol=rel_tol))
     assert len(heads) == 1
-    for factors, T, prec, head, bound in heads:
+    for factors, T, theta, prec, head, bound in heads:
         with mp.workprec(2 * prec):
-            ref = mp.quad(_integrand(_as_gauss(factors)), [0, T])
-            assert abs(head - ref) <= bound + mp.ldexp(abs(head), 1 - prec), prec
+            assert abs(head - _reference(factors, T, theta)) <= bound + mp.ldexp(abs(head), 1 - prec), prec
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    betas=st.lists(st.fractions(min_value=rat(1, 8), max_value=2, max_denominator=12), min_size=2, max_size=6),
-    m=st.sampled_from([None, 0, 1, 2]),
-    prec=st.sampled_from([128, 239]),
-)
-@example(betas=[rat(1)] * 2, m=None, prec=128)
-@example(betas=[rat(1, 8)] * 6, m=2, prec=239)
-def test_series_and_gauss_heads_agree(betas, m, prec):
-    # the series head and the Gauss-Legendre rule on the same sinc and
-    # cosine factors agree within the sum of their bounds and roundings;
-    # and each mpmath degree of the rule, at twice the precision, is
-    # within _gauss_bound of the tanh-sinh reference
-    with mp.workprec(prec):
-        series, T = _series(betas, m)
-        factors = _as_gauss(series)
-        head, bound = numeric_oracle._series_head(series, T)
-        quad, quad_bound = numeric_oracle._quad_head(factors, T, 1)
-        assert abs(head - quad) <= bound + quad_bound + mp.ldexp(abs(head) + abs(quad), 1 - prec)
-    _check_heads([(factors, T, 1, prec, quad, quad_bound)], degrees=(1, 2, 3, 4, 5) if prec == 128 else ())
+SINC_HEADS = [([1, 1], None), ([rat(1, 8)] * 6, 2), ([1, rat(1, 3), rat(1, 5), rat(1, 7)], None),
+              ([rat(1, 2), rat(2, 3), 1], 0)]
+# kernels f(a t) against sinc(b t) or 2 cos(w t): over the oracle's own
+# half-periods (spans 6 to 188), over 95 (spans of 298, where the oracle takes
+# 60 and 2), and f(t) at a t = 63 and 261, where the terms of its series
+# reach e^(a t) and only the guard bits keep the head
+KERNEL_HEADS = {
+    "kernel-1": ([128, 239], lambda: _kernel_series(["1"], [(1, "1", 1)], 3)),
+    "kernel-1-cos": ([128, 239], lambda: _kernel_series(["1"], [(2, "1/2", 0)], 2)),
+    "kernel-0.5,0.3": ([128], lambda: _kernel_series(["1/2", "3/10"], [(1, "1", 1)], 8)),
+    "kernel-0.1": ([128, 239], lambda: _kernel_series(["1/10"], [(1, "1", 1)], 15)),
+    "kernel-355/113000": ([80, 128], lambda: _kernel_series(["355/113000"], [(1, "1/7", 1)], 60)),
+    "kernel-355/113000-95": ([80], lambda: _kernel_series(["355/113000"], [(1, "1/7", 1)], 95)),
+    "kernel-1-cos0-20": ([128], lambda: _kernel_series(["1"], [(2, "0", 0)], 20)),
+    "kernel-1-95": ([80], lambda: _kernel_series(["1"], [(1, "1/7", 1)], 95)),
+}
 
 
 @pytest.mark.parametrize(
-    "betas, m",
-    [([1, 1], None), ([rat(1, 8)] * 6, 2), ([1, rat(1, 3), rat(1, 5), rat(1, 7)], None), ([rat(1, 2), rat(2, 3), 1], 0)],
+    "prec, case",
+    [pytest.param(prec, lambda b=betas, m=m: _series(b, m), id="%d-betas%d-%s" % (prec, i, m))
+     for prec in (128, 239) for i, (betas, m) in enumerate(SINC_HEADS)]
+    + [pytest.param(prec, case, id="%d-%s" % (prec, name))
+       for name, (precs, case) in KERNEL_HEADS.items() for prec in precs],
 )
-@pytest.mark.parametrize("prec", [128, 239])
-def test_series_head_within_its_bound_at_its_own_scale(monkeypatch, betas, m, prec):
+def test_series_head_within_its_bound_at_its_own_scale(monkeypatch, prec, case):
     # the series cut where _series_length cuts it at prec, but summed at
     # prec + 40 bits: the truncation then dominates, and the head must lie
-    # within the bound with no slack for a rounding (it reaches 6e-5 of it)
+    # within the bound with no slack for a rounding
     with mp.workprec(prec + 40):
-        series, T = _series(betas, m)
+        series, T, theta = case()
     with mp.workprec(prec):
-        chosen = numeric_oracle._series_length(mp.fprod(sum(c for c, _, _ in f) for f in series))
-    monkeypatch.setattr(numeric_oracle, "_series_length", lambda C: chosen)
+        chosen = numeric_oracle._series_length(mp.fprod(sum(c for c, _, _ in f) for f in series), theta)
+    monkeypatch.setattr(numeric_oracle, "_series_length", lambda *args: chosen)
     with mp.workprec(prec + 40):
-        head, bound = numeric_oracle._series_head(series, T)
+        head, bound = numeric_oracle._series_head(series, T, theta)
     with mp.workprec(2 * prec + 40):
-        assert abs(head - mp.quad(_integrand(_as_gauss(series)), [0, T])) <= bound
+        assert abs(head - _reference(series, T, theta)) <= bound
 
 
 @pytest.mark.parametrize(
@@ -559,28 +517,36 @@ def test_series_head_within_its_bound_at_its_own_scale(monkeypatch, betas, m, pr
     [
         lambda: example5_integral(["0.5", "0.3"], 1, tol=1e-6),
         lambda: example5_integral(["0.9"], "0.5", tol=1e-4),
-        lambda: example5_integral(["355/113000"], "1/7", tol=1e-4),  # 60 panels
+        lambda: example5_integral(["355/113000"], "1/7", tol=1e-4),  # 60 half-periods
         lambda: verify_ft_example5([0], tol=1e-6),
         lambda: verify_ft_example5(["3/2"], tol=1e-6),
+        lambda: example5_integral(["0.3", "0.02"], 1, tol=1e-6),  # 85 half-periods, a T = 61 at 0.3
     ],
-    ids=["0.5,0.3", "0.9", "355/113000", "ft-0", "ft-3/2"],
+    ids=["0.5,0.3", "0.9", "355/113000", "ft-0", "ft-3/2", "0.3,0.02"],
 )
 def test_kernel_heads_within_their_bound(run):
-    _check_heads(_heads(run), degrees=(2, 3, 4))
+    # each kernel head the oracle forms, at its working precision, within its
+    # bound plus one rounding of it, against tanh-sinh on bandlimited_kernel
+    # at twice that precision
+    for factors, T, theta, prec, head, bound in _series_heads(run):
+        with mp.workprec(2 * prec):
+            assert abs(head - _reference(factors, T, theta)) <= bound + mp.ldexp(abs(head), 1 - prec), prec
 
 
 @pytest.mark.parametrize("rel_tol", [1e-12, 1e-40, 1e-60])
 @pytest.mark.parametrize("p", range(2, 9))
 def test_head_matches_the_gauss_legendre_ladder(p, rel_tol):
-    # bit for bit the head mp.quad's ladder of degrees 1, 2, ... returns,
-    # which stops at the degree the bound fixes, or one below it with the
-    # same rounded value
-    # on the head of numeric_integral's sinc factors, at its working precision
-    with mp.workprec(numeric_oracle._working_prec(rel_tol)):
-        series, T = _series(["1/%d" % (2 * k + 1) for k in range(p)], None)
-        factors = _as_gauss(series)
-        head, _ = numeric_oracle._quad_head(factors, T, 1)
-        assert head == mp.quad(_integrand(factors), [0, T], method="gauss-legendre")
+    # a second reference beside tanh-sinh: on the head of numeric_integral's
+    # sinc factors, at its working precision, the series head lies within its
+    # bound plus one rounding of mpmath's Gauss-Legendre ladder at twice that
+    # precision
+    prec = numeric_oracle._working_prec(rel_tol)
+    with mp.workprec(prec):
+        series, T, theta = _series(["1/%d" % (2 * k + 1) for k in range(p)], None)
+        head, bound = numeric_oracle._series_head(series, T, theta)
+    with mp.workprec(2 * prec):
+        ladder = mp.quad(_integrand(series), [0, T], method="gauss-legendre")
+        assert abs(head - ladder) <= bound + mp.ldexp(abs(head), 1 - prec)
 
 
 def test_integral_rejects_single_factor():
