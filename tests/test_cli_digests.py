@@ -11,11 +11,13 @@ worker runs it (``bench/worker._prepare``), then 150 random ``sum`` and
 and three sums of 8 to 12 factors, then 91 seeded ``spline-dump``
 requests and 110 ``integral``, ``weighted-integral`` and ``deficit`` requests
 in csv and plain format, then 27 ``example5`` requests: kernels on and off
-the plateau, small scales, transform samples and two refusals.  Each argv
-runs through
-``cli.main`` in this process; its exit code, stdout and stderr are
-hashed to 16 hex digits, as is each library request's success flag and
-JSON output, and compared, in corpus order, with ``cli_digests.txt``.
+the plateau, small scales, transform samples and two refusals, then 194
+``breakpoint`` thresholds: near hits on both sides of partial sums below and
+past the exact/interval switch, gallops up and down, the estimate in mpmath
+and the refusals.  Each argv runs through ``cli.main`` in this process;
+its exit code, stdout and stderr are hashed to 16 hex digits, as is each
+library request's success flag and JSON output, and compared, in corpus
+order, with ``cli_digests.txt``.
 
 A change that moves an output on purpose rewrites that file with
 
@@ -32,13 +34,16 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 
 import sincprod
 from sincprod import cli
+from sincprod.exact_core import EXACT_PROBE_CUTOFF, EXACT_TERM_CUTOFF, odd_harmonic_sum
 from sincprod.numeric_oracle import parse_scale
+from sincprod.rational import rat_str
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("cli_digests.txt")
@@ -172,10 +177,33 @@ def _example5_argv() -> list:
                   ["--format", "json", "example5", "--ft-omegas", "1e9"]]
 
 
+def _breakpoint_argv(seed: int = 12) -> list:
+    """breakpoint at S_m - 2^-k, S_m and S_m + 2^-k, k from 20 to 600, for 44 m
+    below EXACT_PROBE_CUTOFF and 10 from there to EXACT_TERM_CUTOFF (log-uniform),
+    and at S_m -+ 2^-k for 2 m past it and at S_m for the last, whose enclosures
+    straddle up to their series limit; each in a random format.  Then 1/2 and 1
+    (refused: S_0 = 1), 1 + 2^-60, 39/2 and 59/3 (estimates 13 short and 25 past:
+    a gallop up or down, then a bisection), 20, 25 and 100 (the estimate in mpmath)
+    and 6000 (past MAX_PRECISION_BITS), each in json, csv and plain format."""
+    rng = random.Random(seed)
+    ms = [rng.randrange(1, EXACT_PROBE_CUTOFF) for _ in range(44)]
+    ms += [int(EXACT_PROBE_CUTOFF * (EXACT_TERM_CUTOFF / EXACT_PROBE_CUTOFF) ** rng.random()) for _ in range(10)]
+    past = [EXACT_TERM_CUTOFF + 1 + rng.randrange(40) for _ in range(2)]
+    thresholds = []
+    for m in ms + past:
+        s, step = odd_harmonic_sum(m), Fraction(1, 1 << rng.randint(20, 600))
+        thresholds += [s - step, s + step] + [s] * (m <= EXACT_TERM_CUTOFF or m == past[-1])
+    out = [["--format", rng.choice(["json", "csv", "plain"]), "breakpoint", "--threshold", rat_str(t)]
+           for t in thresholds]
+    specials = [Fraction(1, 2), 1, 1 + Fraction(1, 1 << 60), Fraction(39, 2), Fraction(59, 3), 20, 25, 100, 6000]
+    return out + [["--format", fmt, "breakpoint", "--threshold", rat_str(t)]
+                  for t in specials for fmt in ("json", "csv", "plain")]
+
+
 def corpus() -> list:
     """CLI argv (lists) and library requests (dicts, as bench/workloads writes them)."""
     return (_workload_argv() + _random_exact_argv() + _oracle_library_requests() + _random_sum_argv()
-            + _resonant_sum_argv() + _spline_and_format_argv() + _example5_argv())
+            + _resonant_sum_argv() + _spline_and_format_argv() + _example5_argv() + _breakpoint_argv())
 
 
 def run(request) -> tuple:
