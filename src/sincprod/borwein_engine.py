@@ -83,6 +83,9 @@ class SincProductSpec:
             raise ValueError("at least one scale factor is required")
         if any(p <= 0 for p, _ in pairs):
             raise ValueError("scale factors must be positive")
+        for p, q in pairs:
+            if q < 1 or math.gcd(p, q) != 1:
+                raise ValueError("scale pair %r is not in lowest terms with q > 0" % ((p, q),))
         object.__setattr__(self, "pairs", pairs)
 
     @classmethod

@@ -372,7 +372,7 @@ def _tail_sum(factors, T, budget):
         return S, P
 
 
-def _series_length(C, theta=mp.pi):
+def _series_length(C, theta):
     """(J, bound): the fewest terms J >= 2 of _series_head's series whose
     truncation bound 2 C theta^(2J) / (2J)!, in units of T, is at most
     2^-(prec+20), and that bound, rounded up, for an integer C (a product

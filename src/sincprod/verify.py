@@ -31,6 +31,7 @@ from .borwein_engine import (
     integral_exact,
     point_eval_pruned,
     sinc_power_breaking,
+    spline_csv,
     weighted_integral_exact,
 )
 from .exact_core import (
@@ -277,11 +278,13 @@ def check_oracle_equivalence():
                 return False, "edge polynomial mismatch for %s" % (spec.betas,)
             if fourier_spline(spec) != spline:
                 return False, "knot-measure spline != box-convolution spline for %s" % (spec.betas,)
+            if "".join(spline_csv(spec)) != spline.to_csv():
+                return False, "spline_csv != the box-convolution spline's csv for %s" % (spec.betas,)
             for _ in range(10):
                 x = rat(rng.randint(-60, 60), rng.randint(1, 12))
                 if point_eval_pruned(spec, x) != spline.evaluate(x):
                     return False, "pruned != spline at %s for %s" % (x, spec.betas)
-        return True, "100 specs, 10 points each: knot measure == box convolution, integral == 2, edge matches"
+        return True, "100 specs, 10 points each: knot measure and csv == box convolution, integral == 2, edge matches"
 
     return _run("9", "dual-path oracle equivalence on random specs", fn)
 

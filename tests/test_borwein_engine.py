@@ -110,6 +110,11 @@ def test_spec_pairs_are_lowest_terms():
     assert SincProductSpec(pairs=spec.pairs) == spec and eval(repr(spec), {"SincProductSpec": SincProductSpec}) == spec
     with pytest.raises(ValueError, match="positive"):
         SincProductSpec(pairs=((1, 1), (0, 1)))
+    # a pair outside lowest terms, or with q <= 0, would make the derived forms disagree with p/q or divide by zero
+    for pairs, bad in [(((1, -2), (1, 1), (1, 1)), r"\(1, -2\)"), (((2, 2), (1, 3)), r"\(2, 2\)"),
+                       (((2, 2),), r"\(2, 2\)"), (((1, 0),), r"\(1, 0\)")]:
+        with pytest.raises(ValueError, match="scale pair %s is not in lowest terms" % bad):
+            SincProductSpec(pairs=pairs)
 
 
 def test_spec_and_spline_text_past_the_int_str_digit_limit():

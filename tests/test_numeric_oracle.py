@@ -384,7 +384,7 @@ def test_series_length_matches_the_float_loop():
     for prec in range(72, 1201, 23):
         with mp.workprec(prec):
             for C in [1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 32, 64, 100, 1000, 2**20]:
-                J, bound = numeric_oracle._series_length(mp.mpf(C))
+                J, bound = numeric_oracle._series_length(mp.mpf(C), mp.pi)
                 float_J, float_bound = _float_series_length(mp.mpf(C))
                 assert J == float_J and float_bound <= bound <= float_bound * (1 + mp.ldexp(1, -50)), (prec, C)
 

@@ -1,7 +1,9 @@
+import ast
 import os
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +83,14 @@ def test_unknown_name_raises_attribute_error():
 )
 def test_every_refusal_is_an_infeasible_error(name):
     assert issubclass(getattr(sincprod, name), sincprod.InfeasibleError)
+
+
+def test_no_module_imports_private_names_of_another():
+    # a _-prefixed name belongs to its module: a name another module needs is
+    # public, or the two are one module
+    imported = []
+    for path in sorted(Path(sincprod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "sincprod"):
+                imported += ["%s: %s" % (path.name, alias.name) for alias in node.names if alias.name.startswith("_")]
+    assert not imported, imported
