@@ -14,7 +14,9 @@ in csv and plain format, then 27 ``example5`` requests: kernels on and off
 the plateau, small scales, transform samples and two refusals, then 194
 ``breakpoint`` thresholds: near hits on both sides of partial sums below and
 past the exact/interval switch, gallops up and down, the estimate in mpmath
-and the refusals.  Each argv runs through ``cli.main`` in this process;
+and the refusals, then the library requests of ``breakpoint-scan`` at
+seeds 1 to 3 (``odd_harmonic_sum`` and ``breaking_point_report`` on
+constant and custom families).  Each argv runs through ``cli.main`` in this process;
 its exit code, stdout and stderr are hashed to 16 hex digits, as is each
 library request's success flag and JSON output, and compared, in corpus
 order, with ``cli_digests.txt``.
@@ -63,9 +65,9 @@ def _workload_argv() -> list:
             for req in _bench("workloads").build(name, seed) if "cli" in req.payload]
 
 
-def _oracle_library_requests() -> list:
+def _library_requests(workload: str) -> list:
     return [req.payload for seed in (1, 2, 3)
-            for req in _bench("workloads").build("oracle-crosscheck", seed) if "lib" in req.payload]
+            for req in _bench("workloads").build(workload, seed) if "lib" in req.payload]
 
 
 def _random_exact_argv(count: int = 1500, seed: int = 24) -> list:
@@ -202,8 +204,9 @@ def _breakpoint_argv(seed: int = 12) -> list:
 
 def corpus() -> list:
     """CLI argv (lists) and library requests (dicts, as bench/workloads writes them)."""
-    return (_workload_argv() + _random_exact_argv() + _oracle_library_requests() + _random_sum_argv()
-            + _resonant_sum_argv() + _spline_and_format_argv() + _example5_argv() + _breakpoint_argv())
+    return (_workload_argv() + _random_exact_argv() + _library_requests("oracle-crosscheck") + _random_sum_argv()
+            + _resonant_sum_argv() + _spline_and_format_argv() + _example5_argv() + _breakpoint_argv()
+            + _library_requests("breakpoint-scan"))
 
 
 def run(request) -> tuple:
