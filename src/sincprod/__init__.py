@@ -18,8 +18,7 @@ class InfeasibleError(Exception):
 
 _EXPORTS = {
     "borwein_engine": "CosineWeightSpec EvalReport ExactPathUnavailableError SincProductSpec deficit_report "
-                      "edge_polynomial fourier_spline integral_exact point_eval_pruned sinc_power_breaking "
-                      "weighted_integral_exact",
+                      "edge_polynomial fourier_spline integral_exact point_eval_pruned weighted_integral_exact",
     "exact_core": "BreakingPointResult HarmonicFamily Interval NonTerminatingSearchError breaking_point "
                   "breaking_point_report interval_odd_harmonic_sum odd_harmonic_sum",
     "numeric_oracle": "RealScales SumResult ToleranceUnreachableError bandlimited_kernel example5_integral "

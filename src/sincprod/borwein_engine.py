@@ -264,13 +264,13 @@ class _PruneStats:
     surviving: int = 0  # nonzero knots past x after the last layer
 
 
-def point_eval_pruned(spec: SincProductSpec, x, node_budget: int = NODE_BUDGET_DEFAULT):
+def point_eval_pruned(spec: SincProductSpec, x):
     """Exact F(x) by the pruned knot-measure DP; F is even.
 
     A single-factor spec evaluated exactly at its edge, the one
     discontinuity of any F, takes the half-sum 1/(2 beta).
     """
-    (value,), _ = _point_eval_pruned_stats(spec, [x], node_budget)
+    (value,), _ = _point_eval_pruned_stats(spec, [x])
     return value
 
 
@@ -418,17 +418,3 @@ def deficit_report(
     top = 0 if weights is None else 2 * weights.m + 1
     return _sample_report(spec, top, digits, node_budget, as_deficit=True)
 
-
-def sinc_power_breaking(m: int, n_max: int) -> list:
-    """For f = sinc^n(pi t), whether the weighted integral with weight
-    count m is exactly 1, for n = 1..n_max.  The law is: unit exactly
-    for n <= 2m+3 (the boundary holds because F vanishes continuously at
-    the support edge once n >= 2), non-unit beyond."""
-    if not 1 <= n_max <= MAX_FAMILY_SIZE:
-        raise ValueError("n_max must be >= 1" if n_max < 1 else "n_max must be at most %d" % MAX_FAMILY_SIZE)
-    weights = CosineWeightSpec(m)
-    out = []
-    for n in range(1, n_max + 1):
-        report = weighted_integral_exact(SincProductSpec.sinc_power(n), weights)
-        out.append((n, report.exact_value == 1))
-    return out

@@ -156,7 +156,7 @@ def odd_harmonic_sum(n: int):
     return rat(*_odd_sum_split(0, n + 1))
 
 
-def interval_odd_harmonic_sum(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Interval:
+def interval_odd_harmonic_sum(n: int, precision_bits: int) -> Interval:
     """Enclosure of Sum_{k=0..n} 1/(2k+1) at the requested precision.
 
     Each term is rounded once, so the width is at most (n+1) ulp, well

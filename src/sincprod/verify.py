@@ -30,12 +30,10 @@ from .borwein_engine import (
     fourier_spline,
     integral_exact,
     point_eval_pruned,
-    sinc_power_breaking,
     spline_csv,
     weighted_integral_exact,
 )
 from .exact_core import (
-    EXACT_TERM_CUTOFF,
     HarmonicFamily,
     breaking_point_report,
     interval_odd_harmonic_sum,
@@ -111,17 +109,10 @@ def _edge_matches_spline(spec, spline) -> bool:
 
 
 def check_breaking_points(full: bool):
-    """Pinned n, each certified by direct summation: S_n < t <= S_(n+1)
-    from term-by-term rational sums up to EXACT_TERM_CUTOFF terms, from
-    512-bit term-by-term enclosures beyond.  Neither shares the search's
-    binary splitting or its closed form."""
-
-    def bracketed(threshold, n):
-        if n + 1 <= EXACT_TERM_CUTOFF:
-            s_n = sum((rat(1, 2 * k + 1) for k in range(n + 1)), rat(0))
-            return s_n < threshold <= s_n + rat(1, 2 * n + 3)
-        return (interval_odd_harmonic_sum(n, 512).strictly_below(threshold)
-                and interval_odd_harmonic_sum(n + 1, 512).strictly_above(threshold))
+    """Pinned n, each certified by direct summation: S_n < t < S_(n+1)
+    from 512-bit term-by-term enclosures (``interval_odd_harmonic_sum``),
+    which share neither the search's binary splitting nor its closed
+    form."""
 
     def fn():
         fam = HarmonicFamily.odd_harmonic()
@@ -132,7 +123,8 @@ def check_breaking_points(full: bool):
             got.append((threshold, rep.n, rep.mode))
             if rep.n != expect:
                 return False, "threshold %d gave %d, expected %d" % (threshold, rep.n, expect)
-            if not bracketed(threshold, rep.n):
+            if not (interval_odd_harmonic_sum(rep.n, 512).strictly_below(threshold)
+                    and interval_odd_harmonic_sum(rep.n + 1, 512).strictly_above(threshold)):
                 return False, "threshold %d: direct summation does not bracket n = %d" % (threshold, rep.n)
         return True, "; ".join("t=%d -> n=%d (%s, bracket by direct sums)" % g for g in got)
 
@@ -228,7 +220,9 @@ def check_unit_identities():
 def check_sinc_power_law():
     def fn():
         for m in (0, 1, 2):
-            verdicts = sinc_power_breaking(m, 2 * m + 6)
+            weights = CosineWeightSpec(m)
+            verdicts = [(n, weighted_integral_exact(SincProductSpec.sinc_power(n), weights).exact_value == 1)
+                        for n in range(1, 2 * m + 7)]  # n = 2m+3 is unit: F vanishes continuously at its edge
             expect = [(n, n <= 2 * m + 3) for n in range(1, 2 * m + 7)]
             if verdicts != expect:
                 return False, "m=%d gave %s" % (m, verdicts)

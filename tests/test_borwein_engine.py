@@ -21,7 +21,6 @@ from sincprod.borwein_engine import (
     fourier_spline,
     integral_exact,
     point_eval_pruned,
-    sinc_power_breaking,
     spline_csv,
     weighted_integral_exact,
 )
@@ -73,9 +72,8 @@ def test_integer_form_matches_plain_fractions(pairs, m):
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: SincProductSpec.sinc_power(2**63), lambda: SincProductSpec.odd_harmonic(10**9),
-              lambda: sinc_power_breaking(0, 10**9)],
-    ids=["sinc_power(2**63)", "odd_harmonic(10**9)", "sinc_power_breaking(0, 10**9)"],
+    "build", [lambda: SincProductSpec.sinc_power(2**63), lambda: SincProductSpec.odd_harmonic(10**9)],
+    ids=["sinc_power(2**63)", "odd_harmonic(10**9)"],
 )
 def test_family_size_refused_before_any_tuple(build):
     # past MAX_FAMILY_SIZE a family is refused before its scales are built
@@ -263,7 +261,7 @@ def test_pruned_matches_spline_randomized(monkeypatch):
 def test_pruned_budget_error_reports_counts():
     spec = SincProductSpec(tuple(rat(1, k + 2) for k in range(12)))
     with pytest.raises(ExactPathUnavailableError) as err:
-        point_eval_pruned(spec, 0, node_budget=50)
+        _point_eval_pruned_stats(spec, [0], 50)
     assert err.value.visited > 50
     assert err.value.budget == 50
 
@@ -461,9 +459,11 @@ def test_deficit_requires_unit_scale():
 
 
 def test_sinc_power_law():
+    # the weighted integral of sinc^n with weight count m is exactly 1 for n <= 2m+3 only
     for m in (0, 1, 2):
-        verdicts = sinc_power_breaking(m, 2 * m + 6)
-        assert verdicts == [(n, n <= 2 * m + 3) for n in range(1, 2 * m + 7)]
+        for n in range(1, 2 * m + 7):
+            value = weighted_integral_exact(SincProductSpec.sinc_power(n), CosineWeightSpec(m)).exact_value
+            assert (value == 1) == (n <= 2 * m + 3), (m, n, value)
 
 
 def test_sinc_power_first_failure_value():

@@ -31,6 +31,7 @@ and lists each moved request, with its old and new output, in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -60,14 +61,18 @@ def _bench(module: str):
         sys.path.remove(str(ROOT / "bench"))
 
 
+@functools.cache
+def _workload_payloads(workload: str) -> list:
+    """The request payloads of one workload at seeds 1 to 3, built once."""
+    return [req.payload for seed in (1, 2, 3) for req in _bench("workloads").build(workload, seed)]
+
+
 def _workload_argv() -> list:
-    return [req.payload["cli"] for name in WORKLOADS for seed in (1, 2, 3)
-            for req in _bench("workloads").build(name, seed) if "cli" in req.payload]
+    return [payload["cli"] for name in WORKLOADS for payload in _workload_payloads(name) if "cli" in payload]
 
 
 def _library_requests(workload: str) -> list:
-    return [req.payload for seed in (1, 2, 3)
-            for req in _bench("workloads").build(workload, seed) if "lib" in req.payload]
+    return [payload for payload in _workload_payloads(workload) if "lib" in payload]
 
 
 def _random_exact_argv(count: int = 1500, seed: int = 24) -> list:

@@ -694,6 +694,26 @@ def test_near_prefix_bisection_matches_linear_scan(p):
     assert seen == {False, True}  # both whole and partial prefixes occur
 
 
+@pytest.mark.parametrize(
+    "p, N, delta",
+    [(2, 1, 2**-7), (2, 20, 2**-7), (2, 256, 2**-7), (2, 1024, 2**-7), (2, 1, 0.3), (2, 30, 0.3),
+     (3, 1, 2**-7), (3, 10, 2**-7), (3, 1, 1.5), (5, 1, 2**-7), (5, 3, 0.3)],
+)
+def test_drift_bound_holds_the_drift_at_its_own_scale(p, N, delta):
+    # the drift sum_{m>=N} |e^(i delta m) - 1| m^(-p), with |e^(i delta m) - 1| = 2 |sin(delta m / 2)|,
+    # summed directly at twice the precision up to M = N + 16 K (K = 2 / delta: 256, 6.7 or 1.3), past
+    # which it is at most 2 sum_{m>=M} m^(-p) <= 2 (M - 1)^(1-p) / (p - 1); the terms are positive and each
+    # within 8 ulp (2^(4 - 2 prec), relative), and so is their sum
+    prec = 128
+    with mp.workprec(prec):
+        bound = _drift_bound(p, N, mp.mpf(delta))
+    M = N + math.ceil(32 / delta)
+    with mp.workprec(2 * prec):
+        head = mp.fsum(2 * abs(mp.sin(mp.mpf(delta) * m / 2)) / mp.mpf(m) ** p for m in range(N, M))
+        drift = head * (1 + mp.ldexp(1, 4 - 2 * prec)) + 2 * mp.mpf(M - 1) ** (1 - p) / (p - 1)
+        assert drift <= bound, (mp.nstr(drift, 8), mp.nstr(bound, 8))
+
+
 def _differences_reference(p, N, K):
     """Delta^k g(N) = sum_j (-1)^(k-j) C(k, j) (N+j)^(-p) for k < K,
     each as an exact numerator over D, the product of the (N+j)^p."""

@@ -13,8 +13,7 @@ import sincprod
 EXPORTS = {
     "borwein_engine": [
         "CosineWeightSpec", "EvalReport", "ExactPathUnavailableError", "SincProductSpec", "deficit_report",
-        "edge_polynomial", "fourier_spline", "integral_exact", "point_eval_pruned", "sinc_power_breaking",
-        "weighted_integral_exact",
+        "edge_polynomial", "fourier_spline", "integral_exact", "point_eval_pruned", "weighted_integral_exact",
     ],
     "exact_core": [
         "BreakingPointResult", "HarmonicFamily", "Interval", "NonTerminatingSearchError", "breaking_point",
