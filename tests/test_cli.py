@@ -341,6 +341,38 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "weighted-integral", "--betas", "1", "--weights", "0")[0] == 2
 
 
+ARGV_GRAMMAR = [
+    # a long flag exactly or as a unique prefix, its value apart or after "=", the last repeat winning
+    ("breakpoint --thr 3", 0), ("breakpoint --threshold=3", 0), ("--form json breakpoint --threshold 3", 0),
+    ("--format=json breakpoint --threshold 3", 0), ("integral --betas 1 --d 5", 0),
+    ("integral --betas 1 --digits 5 --digits 7", 0), ("sum --scales 1,1,1 --alt", 0),
+    ("example5 --a 0.5 --b 1 --ft 0", 0), ("example5 --ft-omegas=-1/2,0", 0),
+    # the first -h prints help, though an unrecognized token comes before it
+    ("-h", 0), ("--format json -h", 0), ("integral --he", 0), ("integral --bogus -h", 0),
+    # --format before an exact command word, and nothing unrecognized
+    ("", 2), ("--format json", 2), ("integ --betas 1", 2), ("--format xml integral --betas 1", 2),
+    ("-x integral --betas 1", 2), ("integral --betas 1 --format json", 2), ("integral --betas 1 extra", 2),
+    ("integral --betas 1 --", 2), ("verify -- fast", 2), ("integral --betas", 2), ("integral --betas 1 -n 3", 2),
+    # a conversion error stops the reading before a later -h
+    ("integral --family odd -h", 2),
+    # a value apart from its flag starts with "-" only as "-" or a negative number
+    ("example5 --ft-omegas -1/2,0", 2), ("breakpoint --threshold -1/2", 2), ("breakpoint --threshold -", 2),
+    ("sum --scales 1,1,1 --abs-tol -1e-9", 2),
+    # switches take no value, and a prefix of two flags is ambiguous
+    ("sum --scales 1,1,1 --alternating=1", 2), ("sum --scales 1,1,1 --a", 2),
+    ("integral --betas 1 --node-budget 1e3", 2), ("breakpoint --threshold --threshold 3", 2),
+]
+
+
+@pytest.mark.parametrize("line, exit_code", ARGV_GRAMMAR, ids=[line or "(empty)" for line, _ in ARGV_GRAMMAR])
+def test_argv_grammar_exit_codes(capsys, line, exit_code):
+    code, out, err = run_cli(capsys, *shlex.split(line))
+    assert code == exit_code, err
+    assert "Traceback" not in err
+    if exit_code == 2:
+        assert out == "" and err
+
+
 @pytest.mark.parametrize("command", ["integral", "deficit", "spline-dump"])
 @pytest.mark.parametrize("spec", [["--family", "odd-harmonic"], ["--n", "5"], ["--family", "sinc-power", "--n", "5"]])
 def test_betas_with_family_or_n_exits_two(capsys, command, spec):
