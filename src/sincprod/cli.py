@@ -8,6 +8,12 @@ raised when the exact path is infeasible or an oracle call is past its
 work cap MAX_ORACLE_WORK (the error report is emitted as JSON so
 callers can machine-parse it).
 
+Each command's flags are one entry of COMMANDS, which _read parses argv
+by and _help renders for -h; the grammar is argparse's: --format goes
+before the command word, a long flag may be shortened to a unique prefix
+and take its value as "--flag value" or "--flag=value", and a usage
+error prints one "usage error: ..." line.
+
 The CLI holds no precision rule: the breaking-point search starts at
 128 bits and doubles while an enclosure straddles the threshold, and
 the oracle reads real scales (numeric_oracle.parse_scale), works out
@@ -16,9 +22,10 @@ its precision from the requested tolerance and renders its values.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import InfeasibleError, verify as verify_mod
 from .borwein_engine import (
@@ -49,7 +56,7 @@ def _parse_spec(args) -> SincProductSpec:
     if args.family:
         if args.n is None:
             raise ValueError("--family requires --n")
-        # the parser admits these two families alone
+        # the flag table admits these two families alone
         return (SincProductSpec.odd_harmonic if args.family == "odd-harmonic" else SincProductSpec.sinc_power)(args.n)
     raise ValueError("a spec is required: --betas or --family with --n")
 
@@ -87,7 +94,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+        raise ValueError("expected a positive integer, got %r" % text)
     return value
 
 
@@ -96,81 +103,162 @@ def _digit_count(text: str) -> int:
     # in its length: 10^5 digits take 0.2 s, 10^6 about 19 s on a 2-CPU host
     value = _positive_int(text)
     if value > 100_000:
-        raise argparse.ArgumentTypeError("at most 100000 digits, got %r" % text)
+        raise ValueError("at most 100000 digits, got %r" % text)
     return value
 
 
-def _add_spec_flags(p):
-    p.add_argument("--betas", help='comma list of rational scales, e.g. "1,1/3,1/5"')
-    p.add_argument("--family", choices=["odd-harmonic", "sinc-power"])
-    p.add_argument("--n", type=int, help="family size parameter, at most %d" % MAX_FAMILY_SIZE)
+REQUIRED = object()  # the default of a flag that must be given
+SPEC_FLAGS = {
+    "--betas": (str, None, 'comma list of rational scales, e.g. "1,1/3,1/5"'),
+    "--family": (("odd-harmonic", "sinc-power"), None, "a family of scales, sized by --n"),
+    "--n": (int, None, "family size parameter, at most %d" % MAX_FAMILY_SIZE),
+}
 
 
-def _add_eval_flags(p, digits):
-    _add_spec_flags(p)
-    p.add_argument("--node-budget", type=_positive_int, default=NODE_BUDGET_DEFAULT,
-                   help="cap on the knot entries the pruned DP expands per request")
-    p.add_argument("--digits", type=_digit_count, default=digits, help="significant digits, 1 to 100000")
+def _eval_flags(digits: int, weights: dict) -> dict:
+    return {
+        **SPEC_FLAGS,
+        "--node-budget": (_positive_int, NODE_BUDGET_DEFAULT, "cap on the knot entries the pruned DP expands per request"),
+        "--digits": (_digit_count, digits, "significant digits, 1 to 100000"),
+        **weights,
+    }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="sincprod",
-        description="Exact sinc-product integrals, sums, deficits and breaking points",
-    )
-    ap.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("breakpoint", help="largest n keeping the partial scale sum below a threshold")
-    p.add_argument("--family", choices=["odd-harmonic"], default="odd-harmonic")
-    p.add_argument("--threshold", required=True)
-
-    p = sub.add_parser("integral", help="exact integral of the sinc product")
-    _add_eval_flags(p, digits=12)
-
-    p = sub.add_parser("weighted-integral", help="exact odd-cosine weighted integral")
-    _add_eval_flags(p, digits=12)
-    p.add_argument(
-        "--weights", type=int, required=True,
-        help="number of cosine terms: 1 means 2cos(pi t), 2 adds 2cos(3 pi t), ...",
-    )
-
-    p = sub.add_parser("deficit", help="exact deficit 1 - integral")
-    _add_eval_flags(p, digits=10)
-    p.add_argument(
-        "--weights", type=int, default=0,
-        help="number of cosine terms (0 = plain unweighted integral)",
-    )
-
-    p = sub.add_parser("sum", help="numeric integer-sample sum with rigorous tail bound")
-    p.add_argument("--scales", required=True, help='comma list, e.g. "5pi/4,1,1"')
-    p.add_argument("--alternating", action="store_true")
-    p.add_argument("--one-sided", action="store_true")
-    p.add_argument("--abs-tol", type=float, default=1e-10,
-                   help="bound on the error of the value: the terms past a short direct head are "
-                        "summed by parts with a rigorous remainder bound (tail_bound <= abs-tol)")
-
-    p = sub.add_parser("lower-bound", help="sum-side lower bound counterexample check")
-    p.add_argument("--a0", required=True)
-    p.add_argument("--rest", required=True)
-    p.add_argument("--abs-tol", type=float, default=5e-10)
-
-    p = sub.add_parser("example5", help="band-limited kernel integral or transform check")
-    p.add_argument("--a", help='comma list of positive scales, as sum reads them, e.g. "0.5,0.3" or "pi/8"')
-    p.add_argument("--b", help="kernel frequency bound, a positive scale")
-    p.add_argument("--ft-omegas", help="comma list of transform sample frequencies, read as scales")
-    p.add_argument("--tol", type=float, default=1e-6)
-
-    p = sub.add_parser("spline-dump", help="emit the transform spline as CSV pieces (exit 3 past 4*10^6 words)")
-    _add_spec_flags(p)
-    p.add_argument("--output", help="file path, default stdout")
-
-    p = sub.add_parser("verify", help="run the acceptance self-checks")
-    p.add_argument("--suite", choices=["fast", "full"], default="fast")
-    return ap
+# command -> (help, {flag: (converter, default, help)}); a converter is a callable,
+# a tuple of the values accepted, or None for a switch, which takes no value
+FORMAT_FLAGS = {"--format": (("json", "csv", "plain"), "plain", "how reports are printed")}
+COMMANDS = {
+    "breakpoint": ("largest n keeping the partial scale sum below a threshold", {
+        "--family": (("odd-harmonic",), "odd-harmonic", "the scales 1/(2k+1), k = 0, 1, 2, ..."),
+        "--threshold": (str, REQUIRED, 'a positive rational, e.g. "3" or "39/2"'),
+    }),
+    "integral": ("exact integral of the sinc product", _eval_flags(12, {})),
+    "weighted-integral": ("exact odd-cosine weighted integral", _eval_flags(12, {
+        "--weights": (int, REQUIRED, "number of cosine terms: 1 means 2cos(pi t), 2 adds 2cos(3 pi t), ..."),
+    })),
+    "deficit": ("exact deficit 1 - integral", _eval_flags(10, {
+        "--weights": (int, 0, "number of cosine terms (0 = plain unweighted integral)"),
+    })),
+    "sum": ("numeric integer-sample sum with rigorous tail bound", {
+        "--scales": (str, REQUIRED, 'comma list, e.g. "5pi/4,1,1"'),
+        "--alternating": (None, False, "sign each term by (-1)^m"),
+        "--one-sided": (None, False, "sum over m >= 0 alone"),
+        "--abs-tol": (float, 1e-10, "bound on the error of the value: the terms past a short direct head are "
+                                    "summed by parts with a rigorous remainder bound (tail_bound <= abs-tol)"),
+    }),
+    "lower-bound": ("sum-side lower bound counterexample check", {
+        "--a0": (str, REQUIRED, "the largest scale, as sum reads it"),
+        "--rest": (str, REQUIRED, "comma list of the other scales, each at most a0"),
+        "--abs-tol": (float, 5e-10, "bound on the error of each of the two sums"),
+    }),
+    "example5": ("band-limited kernel integral or transform check", {
+        "--a": (str, None, 'comma list of positive scales, as sum reads them, e.g. "0.5,0.3" or "pi/8"'),
+        "--b": (str, None, "kernel frequency bound, a positive scale"),
+        "--ft-omegas": (str, None, "comma list of transform sample frequencies, read as scales"),
+        "--tol": (float, 1e-6, "bound on the error of each value"),
+    }),
+    "spline-dump": ("emit the transform spline as CSV pieces (exit 3 past 4*10^6 words)", {
+        **SPEC_FLAGS, "--output": (str, None, "file path, default stdout"),
+    }),
+    "verify": ("run the acceptance self-checks", {
+        "--suite": (("fast", "full"), "fast", "full adds threshold 7 and its 168,803-term certificate"),
+    }),
+}
 
 
-PARSER = build_parser()  # built once per process: it costs about as much as a median request
+def _help(command) -> str:
+    """The -h text of the top level (command None) or of one command."""
+    if command is None:
+        text, flags = "Exact sinc-product integrals, sums, deficits and breaking points", FORMAT_FLAGS
+        usage = "[-h] [--format {json,csv,plain}] COMMAND [FLAG ...]"
+        text += "\n\ncommands:\n" + "".join("  %-19s%s\n" % (name, help) for name, (help, _) in COMMANDS.items())
+    else:
+        (text, flags), usage = COMMANDS[command], command + " [-h] [FLAG ...]"
+    rows = [("-h, --help", "show this help and exit")]
+    for flag, (convert, default, help) in flags.items():
+        value = "{%s}" % ",".join(convert) if isinstance(convert, tuple) else "" if convert is None else "VALUE"
+        note = "" if convert is None or default is None else " (required)" if default is REQUIRED else " (default: %s)" % default
+        rows.append(("%s %s" % (flag, value), help + note))
+    return "usage: sincprod %s\n\n%s\n\nflags:\n%s" % (usage, text.rstrip("\n"), "".join("  %-19s%s\n" % r for r in rows))
+
+
+def _options(tokens: list, flags: dict) -> list:
+    """Each token's (flag, value attached to it, or None) if it is an option, (None, token) if it
+    looks like one of another table, or None if it is a word: a long flag may be shortened to a
+    unique prefix, and "-" alone, a negative number or a token with a space is a word."""
+    names, kinds = [*flags, "--help"], []
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        found = ([name] if name in names else [f for f in names if f.startswith(name)]) if token[:2] == "--" else []
+        if len(found) > 1:
+            raise ValueError("ambiguous option: %s could match %s" % (name, ", ".join(found)))
+        if found:
+            kinds.append((found[0], value if eq else None))
+        elif token[:2] == "-h":  # "-hh" is -h twice, and "-h=" attaches a value as "--help=" does
+            kinds.append(("-h", token[3:] if name == "-h" and eq else token[2:] or None))
+        elif token[:1] != "-" or token == "-" or " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+            kinds.append(None)
+        else:
+            kinds.append((None, token))
+    return kinds
+
+
+def _read(argv):
+    """The namespace _run reads, from argv by the flag tables, or None once -h has printed its help.
+
+    Tokens are read left to right: --format and -h, then the command word, then its flags.  A
+    conversion error stops the reading at once; unrecognized tokens, those from the first "--" on
+    among them, are reported once the whole argv is read."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    tokens, stray, command, flags, values = argv[:cut], argv[cut:], None, FORMAT_FLAGS, {}
+    kinds, i = _options(tokens, flags), 0
+    while i < len(tokens):
+        kind, i = kinds[i], i + 1
+        if kind is None and command is None:
+            command = tokens[i - 1]
+            if command not in COMMANDS:
+                raise ValueError("invalid command %r (choose from %s)" % (command, ", ".join(COMMANDS)))
+            flags = COMMANDS[command][1]
+            kinds[i:] = _options(tokens[i:], flags)
+        elif kind is None or kind[0] is None:
+            stray.append(tokens[i - 1])
+        elif kind[0] in ("-h", "--help"):
+            if kind[1] is not None and (kind[0] == "--help" or kind[1].strip("h") or not kind[1]):
+                raise ValueError("argument -h/--help: ignored explicit argument %r" % kind[1])
+            print(_help(command), end="")
+            return None
+        else:
+            flag, value = kind
+            convert = flags[flag][0]
+            if convert is None and value is not None:
+                raise ValueError("argument %s: ignored explicit argument %r" % (flag, value))
+            if convert is not None and value is None:
+                if i == len(tokens) or kinds[i] is not None:
+                    raise ValueError("argument %s: expected one argument" % flag)
+                value, i = tokens[i], i + 1
+            values[flag] = _convert(flag, convert, value)
+    if command is None:
+        raise ValueError("a command is required: %s" % ", ".join(COMMANDS))
+    missing = [flag for flag, (_, default, _) in flags.items() if default is REQUIRED and flag not in values]
+    if missing:
+        raise ValueError("the following arguments are required: %s" % ", ".join(missing))
+    if stray:
+        raise ValueError("unrecognized arguments: %s" % " ".join(stray))
+    both = {**FORMAT_FLAGS, **flags}
+    return SimpleNamespace(command=command, **{f[2:].replace("-", "_"): values.get(f, both[f][1]) for f in both})
+
+
+def _convert(flag: str, convert, value: str):
+    if convert is None:
+        return True
+    if isinstance(convert, tuple):
+        if value not in convert:
+            raise ValueError("argument %s: invalid choice: %r (choose from %s)" % (flag, value, ", ".join(convert)))
+        return value
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError("argument %s: %s" % (flag, exc)) from None
 
 
 def _run(args) -> int:
@@ -255,7 +343,7 @@ def _run(args) -> int:
             sys.stdout.writelines(lines)
         return EXIT_OK
 
-    # verify, the one command left: the parser admits no other
+    # verify, the one command left: the flag table admits no other
     results = verify_mod.run_suite(args.suite)
     failures = [r for r in results if not r.passed]
     for r in results:
@@ -269,11 +357,8 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return _run(args)
+        args = _read(sys.argv[1:] if argv is None else list(argv))
+        return EXIT_OK if args is None else _run(args)
     except (ValueError, ZeroDivisionError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
