@@ -115,12 +115,12 @@ SPEC_FLAGS = {
 }
 
 
-def _eval_flags(digits: int, weights: dict) -> dict:
+def _eval_flags(digits: int) -> dict:
     return {
         **SPEC_FLAGS,
-        "--node-budget": (_positive_int, NODE_BUDGET_DEFAULT, "cap on the knot entries the pruned DP expands per request"),
+        "--node-budget": (_positive_int, NODE_BUDGET_DEFAULT,
+                          "cap on the knot entries the pruned DP expands per request"),
         "--digits": (_digit_count, digits, "significant digits, 1 to 100000"),
-        **weights,
     }
 
 
@@ -132,13 +132,14 @@ COMMANDS = {
         "--family": (("odd-harmonic",), "odd-harmonic", "the scales 1/(2k+1), k = 0, 1, 2, ..."),
         "--threshold": (str, REQUIRED, 'a positive rational, e.g. "3" or "39/2"'),
     }),
-    "integral": ("exact integral of the sinc product", _eval_flags(12, {})),
-    "weighted-integral": ("exact odd-cosine weighted integral", _eval_flags(12, {
+    "integral": ("exact integral of the sinc product", _eval_flags(12)),
+    "weighted-integral": ("exact odd-cosine weighted integral", {
+        **_eval_flags(12),
         "--weights": (int, REQUIRED, "number of cosine terms: 1 means 2cos(pi t), 2 adds 2cos(3 pi t), ..."),
-    })),
-    "deficit": ("exact deficit 1 - integral", _eval_flags(10, {
-        "--weights": (int, 0, "number of cosine terms (0 = plain unweighted integral)"),
-    })),
+    }),
+    "deficit": ("exact deficit 1 - integral", {
+        **_eval_flags(10), "--weights": (int, 0, "number of cosine terms (0 = plain unweighted integral)"),
+    }),
     "sum": ("numeric integer-sample sum with rigorous tail bound", {
         "--scales": (str, REQUIRED, 'comma list, e.g. "5pi/4,1,1"'),
         "--alternating": (None, False, "sign each term by (-1)^m"),
@@ -171,15 +172,17 @@ def _help(command) -> str:
     if command is None:
         text, flags = "Exact sinc-product integrals, sums, deficits and breaking points", FORMAT_FLAGS
         usage = "[-h] [--format {json,csv,plain}] COMMAND [FLAG ...]"
-        text += "\n\ncommands:\n" + "".join("  %-19s%s\n" % (name, help) for name, (help, _) in COMMANDS.items())
+        text += "\n\ncommands:\n" + "".join("  %-18s %s\n" % (name, help) for name, (help, _) in COMMANDS.items())
     else:
         (text, flags), usage = COMMANDS[command], command + " [-h] [FLAG ...]"
     rows = [("-h, --help", "show this help and exit")]
     for flag, (convert, default, help) in flags.items():
         value = "{%s}" % ",".join(convert) if isinstance(convert, tuple) else "" if convert is None else "VALUE"
-        note = "" if convert is None or default is None else " (required)" if default is REQUIRED else " (default: %s)" % default
-        rows.append(("%s %s" % (flag, value), help + note))
-    return "usage: sincprod %s\n\n%s\n\nflags:\n%s" % (usage, text.rstrip("\n"), "".join("  %-19s%s\n" % r for r in rows))
+        if convert is not None and default is not None:
+            help += " (required)" if default is REQUIRED else " (default: %s)" % default
+        rows.append(("%s %s" % (flag, value), help))
+    rows = "".join("  %-18s %s\n" % row for row in rows)
+    return "usage: sincprod %s\n\n%s\n\nflags:\n%s" % (usage, text.rstrip("\n"), rows)
 
 
 def _options(tokens: list, flags: dict) -> list:

@@ -373,6 +373,45 @@ def test_argv_grammar_exit_codes(capsys, line, exit_code):
         assert out == "" and err
 
 
+EVAL_FLAGS = ["--betas", "--family", "--n", "--node-budget", "--digits"]
+COMMAND_FLAGS = {
+    None: ["--format"],
+    "breakpoint": ["--family", "--threshold"],
+    "integral": EVAL_FLAGS,
+    "weighted-integral": EVAL_FLAGS + ["--weights"],
+    "deficit": EVAL_FLAGS + ["--weights"],
+    "sum": ["--scales", "--alternating", "--one-sided", "--abs-tol"],
+    "lower-bound": ["--a0", "--rest", "--abs-tol"],
+    "example5": ["--a", "--b", "--ft-omegas", "--tol"],
+    "spline-dump": ["--betas", "--family", "--n", "--output"],
+    "verify": ["--suite"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS, ids=lambda c: c or "(top)")
+def test_help_lists_every_flag_with_its_help(capsys, command):
+    words = [command] * (command is not None)
+    code, out, err = run_cli(capsys, *words, "-h")
+    assert (code, err) == (0, "")
+    # argparse reads "-hh" as -h twice, and gives a switch no value
+    assert run_cli(capsys, *words, "-hh") == (0, out, "")
+    assert run_cli(capsys, *words, "--help=x")[:2] == (2, "")
+    flags = cli.COMMANDS[command][1] if command else cli.FORMAT_FLAGS
+    assert list(flags) == COMMAND_FLAGS[command]
+    lines, required = out.splitlines(), []
+    for flag, (_, _, help) in [*flags.items(), ("--help", (None, None, "show this help"))]:
+        line = next(line for line in lines if flag in line.replace(",", " ").split()[:2])
+        assert help and help in line
+        required += [flag] * ("(required)" in line)
+    if command is None:
+        assert all(any(line.split() and line.split()[0] == name and help in line for line in lines)
+                   for name, (help, _) in cli.COMMANDS.items())
+    elif required:
+        # each flag the help marks required is named when it is left out
+        code, out, err = run_cli(capsys, command)
+        assert (code, out) == (2, "") and all(flag in err for flag in required)
+
+
 @pytest.mark.parametrize("command", ["integral", "deficit", "spline-dump"])
 @pytest.mark.parametrize("spec", [["--family", "odd-harmonic"], ["--n", "5"], ["--family", "sinc-power", "--n", "5"]])
 def test_betas_with_family_or_n_exits_two(capsys, command, spec):

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from sincprod.exact_core import (
     Interval,
     NonTerminatingSearchError,
     _floor_ceil,
+    _mpf_floor_ceil,
     _odd_sum_enclosure,
     _odd_sum_split,
     breaking_point,
@@ -90,6 +93,18 @@ def test_interval_precision_monotone(p, q, bits):
     coarse = _rounded(x, bits)
     fine = _rounded(x, bits + 37)
     assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2, 53, 200])
+def test_mpf_floor_ceil_matches_fractions(bits):
+    # an exact integer's exponent is never negative, so exp + bits >= 0 and the
+    # mantissa is shifted left; eighths at bits < 3 are shifted right and rounded
+    for x in [Fraction(k, d) for k in range(-20, 21) for d in (1, 8)]:
+        raw = (mp.mpf(x.numerator) / x.denominator)._mpf_
+        assert x.denominator > 1 or raw[2] >= 0
+        scaled = x * 2**bits
+        assert _mpf_floor_ceil(raw, bits, ceil=False) == math.floor(scaled)
+        assert _mpf_floor_ceil(raw, bits, ceil=True) == math.ceil(scaled)
 
 
 def test_interval_sum_contains_exact():

@@ -42,6 +42,19 @@ def test_bare_import_loads_no_engine():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_no_argparse():
+    # argparse and the gettext it imports cost about 2.9 ms per CLI process
+    # (-X importtime), and building its subparser tree about 2.1 ms more
+    code = (
+        "import sys, sincprod.cli\n"
+        "loaded = {'argparse', 'gettext'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sincprod.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_oracle_import_loads_no_exact_engine():
     # the oracle shares no code with the exact engine it cross-checks
     code = (
