@@ -185,25 +185,25 @@ def _help(command) -> str:
     return "usage: sincprod %s\n\n%s\n\nflags:\n%s" % (usage, text.rstrip("\n"), rows)
 
 
-def _options(tokens: list, flags: dict) -> list:
-    """Each token's (flag, value attached to it, or None) if it is an option, (None, token) if it
-    looks like one of another table, or None if it is a word: a long flag may be shortened to a
-    unique prefix, and "-" alone, a negative number or a token with a space is a word."""
-    names, kinds = [*flags, "--help"], []
-    for token in tokens:
-        name, eq, value = token.partition("=")
-        found = ([name] if name in names else [f for f in names if f.startswith(name)]) if token[:2] == "--" else []
+NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _option(token: str, flags: dict):
+    """token as (flag, the value attached to it or None) if it names one of flags or -h, as (None,
+    token) if it looks like an option of another table, or None if it is a word: "-" alone, a
+    negative number or a token with a space.  A long flag may be shortened to a unique prefix."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if token[:2] == "--":
+        found = [name] if name in flags else [f for f in [*flags, "--help"] if f.startswith(name)]
         if len(found) > 1:
             raise ValueError("ambiguous option: %s could match %s" % (name, ", ".join(found)))
         if found:
-            kinds.append((found[0], value if eq else None))
-        elif token[:2] == "-h":  # "-hh" is -h twice, and "-h=" attaches a value as "--help=" does
-            kinds.append(("-h", token[3:] if name == "-h" and eq else token[2:] or None))
-        elif token[:1] != "-" or token == "-" or " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
-            kinds.append(None)
-        else:
-            kinds.append((None, token))
-    return kinds
+            return found[0], value if eq else None
+    elif token[:2] == "-h":  # "-hh" is -h twice, and "-h=" attaches a value as "--help=" does
+        return "-h", token[3:] if name == "-h" and eq else token[2:] or None
+    return None if " " in token or NEGATIVE_NUMBER.match(token) else (None, token)
 
 
 def _read(argv):
@@ -214,7 +214,7 @@ def _read(argv):
     among them, are reported once the whole argv is read."""
     cut = argv.index("--") if "--" in argv else len(argv)
     tokens, stray, command, flags, values = argv[:cut], argv[cut:], None, FORMAT_FLAGS, {}
-    kinds, i = _options(tokens, flags), 0
+    kinds, i = [_option(token, flags) for token in tokens], 0
     while i < len(tokens):
         kind, i = kinds[i], i + 1
         if kind is None and command is None:
@@ -222,7 +222,7 @@ def _read(argv):
             if command not in COMMANDS:
                 raise ValueError("invalid command %r (choose from %s)" % (command, ", ".join(COMMANDS)))
             flags = COMMANDS[command][1]
-            kinds[i:] = _options(tokens[i:], flags)
+            kinds[i:] = [_option(token, flags) for token in tokens[i:]]
         elif kind is None or kind[0] is None:
             stray.append(tokens[i - 1])
         elif kind[0] in ("-h", "--help"):
