@@ -209,7 +209,8 @@ def _option(token: str, flags: dict):
 def _read(argv):
     """The namespace _run reads, from argv by the flag tables, or None once -h has printed its help.
 
-    Tokens are read left to right: --format and -h, then the command word, then its flags.  A
+    Tokens are read left to right: --format and -h, then the command word, then its flags.  Each
+    level's tokens are classified before it reads any, so an ambiguous prefix is reported first; a
     conversion error stops the reading at once; unrecognized tokens, those from the first "--" on
     among them, are reported once the whole argv is read."""
     cut = argv.index("--") if "--" in argv else len(argv)
