@@ -393,9 +393,10 @@ def test_help_lists_every_flag_with_its_help(capsys, command):
     words = [command] * (command is not None)
     code, out, err = run_cli(capsys, *words, "-h")
     assert (code, err) == (0, "")
-    # argparse reads "-hh" as -h twice, and gives a switch no value
+    # argparse reads "-hh" as -h twice, gives a switch no value, and reads no option past "--"
     assert run_cli(capsys, *words, "-hh") == (0, out, "")
     assert run_cli(capsys, *words, "--help=x")[:2] == (2, "")
+    assert run_cli(capsys, *words, "-h", "--", "--=x") == (0, out, "")
     flags = cli.COMMANDS[command][1] if command else cli.FORMAT_FLAGS
     assert list(flags) == COMMAND_FLAGS[command]
     lines, required = out.splitlines(), []
