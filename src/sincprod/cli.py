@@ -9,10 +9,10 @@ work cap MAX_ORACLE_WORK (the error report is emitted as JSON so
 callers can machine-parse it).
 
 Each command's flags are one entry of COMMANDS, which _read parses argv
-by and _help renders for -h; the grammar is argparse's: --format goes
-before the command word, a long flag may be shortened to a unique prefix
-and take its value as "--flag value" or "--flag=value", and a usage
-error prints one "usage error: ..." line.
+by and _help renders for -h: --format goes before the command word, a
+long flag may be shortened to a unique prefix and take its value as
+"--flag value" or "--flag=value", and a usage error prints one
+"usage error: ..." line.
 
 The CLI holds no precision rule: the breaking-point search starts at
 128 bits and doubles while an enclosure straddles the threshold, and
@@ -171,7 +171,7 @@ def _help(command) -> str:
     """The -h text of the top level (command None) or of one command."""
     if command is None:
         text, flags = "Exact sinc-product integrals, sums, deficits and breaking points", FORMAT_FLAGS
-        usage = "[-h] [--format {json,csv,plain}] COMMAND [FLAG ...]"
+        usage = "[-h] [--format {%s}] COMMAND [FLAG ...]" % ",".join(FORMAT_FLAGS["--format"][0])
         text += "\n\ncommands:\n" + "".join("  %-18s %s\n" % (name, help) for name, (help, _) in COMMANDS.items())
     else:
         (text, flags), usage = COMMANDS[command], command + " [-h] [FLAG ...]"
