@@ -209,13 +209,16 @@ def _option(token: str, flags: dict):
 def _read(argv):
     """The namespace _run reads, from argv by the flag tables, or None once -h has printed its help.
 
-    Tokens are read left to right: --format and -h, then the command word, then its flags.  Each
-    level's tokens are classified before it reads any, so an ambiguous prefix is reported first; a
-    conversion error stops the reading at once; unrecognized tokens, those from the first "--" on
-    among them, are reported once the whole argv is read."""
+    Tokens are read left to right: --format and -h, then the command word, then its flags.  The top
+    level classifies the tokens to the first command name, the command's table the rest, each before
+    reading any, so an ambiguous prefix is reported first; a conversion error stops the reading at
+    once; unrecognized tokens, those from the first "--" on among them, are reported at the end."""
     cut = argv.index("--") if "--" in argv else len(argv)
     tokens, stray, command, flags, values = argv[:cut], argv[cut:], None, FORMAT_FLAGS, {}
-    kinds, i = [_option(token, flags) for token in tokens], 0
+    for token in (token for token in tokens if token[:3] == "--="):
+        _option(token, flags)  # raises wherever it stands: "--" begins both top-level names
+    top = next((j + 1 for j, token in enumerate(tokens) if token in COMMANDS), len(tokens))
+    kinds, i = [_option(token, flags) for token in tokens[:top]], 0
     while i < len(tokens):
         kind, i = kinds[i], i + 1
         if kind is None and command is None:

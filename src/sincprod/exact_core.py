@@ -10,9 +10,12 @@ the float estimate n ~ e^(2t - gamma - 2 ln 2) - 1, then a bisection,
 each probe deciding S_n < t rigorously.  A probe with n below
 ``EXACT_PROBE_CUTOFF`` sums S_n exactly by binary splitting.  Any other
 probe encloses the closed form S_n = (psi(n + 3/2) + gamma + 2 ln 2) / 2:
-ln, gamma and ln 2 come from ``mpmath.iv``, psi's asymptotic series
-(DLMF 5.11.2) uses exact Bernoulli numbers, and its remainder is
-bounded by the first omitted term (DLMF 5.11(ii)).
+ln, gamma and ln 2 come from ``mpmath.libmp`` rounded outward, psi's
+asymptotic series (DLMF 5.11.2) uses exact Bernoulli numbers, and its
+remainder is bounded by the first omitted term (DLMF 5.11(ii)).  A
+probe next to the last steps from it by one term: its enclosure, with
+the term rounded outward on its grid, before a fresh one, and its exact
+sum, by one multiply-add, in place of a split.
 
 Every decision is a strict separation of an enclosure from t or an
 exact comparison.  When an enclosure of S_n straddles t, S_n is summed
@@ -36,7 +39,8 @@ from functools import lru_cache
 from math import exp, floor
 
 import mpmath as mp
-from mpmath import bernfrac, iv
+from mpmath import bernfrac
+from mpmath.libmp import from_int, mpf_add, mpf_euler, mpf_ln2, mpf_log, round_ceiling, round_floor
 
 from . import InfeasibleError
 from .rational import rat
@@ -82,10 +86,10 @@ class Interval:
         return rat(self.hi_num, 1 << self.precision_bits)
 
     def strictly_below(self, x) -> bool:
-        return self.hi < rat(x)
+        return self.hi_num * rat(x).denominator < rat(x).numerator << self.precision_bits
 
     def strictly_above(self, x) -> bool:
-        return self.lo > rat(x)
+        return self.lo_num * rat(x).denominator > rat(x).numerator << self.precision_bits
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +215,13 @@ def _odd_sum_enclosure(n: int, bits: int):
     bits would not narrow it.  The mantissas of 2 S_n on the 2^-bits
     grid are those of S_n on the 2^-(bits+1) grid.
     """
-    d = 2 * n + 3
-    saved = iv.prec
-    iv.prec = bits + 32
-    try:
-        v = (iv.log(d) + iv.euler + iv.ln2)._mpi_
-    finally:
-        iv.prec = saved
-    lo = _mpf_floor_ceil(v[0], bits, ceil=False)
-    hi = _mpf_floor_ceil(v[1], bits, ceil=True)
+    d, prec = 2 * n + 3, bits + 32
+
+    def outward(rnd):  # ln d + gamma + ln 2 at prec, each step rounded the one way, as mpmath.iv rounds
+        v = mpf_add(mpf_log(from_int(d, prec, rnd), prec, rnd), mpf_euler(prec, rnd), prec, rnd)
+        return _mpf_floor_ceil(mpf_add(v, mpf_ln2(prec, rnd), prec, rnd), bits, ceil=rnd == round_ceiling)
+
+    lo, hi = outward(round_floor), outward(round_ceiling)
     # -1/d, then the terms -B_2k 4^k / (2k d^2k) for k = 1, 2, ...
     lo_t, hi_t = _floor_ceil(-1, d, bits)
     lo, hi = lo + lo_t, hi + hi_t
@@ -254,7 +256,8 @@ class BreakingPointResult:
     """``mode`` is "exact" when both the estimate and n lie below
     ``EXACT_PROBE_CUTOFF``, so every probe summed S_n exactly, and
     "closed_form" otherwise.  ``terms_scanned`` counts the terms summed
-    exactly: n + 1 for each probe that took the exact S_n."""
+    exactly: n + 1 for each probe that took the exact S_n by binary
+    splitting, and 1 for each that stepped from its neighbour's."""
 
     n: int
     mode: str              # "exact" or "closed_form"
@@ -337,21 +340,45 @@ def _estimate_breaking_point(threshold) -> int:
         return int(mp.floor(mp.exp(y()) - 1))
 
 
+def _step(s, m: int, n: int):
+    """S_n from S_m for n = m +- 1 by one term: s an Interval, kept on its own grid, or (num, den)."""
+    d, sign = 2 * max(n, m) + 1, n - m  # S_n = S_m + sign/d
+    if isinstance(s, Interval):
+        lo_t, hi_t = _floor_ceil(sign, d, s.precision_bits)
+        return Interval(s.lo_num + lo_t, s.hi_num + hi_t, s.precision_bits)
+    return s[0] * d + sign * s[1], s[1] * d
+
+
 def _search(threshold, start: int) -> BreakingPointResult:
     """Gallop from ``start``, then bisect, until S_n < t <= S_(n+1)."""
     t_p, t_q = threshold.numerator, threshold.denominator
     cutoff = EXACT_PROBE_CUTOFF
     bits, terms = DEFAULT_PRECISION_BITS, 0
+    last = None, None  # n and S_n of the probe decided last: an Interval, or (num, den) exactly
+
+    def decided(n: int, s):
+        """S_n < t if s settles it, else None; s then becomes the last probe."""
+        nonlocal last
+        verdict = (s[0] * t_q < t_p * s[1] if isinstance(s, tuple) else
+                   True if s.strictly_below(threshold) else False if s.strictly_above(threshold) else None)
+        if verdict is not None:
+            last = n, s
+        return verdict
 
     def below(n: int) -> bool:
-        """S_n < t, decided rigorously."""
+        """S_n < t, decided rigorously.  Next to the last probe, that probe's enclosure plus one term
+        comes before a fresh enclosure, and its exact sum plus one term replaces the split."""
         nonlocal bits, terms
+        m, s = last
+        s = _step(s, m, n) if m is not None and abs(n - m) == 1 else None
+        verdict = decided(n, s) if isinstance(s, Interval) else None
+        if verdict is not None:
+            return verdict
         while n >= cutoff:
             enclosure, limited = _odd_sum_enclosure(n, bits)
-            if enclosure.strictly_below(threshold):
-                return True
-            if enclosure.strictly_above(threshold):
-                return False
+            verdict = decided(n, enclosure)
+            if verdict is not None:
+                return verdict
             if n <= EXACT_TERM_CUTOFF or limited or bits * 2 > MAX_PRECISION_BITS:
                 break
             bits *= 2
@@ -360,9 +387,8 @@ def _search(threshold, start: int) -> BreakingPointResult:
                 "S_n straddles the threshold at %d bits for an n of %d bits; the exact S_n "
                 "is summed only up to MAX_EXACT_TERMS = %d terms" % (bits, n.bit_length(), MAX_EXACT_TERMS)
             )
-        num, den = _odd_sum_split(0, n + 1)
-        terms += n + 1
-        return num * t_q < t_p * den
+        s, terms = (s, terms + 1) if isinstance(s, tuple) else (_odd_sum_split(0, n + 1), terms + n + 1)
+        return decided(n, s)
 
     if below(start):
         lo, step = start, 1

@@ -373,6 +373,26 @@ def test_argv_grammar_exit_codes(capsys, line, exit_code):
         assert out == "" and err
 
 
+@pytest.mark.parametrize("line", [
+    "--format json weighted-integral --betas 1,1/3 --weights 2 --node-budget 300", "--form=csv breakpoint --thr 3",
+    "sum --scales 1,1,1 --alt --abs-tol 1e-9", "-x integral --betas 1 extra -- --=x -h",
+])
+def test_each_token_is_classified_once(capsys, monkeypatch, line):
+    # the top-level table classifies the tokens to the command word, the command's table the rest
+    seen, option = [], cli._option
+    monkeypatch.setattr(cli, "_option", lambda token, flags: seen.append(token) or option(token, flags))
+    argv = shlex.split(line)
+    cli.main(argv)
+    assert seen == argv[:argv.index("--") if "--" in argv else len(argv)]
+
+
+@pytest.mark.parametrize("line", ["-h --=x", "integral -h --=x", "--format json --=json -h", "nonsense --=x"])
+def test_top_level_ambiguous_prefix_is_reported_before_anything(capsys, line):
+    # "--" begins both --format and --help, so "--=..." is ambiguous at the top level wherever it stands
+    message = "usage error: ambiguous option: -- could match --format, --help\n"
+    assert run_cli(capsys, *shlex.split(line)) == (2, "", message)
+
+
 EVAL_FLAGS = ["--betas", "--family", "--n", "--node-budget", "--digits"]
 COMMAND_FLAGS = {
     None: ["--format"],

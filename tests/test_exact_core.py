@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import bernfrac, iv
 
 from sincprod import exact_core
 from sincprod.exact_core import (
@@ -17,6 +19,7 @@ from sincprod.exact_core import (
     _mpf_floor_ceil,
     _odd_sum_enclosure,
     _odd_sum_split,
+    _step,
     breaking_point,
     breaking_point_report,
     interval_odd_harmonic_sum,
@@ -241,6 +244,75 @@ def test_closed_form_enclosure_contains_exact_sum():
             assert _contains(enclosure, odd_harmonic_sum(n)), (n, bits)
             if n >= 250:
                 assert not limited and enclosure.hi - enclosure.lo < rat(1, 2**(bits - 10)), (n, bits)
+
+
+def _iv_enclosure(n, bits):
+    """_odd_sum_enclosure with ln d + gamma + ln 2 taken from the mpmath.iv context: the
+    reference for its direct mpmath.libmp calls.  The series and its remainder are the same."""
+    d = 2 * n + 3
+    saved = iv.prec
+    iv.prec = bits + 32
+    try:
+        v = (iv.log(d) + iv.euler + iv.ln2)._mpi_
+    finally:
+        iv.prec = saved
+    lo_t, hi_t = _floor_ceil(-1, d, bits)
+    lo, hi = _mpf_floor_ceil(v[0], bits, ceil=False) + lo_t, _mpf_floor_ceil(v[1], bits, ceil=True) + hi_t
+    prev, k = None, 1
+    while True:
+        b_p, b_q = bernfrac(2 * k)
+        p, q = -b_p << (2 * k), 2 * k * b_q * d ** (2 * k)
+        lo_t, hi_t = _floor_ceil(p, q, bits)
+        size = abs(p).bit_length() - q.bit_length()
+        limited = k > exact_core.MAX_SERIES_TERMS or (prev is not None and size > prev)
+        if limited or size < -bits - 2:
+            return Interval(lo + lo_t * (p < 0), hi + hi_t * (p > 0), bits + 1), limited
+        lo, hi, prev, k = lo + lo_t, hi + hi_t, size, k + 1
+
+
+@pytest.mark.parametrize("n", [250, 3090, 10_001, 168_802, 10**12])
+@pytest.mark.parametrize("bits", [128, 256, 1024, 4096])
+def test_closed_form_enclosure_bit_identical_to_iv(n, bits):
+    enclosure, limited = _odd_sum_enclosure(n, bits)
+    reference, ref_limited = _iv_enclosure(n, bits)
+    assert (enclosure.lo_num, enclosure.hi_num, enclosure.precision_bits, limited) == (
+        reference.lo_num, reference.hi_num, reference.precision_bits, ref_limited)
+
+
+def test_stepped_enclosures_contain_neighbours():
+    # from the search's enclosure of S_n and from the one-ulp enclosure of the exact S_n,
+    # whose ends sit closest to S_n: a term rounded inward on either side shows there
+    rng = random.Random(36)
+    for n in [250, 3000] + [rng.randint(250, 3000) for _ in range(40)]:
+        for bits in (128, 512):
+            for start in (_odd_sum_enclosure(n, bits)[0], _rounded(odd_harmonic_sum(n), bits + 1)):
+                for m in (n - 1, n + 1):
+                    stepped = _step(start, n, m)
+                    assert _contains(stepped, odd_harmonic_sum(m)), (n, bits, m)
+                    assert stepped.hi_num - stepped.lo_num - (start.hi_num - start.lo_num) in (0, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 249, 250, 3090])
+def test_exact_step_matches_split(n):
+    for m in [m for m in (n - 1, n + 1) if m >= 0]:
+        assert Fraction(*_step(_odd_sum_split(0, n + 1), n, m)) == Fraction(*_odd_sum_split(0, m + 1)), m
+
+
+def test_stepped_exact_probe_counts_one_term():
+    # t = 3: the estimate lands on n = 55, summed exactly (56 terms); S_56 is one step from it
+    assert breaking_point_report(HarmonicFamily.odd_harmonic(), 3).terms_scanned == 56 + 1
+
+
+@pytest.mark.parametrize("m", [300, 3090, 10_001])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_breaking_point_report_pinned_near_partial_sums(m, sign):
+    # t = S_m +- 2^-k around the 128-bit grid, where an enclosure stepped from a neighbour could
+    # decide at a lower precision than a fresh one; pinned from the search by fresh enclosures alone
+    s_m = odd_harmonic_sum(m)
+    for k in range(120, 137):
+        rep = breaking_point_report(HarmonicFamily.odd_harmonic(), s_m + sign * Fraction(1, 2**k))
+        bits = 256 if m > EXACT_TERM_CUTOFF and k >= 128 else 128
+        assert (rep.n, rep.mode, rep.precision_bits) == (m - (sign < 0), "closed_form", bits), k
 
 
 def test_breaking_point_beyond_max_precision_refused():
