@@ -48,11 +48,31 @@ def test_partial_sum_rejects_negative():
 
 
 @pytest.mark.parametrize("a", [0, 1, 7, 250])
-@pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 33, 100])
+@pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 33, 100, 127, 128, 129, 255, 256, 257, 1000, 3000])
 def test_odd_sum_split_matches_fraction_sum(a, length):
-    # ranges on both sides of the term-by-term leaf, from k = 0 and past it
+    # ranges on both sides of the term-by-term leaf and of the product/gcd merge cut
+    # (_PRODUCT_FORM_TERMS), from k = 0 and past it
     p, q = _odd_sum_split(a, a + length)
     assert Fraction(p, q) == sum(Fraction(1, 2 * k + 1) for k in range(a, a + length))
+
+
+@pytest.mark.parametrize("a", [0, 1, 7, 250])
+@pytest.mark.parametrize("length", [1000, 1500, 3000, 10_001])
+def test_odd_sum_split_denominator_near_lcm(a, length):
+    # long ranges merge over gcds, so den stays near the lcm of the odd numbers;
+    # the product of the odd numbers is about 3.9 times that at 3,000 terms
+    p, q = _odd_sum_split(a, a + length)
+    assert q > 0
+    assert q.bit_length() <= 1.25 * math.lcm(*range(2 * a + 1, 2 * (a + length), 2)).bit_length()
+
+
+@pytest.mark.parametrize("n", [10_001, 30_000])
+def test_odd_harmonic_sum_at_scale_matches_direct_enclosure(n):
+    # where the search sums exactly past EXACT_TERM_CUTOFF: the split's sum lies in the
+    # term-by-term enclosure, which shares no code with it, and steps by the last term
+    s = odd_harmonic_sum(n)
+    assert _contains(interval_odd_harmonic_sum(n, 512), s)
+    assert s - odd_harmonic_sum(n - 1) == Fraction(1, 2 * n + 1)
 
 
 # -- intervals ---------------------------------------------------------------
@@ -63,14 +83,20 @@ def _rounded(x, bits):
     return Interval(*_floor_ceil(x.numerator, x.denominator, bits), bits)
 
 
+def _bounds(iv):
+    """The enclosure's ends as Fractions."""
+    return Fraction(iv.lo_num, 1 << iv.precision_bits), Fraction(iv.hi_num, 1 << iv.precision_bits)
+
+
 def _contains(iv, x):
-    return iv.lo <= x <= iv.hi
+    lo, hi = _bounds(iv)
+    return lo <= x <= hi
 
 
 def test_interval_encloses_thirds():
-    iv = _rounded(rat(1, 3), 64)
-    assert iv.lo < rat(1, 3) < iv.hi
-    assert iv.hi - iv.lo == rat(1, 2**64)
+    lo, hi = _bounds(_rounded(rat(1, 3), 64))
+    assert lo < rat(1, 3) < hi
+    assert hi - lo == rat(1, 2**64)
 
 
 @given(
@@ -82,7 +108,8 @@ def test_interval_contains_and_tight(p, q, bits):
     x = rat(p, q)
     iv = _rounded(x, bits)
     assert _contains(iv, x)
-    assert iv.hi - iv.lo <= rat(1, 2**bits)
+    lo, hi = _bounds(iv)
+    assert hi - lo <= rat(1, 2**bits)
 
 
 @given(
@@ -93,9 +120,9 @@ def test_interval_contains_and_tight(p, q, bits):
 def test_interval_precision_monotone(p, q, bits):
     # widening precision never widens the enclosure
     x = rat(p, q)
-    coarse = _rounded(x, bits)
-    fine = _rounded(x, bits + 37)
-    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
+    coarse_lo, coarse_hi = _bounds(_rounded(x, bits))
+    fine_lo, fine_hi = _bounds(_rounded(x, bits + 37))
+    assert coarse_lo <= fine_lo and fine_hi <= coarse_hi
 
 
 @pytest.mark.parametrize("bits", [0, 1, 2, 53, 200])
@@ -118,15 +145,15 @@ def test_interval_sum_contains_exact():
 
 def test_interval_sum_width_bound():
     for n, bits in ((55, 128), (2000, 64)):
-        iv = interval_odd_harmonic_sum(n, bits)
+        lo, hi = _bounds(interval_odd_harmonic_sum(n, bits))
         value = odd_harmonic_sum(n)
-        assert iv.hi - iv.lo <= (n + 1) * rat(2) * value / 2**bits
+        assert hi - lo <= (n + 1) * rat(2) * value / 2**bits
 
 
 def test_interval_sum_anchor_55():
     # midpoint within half an ulp of the 10-digit reference 2.994437501
-    iv = interval_odd_harmonic_sum(55, 128)
-    assert abs((iv.lo + iv.hi) / 2 - rat("2.994437501")) <= rat(5, 10**10)
+    lo, hi = _bounds(interval_odd_harmonic_sum(55, 128))
+    assert abs((lo + hi) / 2 - rat("2.994437501")) <= rat(5, 10**10)
 
 
 def test_interval_sum_anchor_3090():
@@ -134,7 +161,8 @@ def test_interval_sum_anchor_3090():
 
     iv = interval_odd_harmonic_sum(3090, 128)
     assert _contains(iv, odd_harmonic_sum(3090))
-    midpoint = (iv.lo + iv.hi) / 2
+    lo, hi = _bounds(iv)
+    midpoint = (lo + hi) / 2
     with mp.workprec(120):
         scaled = mp.pi * mp.mpf(midpoint.numerator) / mp.mpf(midpoint.denominator)
         assert abs(scaled - mp.mpf("15.70758624")) < 1e-8
@@ -243,7 +271,8 @@ def test_closed_form_enclosure_contains_exact_sum():
             enclosure, limited = _odd_sum_enclosure(n, bits)
             assert _contains(enclosure, odd_harmonic_sum(n)), (n, bits)
             if n >= 250:
-                assert not limited and enclosure.hi - enclosure.lo < rat(1, 2**(bits - 10)), (n, bits)
+                lo, hi = _bounds(enclosure)
+                assert not limited and hi - lo < rat(1, 2**(bits - 10)), (n, bits)
 
 
 def _iv_enclosure(n, bits):
