@@ -147,8 +147,7 @@ def _odd_sum_split(a: int, b: int):
     """
     if b - a <= 16:
         p, q = 0, 1
-        for k in range(a, b):
-            d = 2 * k + 1
+        for d in range(2 * a + 1, 2 * b, 2):
             p, q = p * d + q, q * d
         return p, q
     m = (a + b) // 2
