@@ -16,6 +16,10 @@ class InfeasibleError(Exception):
     subclass and prints it as a JSON error."""
 
 
+# borwein_engine's, defined here so that the CLI's flag help reads them without loading the engine
+NODE_BUDGET_DEFAULT = 4 * 10**6  # pruned knot entries per request (2-3 us each), or spline words (about 1 us)
+MAX_FAMILY_SIZE = 100_000  # n of a family spec, refused before its n scales are built
+
 _EXPORTS = {
     "borwein_engine": "CosineWeightSpec EvalReport ExactPathUnavailableError SincProductSpec deficit_report "
                       "edge_polynomial fourier_spline integral_exact point_eval_pruned weighted_integral_exact",

@@ -43,13 +43,11 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import InfeasibleError
+from . import MAX_FAMILY_SIZE, NODE_BUDGET_DEFAULT, InfeasibleError
 from .rational import Rat, rat, rat_str, ratio_str, to_decimal
 from .spline_engine import PiecewisePolynomial, SplineSizeError
 
-NODE_BUDGET_DEFAULT = 4 * 10**6  # pruned knot entries per request (2-3 us each), or spline words (about 1 us)
 MAX_SAMPLE_POINTS = 10**4  # sample points of F per request, all read off one pruned DP
-MAX_FAMILY_SIZE = 100_000  # n of a family spec, refused before its n scales are built
 _LAYER_CAP = 1 << 16  # DP entries held at once per chunk, which bounds memory
 
 

@@ -14,6 +14,10 @@ long flag may be shortened to a unique prefix and take its value as
 "--flag value" or "--flag=value", and a usage error prints one
 "usage error: ..." line.
 
+A command imports its module (_ENGINE) when it runs, binding the names
+cli takes from it (_IMPORTS) but for those bound already, such as a
+wrapper set on cli.  So ``import sincprod.cli`` loads no engine.
+
 The CLI holds no precision rule: the breaking-point search starts at
 128 bits and doubles while an enclosure straddles the threshold, and
 the oracle reads real scales (numeric_oracle.parse_scale), works out
@@ -25,23 +29,29 @@ from __future__ import annotations
 import json
 import re
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 
-from . import InfeasibleError, verify as verify_mod
-from .borwein_engine import (
-    MAX_FAMILY_SIZE,
-    NODE_BUDGET_DEFAULT,
-    CosineWeightSpec,
-    SincProductSpec,
-    deficit_report,
-    fourier_spline,  # noqa: F401  (spline-dump renders spline_csv; the name stays for wrappers of cli.fourier_spline)
-    integral_exact,
-    spline_csv,
-    weighted_integral_exact,
-)
-from .exact_core import HarmonicFamily, breaking_point_report
-from .numeric_oracle import example5_report, lower_bound_check, numeric_sum, parse_scale, verify_ft_example5
+from . import MAX_FAMILY_SIZE, NODE_BUDGET_DEFAULT, InfeasibleError
 from .rational import int_str, rat, rat_str
+
+_IMPORTS = {
+    "borwein_engine": "CosineWeightSpec SincProductSpec deficit_report fourier_spline integral_exact spline_csv "
+                      "weighted_integral_exact",  # no command calls fourier_spline: it is bound for wrappers
+    "exact_core": "HarmonicFamily breaking_point_report",
+    "numeric_oracle": "example5_report lower_bound_check numeric_sum parse_scale verify_ft_example5",
+    "verify": "run_suite",
+}
+_OWNER = {name: module for module, names in _IMPORTS.items() for name in names.split()}
+_ENGINE = {"breakpoint": "exact_core", "sum": "numeric_oracle", "lower-bound": "numeric_oracle",
+           "example5": "numeric_oracle", "verify": "verify"}  # the other commands run on borwein_engine
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return globals().setdefault(name, getattr(import_module("." + _OWNER[name], __package__), name))
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -270,6 +280,9 @@ def _convert(flag: str, convert, value: str):
 
 def _run(args) -> int:
     fmt = args.format
+    for name in _IMPORTS[_ENGINE.get(args.command, "borwein_engine")].split():
+        if name not in globals():
+            __getattr__(name)
     if args.command == "breakpoint":
         threshold = _rational(args.threshold)
         rep = breaking_point_report(HarmonicFamily.odd_harmonic(), threshold)
@@ -351,7 +364,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     # verify, the one command left: the flag table admits no other
-    results = verify_mod.run_suite(args.suite)
+    results = run_suite(args.suite)
     failures = [r for r in results if not r.passed]
     for r in results:
         print(

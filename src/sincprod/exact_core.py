@@ -14,10 +14,12 @@ near the lcm of the odd numbers rather than their product.  Any other
 probe encloses the closed form S_n = (psi(n + 3/2) + gamma + 2 ln 2) / 2:
 ln, gamma and ln 2 come from ``mpmath.libmp`` rounded outward, psi's
 asymptotic series (DLMF 5.11.2) uses exact Bernoulli numbers, and its
-remainder is bounded by the first omitted term (DLMF 5.11(ii)).  A
-probe next to the last steps from it by one term: its enclosure, with
-the term rounded outward on its grid, before a fresh one, and its exact
-sum, by one multiply-add, in place of a split.
+remainder is bounded by the first omitted term (DLMF 5.11(ii)).  The
+first such probe, or an estimate past t = 20, imports mpmath, so a
+threshold below about 3.7 never loads it.  A probe next to the last
+steps from it by one term: its enclosure, with the term rounded outward
+on its grid, before a fresh one, and its exact sum, by one multiply-add,
+in place of a split.
 
 Every decision is a strict separation of an enclosure from t or an
 exact comparison.  When an enclosure of S_n straddles t, S_n is summed
@@ -40,10 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, floor, gcd
 
-import mpmath as mp
-from mpmath import bernfrac
-from mpmath.libmp import from_int, mpf_add, mpf_euler, mpf_ln2, mpf_log, round_ceiling, round_floor
-
 from . import InfeasibleError
 from .rational import rat
 
@@ -54,6 +52,7 @@ MAX_EXACT_TERMS = 100_000       # past MAX_PRECISION_BITS, the exact S_n is summ
 MAX_SERIES_TERMS = 128          # Bernoulli terms per enclosure; caps its cost, not its rigour
 DEFAULT_PRECISION_BITS = 128    # the closed form's starting precision
 _PRODUCT_FORM_TERMS = 128       # _odd_sum_split merges longer ranges over the gcd of their denominators
+mp = None                       # mpmath, bound with the names taken from it by _load_mpmath
 
 
 class NonTerminatingSearchError(InfeasibleError):
@@ -187,6 +186,15 @@ def interval_odd_harmonic_sum(n: int, precision_bits: int) -> Interval:
     return Interval(lo, hi, precision_bits)
 
 
+def _load_mpmath():
+    """Import mpmath, and bind the names taken from it here, on the first call."""
+    global mp, bernfrac, from_int, mpf_add, mpf_euler, mpf_ln2, mpf_log, round_ceiling, round_floor
+    if mp is None:
+        import mpmath as mp
+        from mpmath import bernfrac
+        from mpmath.libmp import from_int, mpf_add, mpf_euler, mpf_ln2, mpf_log, round_ceiling, round_floor
+
+
 @lru_cache(maxsize=None)  # bounded: k <= MAX_SERIES_TERMS + 1
 def _bernoulli(k: int):
     """B_2k as (p, q)."""
@@ -221,6 +229,7 @@ def _odd_sum_enclosure(n: int, bits: int):
     bits would not narrow it.  The mantissas of 2 S_n on the 2^-bits
     grid are those of S_n on the 2^-(bits+1) grid.
     """
+    _load_mpmath()
     d, prec = 2 * n + 3, bits + 32
 
     def outward(rnd):  # ln d + gamma + ln 2 at prec, each step rounded the one way, as mpmath.iv rounds
@@ -331,6 +340,7 @@ def _estimate_breaking_point(threshold) -> int:
     """
     if threshold < 20:
         return max(0, floor(exp(2 * float(threshold) - _GAMMA_2LN2) - 1))
+    _load_mpmath()
 
     def y():  # at the working precision
         return 2 * mp.mpf(threshold.numerator) / threshold.denominator - mp.euler - 2 * mp.ln2

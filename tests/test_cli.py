@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import resource
 import shlex
 import signal
@@ -866,6 +867,118 @@ def test_cli_argv_exit_codes(argv):
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+FUZZ_SCALES = ["1", "1/2", "1/3", "2/3", "3/4", "2", "5/2", "0.3", "0.5", "pi/4", "5pi/4", "pi"]
+FUZZ_RATIONALS = ["1", "1/3", "1/5", "2/7", "3/2", "5/3", "1/9", "7/3"]
+FUZZ_JUNK = ["", "abc", "-1", "0", "1/0", "2/0", "pi/0", "nan", "inf", "1e400", "1e-40", "2/3/4", "--", "-h", "=",
+             "1_0"]
+
+
+def _fuzz_argv(rng, spline_file):
+    """One argv: a well-formed request for any command but a full verify, mutated half the time."""
+    def scales(k, pool=FUZZ_SCALES):
+        return ",".join(rng.choice(pool) for _ in range(k))
+
+    command = rng.choice(["breakpoint", "integral", "weighted-integral", "deficit", "sum", "lower-bound",
+                          "example5", "spline-dump", "verify"])
+    argv = rng.choice([[], ["--format", "json"], ["--format", "csv"], ["--format=plain"]]) + [command]
+    if command == "breakpoint":
+        argv += ["--threshold", rng.choice(["%d/%d" % (rng.randint(1, 80), rng.randint(1, 10)), "10000", "1/2"])]
+    elif command == "sum":
+        argv += ["--scales", scales(rng.randint(2, 5))]
+        argv += rng.sample(["--alternating", "--one-sided", "--abs-tol=1e-6"], rng.randint(0, 2))
+    elif command == "lower-bound":
+        argv += ["--a0", rng.choice(["5pi/4", "2", "3/2"]), "--rest", scales(rng.randint(1, 3), FUZZ_SCALES[:7])]
+    elif command == "example5":
+        argv += rng.choice([["--ft-omegas", scales(rng.randint(1, 3), ["0", "1/2", "1", "3", "pi"])],
+                            ["--a", scales(rng.randint(1, 3), ["0.5", "0.3", "pi/8", "1/4"]), "--b", scales(1)]])
+    elif command == "verify":  # left unmutated: a suite takes seconds
+        return argv + rng.choice([["-h"], ["--suite", "quick"], ["--suite"], ["--suite=ful"]])
+    else:  # a spline-dump of odd-harmonic n = 13 took 0.4 s and of sinc-power 200 0.25 s on a 2-CPU host
+        odd, power = (8, 40) if command == "spline-dump" else (16, 200)
+        argv += rng.choice([["--betas", scales(rng.randint(1, 6), FUZZ_RATIONALS)],
+                            ["--family", "odd-harmonic", "--n", str(rng.randint(0, odd))],
+                            ["--family", "sinc-power", "--n", str(rng.randint(1, power))]])
+        if command in ("weighted-integral", "deficit"):
+            argv += ["--weights", str(rng.randint(0, 4))]
+        if command == "spline-dump":
+            argv += rng.choice([[], ["--output", spline_file], ["--output", spline_file + "/missing/x.csv"]])
+        else:
+            argv += rng.choice([[], ["--digits", str(rng.randint(1, 60))], ["--node-budget", str(rng.randint(1, 500))]])
+    if rng.random() < 0.5:
+        i = rng.randrange(len(argv) + 1)
+        mutation = rng.randrange(6)
+        if mutation == 0 and i < len(argv):
+            del argv[i]
+        elif mutation == 1:
+            argv.insert(i, rng.choice(FUZZ_JUNK + ["--bogus", "-x", "--n", "--help=x", "--form"]))
+        elif mutation == 2:  # a flag's value, where there is one
+            values = [j for j in range(1, len(argv)) if argv[j - 1][:2] == "--" and argv[j][:1] != "-"]
+            argv[rng.choice(values or [0])] = rng.choice(FUZZ_JUNK)
+        elif mutation == 3 and i < len(argv) and argv[i][:2] == "--" and len(argv[i]) > 3:
+            argv[i] = argv[i][:rng.randint(3, len(argv[i]))]  # a prefix of the flag, unique or not
+        elif mutation == 4 and i + 1 < len(argv) and argv[i][:2] == "--":
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+        else:
+            argv = argv[2:] + argv[:2]  # the leading tokens moved to the end
+    return argv
+
+
+def test_seeded_cli_fuzz_exits_cleanly(monkeypatch, tmp_path):
+    # 500 seeded argv, well formed or mutated, through the dispatch that loads each command's engine
+    # on first use: every one ends in success, one usage error line or one JSON refusal (about 0.5 s)
+    monkeypatch.chdir(tmp_path)  # a mutated --output names a file in the working directory
+    rng = random.Random(38)
+    for _ in range(500):
+        argv = _fuzz_argv(rng, str(tmp_path / "spline.csv"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3) and "Traceback" not in out + err, (argv, code, err)
+        if code == 2:
+            assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1, (argv, err)
+        if code == 3:
+            assert list(json.loads(out)) == ["error"] and out.count("\n") == 1, (argv, out)
+
+
+# the names bench/tracing.py wraps on cli, by owning module
+TRACED = {"main": "cli", "integral_exact": "borwein_engine", "weighted_integral_exact": "borwein_engine",
+          "deficit_report": "borwein_engine", "fourier_spline": "borwein_engine", "rat_str": "rational",
+          "breaking_point_report": "exact_core", "numeric_sum": "numeric_oracle",
+          "lower_bound_check": "numeric_oracle"}
+
+
+def test_traced_names_resolve_on_a_fresh_cli_as_their_owners_objects():
+    # cli loads no engine at import, so each name resolves on first access, by getattr or from-import
+    code = (
+        "from importlib import import_module\n"
+        "import sincprod.cli as cli\n"
+        "for name, owner in %r:\n"
+        "    value, namespace = getattr(cli, name), {}\n"
+        "    assert value is getattr(import_module('sincprod.' + owner), name), name\n"
+        "    exec('from sincprod.cli import ' + name, namespace)\n"
+        "    assert namespace[name] is value, name\n" % sorted(TRACED.items())
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("breaking_point_report", ["breakpoint", "--threshold", "3"]),
+    ("numeric_sum", ["sum", "--scales", "5pi/4,1,1"]),
+])
+def test_wrapper_set_on_cli_is_what_the_command_calls(capsys, monkeypatch, name, argv):
+    calls, real = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    assert run_cli(capsys, *argv)[0] == 0 and len(calls) == 1
+
+
+def test_unknown_cli_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name
 
 
 def test_csv_format(capsys):
