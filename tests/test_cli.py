@@ -272,10 +272,23 @@ def test_oracle_outputs_are_pinned(capsys, line, plain, as_json, json_format):
         ("integral --betas 1,abc",
          "usage error: cannot read rational 'abc': invalid literal for int() with base 10: 'abc'\n"),
         ("breakpoint --threshold 1/0", "usage error: cannot read rational '1/0': division by zero\n"),
+        ("weighted-integral --betas 1 --weights 0", "usage error: --weights must be >= 1 for weighted-integral\n"),
+        ("deficit --betas 1 --weights -1", "usage error: --weights must be >= 0\n"),
+        # the spec is read before --weights is checked
+        ("weighted-integral --betas 1,abc --weights 0",
+         "usage error: cannot read rational 'abc': invalid literal for int() with base 10: 'abc'\n"),
+        ("example5 --tol 1e-6", "usage error: example5 needs --a and --b (or --ft-omegas)\n"),
     ],
 )
 def test_scale_reader_usage_errors_are_pinned(capsys, line, err):
     assert run_cli(capsys, *line.split()) == (2, "", err)
+
+
+def test_example5_transform_csv_prints_one_table_per_omega(capsys):
+    assert run_cli(capsys, "--format", "csv", "example5", "--ft-omegas", "0,1/2") == (0, (
+        "omega,numeric,closed_form,difference,within_tol\n0,4.9699263558324856,4.9699264004508497,-4.4618e-8,True\n"
+        "omega,numeric,closed_form,difference,within_tol\n1/2,3.0144127508196633,3.0144127383886874,1.2431e-8,True\n"
+    ), "")
 
 
 def test_example5_reads_pi_scales(capsys):
@@ -873,6 +886,20 @@ FUZZ_SCALES = ["1", "1/2", "1/3", "2/3", "3/4", "2", "5/2", "0.3", "0.5", "pi/4"
 FUZZ_RATIONALS = ["1", "1/3", "1/5", "2/7", "3/2", "5/3", "1/9", "7/3"]
 FUZZ_JUNK = ["", "abc", "-1", "0", "1/0", "2/0", "pi/0", "nan", "inf", "1e400", "1e-40", "2/3/4", "--", "-h", "=",
              "1_0"]
+# junk for a flag's value, drawn by the reader of that flag, so that each reader's
+# errors (a rational's division by zero among them) come up in every seeded run
+FUZZ_VALUE_JUNK = {
+    "rational": ["1/0", "2/0", "0/0", "1,1/0", "1/-3", "-0/5", "abc", "1e400", "2/3/4", "1_0", "nan", "inf", ""],
+    "scale": ["pi/0", "1/0", "1,0/0", "nan", "inf", "1e400", "1e-40", "0", "-1", "abc", "2/3/4", "pi/", ""],
+    "int": ["0", "-1", "abc", "1e3", "1_0", "", "+1", "99999999999999999999", "\u0661"],
+    "float": ["0", "-1", "nan", "inf", "-inf", "1e400", "1e-400", "abc", "1/2", ""],
+}
+FUZZ_READERS = {
+    **dict.fromkeys(["--threshold", "--betas"], "rational"),
+    **dict.fromkeys(["--scales", "--a0", "--rest", "--a", "--b", "--ft-omegas"], "scale"),
+    **dict.fromkeys(["--n", "--weights", "--digits", "--node-budget"], "int"),
+    **dict.fromkeys(["--abs-tol", "--tol"], "float"),
+}
 
 
 def _fuzz_argv(rng, spline_file):
@@ -913,9 +940,11 @@ def _fuzz_argv(rng, spline_file):
             del argv[i]
         elif mutation == 1:
             argv.insert(i, rng.choice(FUZZ_JUNK + ["--bogus", "-x", "--n", "--help=x", "--form"]))
-        elif mutation == 2:  # a flag's value, where there is one
+        elif mutation == 2:  # a flag's value, where there is one, by junk its reader may meet
             values = [j for j in range(1, len(argv)) if argv[j - 1][:2] == "--" and argv[j][:1] != "-"]
-            argv[rng.choice(values or [0])] = rng.choice(FUZZ_JUNK)
+            j = rng.choice(values or [0])
+            reader = FUZZ_READERS.get(argv[j - 1]) if j else None
+            argv[j] = rng.choice(FUZZ_VALUE_JUNK[reader] if reader else FUZZ_JUNK)
         elif mutation == 3 and i < len(argv) and argv[i][:2] == "--" and len(argv[i]) > 3:
             argv[i] = argv[i][:rng.randint(3, len(argv[i]))]  # a prefix of the flag, unique or not
         elif mutation == 4 and i + 1 < len(argv) and argv[i][:2] == "--":

@@ -72,6 +72,9 @@ def _modules_loaded(code):
     ("breakpoint --threshold 3", {"sincprod.exact_core"}),  # every probe sums S_n exactly
     ("breakpoint --threshold 5", {"sincprod.exact_core", "mpmath"}),
     ("sum --scales 5pi/4,1,1", {"sincprod.numeric_oracle", "mpmath"}),
+    ("weighted-integral --betas 1,1/3 --weights 1", {"sincprod.borwein_engine", "sincprod.spline_engine"}),
+    ("lower-bound --a0 5pi/4 --rest 1,1", {"sincprod.numeric_oracle", "mpmath"}),
+    ("example5 --a 0.5,0.3 --b 1", {"sincprod.numeric_oracle", "mpmath"}),
 ])
 def test_cli_loads_only_the_engine_a_command_runs(argv, modules):
     # a CLI process compiles each module it loads: the modules an integral does not
