@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, floor, gcd
+from math import exp, floor, gcd, log
 
 from . import InfeasibleError
 from .rational import rat
@@ -327,6 +327,7 @@ def breaking_point_report(family: HarmonicFamily, threshold) -> BreakingPointRes
 
 
 _GAMMA_2LN2 = 1.9635100260214235  # gamma + 2 ln 2
+_TOO_MANY_BITS = "the breaking point has %s bits; telling S_n from S_(n+1) needs more than MAX_PRECISION_BITS = %d"
 
 
 def _estimate_breaking_point(threshold) -> int:
@@ -336,10 +337,15 @@ def _estimate_breaking_point(threshold) -> int:
     nothing.  Floats serve while n fits their 53 bits; beyond, mpmath works at
     about as many bits as n has, so the gallop starts within a few
     steps.  A threshold whose n cannot be told from n + 1 at
-    ``MAX_PRECISION_BITS`` is refused here.
+    ``MAX_PRECISION_BITS`` is refused here: by n's estimated bit count,
+    or, past t = ``MAX_PRECISION_BITS``, where n has over 2.8 t bits,
+    by t alone, before mpmath reads a t of any size.
     """
     if threshold < 20:
         return max(0, floor(exp(2 * float(threshold) - _GAMMA_2LN2) - 1))
+    if threshold > MAX_PRECISION_BITS:
+        raise NonTerminatingSearchError(_TOO_MANY_BITS % (
+            "more than %d" % floor((2 * MAX_PRECISION_BITS - _GAMMA_2LN2) / log(2)), MAX_PRECISION_BITS))
     _load_mpmath()
 
     def y():  # at the working precision
@@ -348,10 +354,7 @@ def _estimate_breaking_point(threshold) -> int:
     with mp.workprec(64):
         n_bits = int(y() / mp.ln2) + 1
     if n_bits > MAX_PRECISION_BITS - 16:
-        raise NonTerminatingSearchError(
-            "the breaking point has about %d bits; telling S_n from S_(n+1) needs more than "
-            "MAX_PRECISION_BITS = %d" % (n_bits, MAX_PRECISION_BITS)
-        )
+        raise NonTerminatingSearchError(_TOO_MANY_BITS % ("about %d" % n_bits, MAX_PRECISION_BITS))
     with mp.workprec(n_bits + 32):
         return int(mp.floor(mp.exp(y()) - 1))
 

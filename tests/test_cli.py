@@ -727,12 +727,18 @@ def test_breakpoint_prints_more_digits_than_the_int_str_limit(capsys):
 
 
 def test_breakpoint_beyond_max_precision_exits_three(capsys):
-    # n would have about 17,300 bits: no precision up to the cap tells S_n from S_(n+1)
-    t0 = time.perf_counter()
-    code, out, _ = run_cli(capsys, "--format", "json", "breakpoint", "--threshold", "6000")
-    assert time.perf_counter() - t0 < 1.0
-    assert code == 3
-    assert json.loads(out)["error"]["type"] == "NonTerminatingSearchError"
+    # n would have about 17,300 bits: no precision up to the cap tells S_n from S_(n+1); a t past
+    # MAX_PRECISION_BITS is refused by t alone, before mpmath reads 1e999999's 3.3-million-bit numerator
+    # or the message prints 1e4400's 4,400-digit bit count
+    for threshold in ("6000", "1e4400", "1e999999"):
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "--format", "json", "breakpoint", "--threshold", threshold)
+        assert time.perf_counter() - t0 < 1.0, threshold
+        assert code == 3 and out.count("\n") == 1, threshold
+        assert json.loads(out)["error"]["type"] == "NonTerminatingSearchError"
+    assert json.loads(out)["error"]["message"] == (
+        "the breaking point has more than 47271 bits; telling S_n from S_(n+1) needs more than "
+        "MAX_PRECISION_BITS = 16384")
 
 
 def test_breakpoint_straddle_past_max_exact_terms_exits_three(capsys, monkeypatch):
