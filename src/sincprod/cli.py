@@ -14,9 +14,15 @@ long flag may be shortened to a unique prefix and take its value as
 "--flag value" or "--flag=value", and a usage error prints one
 "usage error: ..." line.
 
-A command imports its module (_ENGINE) when it runs, binding the names
-cli takes from it (_IMPORTS) but for those bound already, such as a
-wrapper set on cli.  So ``import sincprod.cli`` loads no engine.
+Each command is one handler, a function of the namespace _read builds
+that prints the command's report.  HANDLERS names, for each command,
+its handler and the module that handler runs on; before the handler
+runs, _run imports that module and binds the names cli takes from it
+(_IMPORTS) but for those bound already, such as a wrapper set on cli.
+So ``import sincprod.cli`` loads no engine.  The handlers call these
+names through cli's globals, not through a local import, because
+bench/tracing.py wraps nine names on cli, seven of them these: a name
+set there is what a command calls.
 
 The CLI holds no precision rule: the breaking-point search starts at
 128 bits and doubles while an enclosure straddles the threshold, and
@@ -43,8 +49,6 @@ _IMPORTS = {
     "verify": "run_suite",
 }
 _OWNER = {name: module for module, names in _IMPORTS.items() for name in names.split()}
-_ENGINE = {"breakpoint": "exact_core", "sum": "numeric_oracle", "lower-bound": "numeric_oracle",
-           "example5": "numeric_oracle", "verify": "verify"}  # the other commands run on borwein_engine
 
 
 def __getattr__(name):
@@ -278,92 +282,93 @@ def _convert(flag: str, convert, value: str):
         raise ValueError("argument %s: %s" % (flag, exc)) from None
 
 
-def _run(args) -> int:
-    fmt = args.format
-    for name in _IMPORTS[_ENGINE.get(args.command, "borwein_engine")].split():
-        if name not in globals():
-            __getattr__(name)
-    if args.command == "breakpoint":
-        threshold = _rational(args.threshold)
-        rep = breaking_point_report(HarmonicFamily.odd_harmonic(), threshold)
-        digits = int_str(rep.n)  # also lifts the int/str digit limit for json.dumps
-        if fmt == "plain":
-            print(digits)
-        else:
-            _emit(
-                {
-                    "command": "breakpoint",
-                    "family": args.family,
-                    "threshold": rat_str(threshold),
-                    "breaking_point": rep.n,
-                    "mode": rep.mode,
-                    "precision_bits": rep.precision_bits,
-                },
-                fmt,
-            )
-        return EXIT_OK
-
-    if args.command in ("integral", "weighted-integral", "deficit"):
-        spec = _parse_spec(args)
-        if args.command == "integral":
-            report = integral_exact(spec, digits=args.digits, node_budget=args.node_budget)
-            weights = None
-        elif args.command == "weighted-integral":
-            if args.weights < 1:
-                raise ValueError("--weights must be >= 1 for weighted-integral")
-            weights = CosineWeightSpec(args.weights - 1)
-            report = weighted_integral_exact(spec, weights, digits=args.digits, node_budget=args.node_budget)
-        else:
-            if args.weights < 0:
-                raise ValueError("--weights must be >= 0")
-            weights = CosineWeightSpec(args.weights - 1) if args.weights else None
-            report = deficit_report(spec, weights, digits=args.digits, node_budget=args.node_budget)
-        _emit(report.to_dict(args.command, spec, weights), fmt)
-        return EXIT_OK
-
-    if args.command == "sum":
-        scales = [parse_scale(tok) for tok in args.scales.split(",")]
-        res = numeric_sum(scales, alternating=args.alternating, abs_tol=args.abs_tol, one_sided=args.one_sided)
-        _emit({"command": "sum", "scales": args.scales, **res.to_dict()}, fmt)
-        return EXIT_OK
-
-    if args.command == "lower-bound":
-        rep = lower_bound_check(
-            parse_scale(args.a0), [parse_scale(t) for t in args.rest.split(",")], abs_tol=args.abs_tol
+def _breakpoint(args):
+    threshold = _rational(args.threshold)
+    rep = breaking_point_report(HarmonicFamily.odd_harmonic(), threshold)
+    digits = int_str(rep.n)  # also lifts the int/str digit limit for json.dumps
+    if args.format == "plain":
+        print(digits)
+    else:
+        _emit(
+            {
+                "command": "breakpoint",
+                "family": args.family,
+                "threshold": rat_str(threshold),
+                "breaking_point": rep.n,
+                "mode": rep.mode,
+                "precision_bits": rep.precision_bits,
+            },
+            args.format,
         )
-        _emit({"command": "lower-bound", "a0": args.a0, "rest": args.rest, **rep}, fmt)
-        return EXIT_OK
 
-    if args.command == "example5":
-        if args.ft_omegas:
-            tokens = args.ft_omegas.split(",")
-            samples = verify_ft_example5([parse_scale(tok) for tok in tokens], tol=args.tol)
-            reports = [{"omega": tok, **r} for tok, r in zip(tokens, samples)]
-            if fmt == "json":
-                print(json.dumps({"command": "example5-ft", "samples": reports}))
-            else:
-                for r in reports:
-                    _emit(r, fmt)
-            return EXIT_OK
-        if not args.a or not args.b:
-            raise ValueError("example5 needs --a and --b (or --ft-omegas)")
-        report = example5_report([parse_scale(tok) for tok in args.a.split(",")], parse_scale(args.b), tol=args.tol)
-        _emit({"command": "example5", "a": args.a, "b": args.b, **report}, fmt)
-        return EXIT_OK
 
-    if args.command == "spline-dump":
-        lines = spline_csv(_parse_spec(args))
-        if args.output:
-            try:
-                with open(args.output, "w") as fh:
-                    fh.writelines(lines)
-            except OSError as exc:
-                raise ValueError("cannot write --output %s: %s" % (args.output, exc.strerror or exc)) from None
+def _integral(args):
+    spec = _parse_spec(args)
+    report = integral_exact(spec, digits=args.digits, node_budget=args.node_budget)
+    _emit(report.to_dict(args.command, spec, None), args.format)
+
+
+def _weighted_integral(args):
+    spec = _parse_spec(args)
+    if args.weights < 1:
+        raise ValueError("--weights must be >= 1 for weighted-integral")
+    weights = CosineWeightSpec(args.weights - 1)
+    report = weighted_integral_exact(spec, weights, digits=args.digits, node_budget=args.node_budget)
+    _emit(report.to_dict(args.command, spec, weights), args.format)
+
+
+def _deficit(args):
+    spec = _parse_spec(args)
+    if args.weights < 0:
+        raise ValueError("--weights must be >= 0")
+    weights = CosineWeightSpec(args.weights - 1) if args.weights else None
+    report = deficit_report(spec, weights, digits=args.digits, node_budget=args.node_budget)
+    _emit(report.to_dict(args.command, spec, weights), args.format)
+
+
+def _sum(args):
+    scales = [parse_scale(tok) for tok in args.scales.split(",")]
+    res = numeric_sum(scales, alternating=args.alternating, abs_tol=args.abs_tol, one_sided=args.one_sided)
+    _emit({"command": "sum", "scales": args.scales, **res.to_dict()}, args.format)
+
+
+def _lower_bound(args):
+    rep = lower_bound_check(
+        parse_scale(args.a0), [parse_scale(t) for t in args.rest.split(",")], abs_tol=args.abs_tol
+    )
+    _emit({"command": "lower-bound", "a0": args.a0, "rest": args.rest, **rep}, args.format)
+
+
+def _example5(args):
+    if args.ft_omegas:
+        tokens = args.ft_omegas.split(",")
+        samples = verify_ft_example5([parse_scale(tok) for tok in tokens], tol=args.tol)
+        reports = [{"omega": tok, **r} for tok, r in zip(tokens, samples)]
+        if args.format == "json":
+            print(json.dumps({"command": "example5-ft", "samples": reports}))
         else:
-            sys.stdout.writelines(lines)
-        return EXIT_OK
+            for r in reports:
+                _emit(r, args.format)
+        return
+    if not args.a or not args.b:
+        raise ValueError("example5 needs --a and --b (or --ft-omegas)")
+    report = example5_report([parse_scale(tok) for tok in args.a.split(",")], parse_scale(args.b), tol=args.tol)
+    _emit({"command": "example5", "a": args.a, "b": args.b, **report}, args.format)
 
-    # verify, the one command left: the flag table admits no other
+
+def _spline_dump(args):
+    lines = spline_csv(_parse_spec(args))
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.writelines(lines)
+        except OSError as exc:
+            raise ValueError("cannot write --output %s: %s" % (args.output, exc.strerror or exc)) from None
+    else:
+        sys.stdout.writelines(lines)
+
+
+def _verify(args) -> int:
     results = run_suite(args.suite)
     failures = [r for r in results if not r.passed]
     for r in results:
@@ -373,6 +378,24 @@ def _run(args) -> int:
         )
     print("%d/%d checks passed (%s suite)" % (len(results) - len(failures), len(results), args.suite))
     return EXIT_OK if not failures else 1
+
+
+# command -> (the module whose _IMPORTS names its handler calls, the handler)
+HANDLERS = {
+    "breakpoint": ("exact_core", _breakpoint), "integral": ("borwein_engine", _integral),
+    "weighted-integral": ("borwein_engine", _weighted_integral), "deficit": ("borwein_engine", _deficit),
+    "sum": ("numeric_oracle", _sum), "lower-bound": ("numeric_oracle", _lower_bound),
+    "example5": ("numeric_oracle", _example5), "spline-dump": ("borwein_engine", _spline_dump),
+    "verify": ("verify", _verify),
+}
+
+
+def _run(args) -> int:
+    engine, handler = HANDLERS[args.command]
+    for name in _IMPORTS[engine].split():
+        if name not in globals():
+            __getattr__(name)
+    return handler(args) or EXIT_OK
 
 
 def main(argv=None) -> int:
