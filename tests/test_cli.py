@@ -893,7 +893,7 @@ FUZZ_RATIONALS = ["1", "1/3", "1/5", "2/7", "3/2", "5/3", "1/9", "7/3"]
 FUZZ_JUNK = ["", "abc", "-1", "0", "1/0", "2/0", "pi/0", "nan", "inf", "1e400", "1e-40", "2/3/4", "--", "-h", "=",
              "1_0"]
 # junk for a flag's value, drawn by the reader of that flag, so that each reader's
-# errors (a rational's division by zero among them) come up in every seeded run
+# errors (a rational's division by zero among them) come up in most seeded runs
 FUZZ_VALUE_JUNK = {
     "rational": ["1/0", "2/0", "0/0", "1,1/0", "1/-3", "-0/5", "abc", "1e400", "2/3/4", "1_0", "nan", "inf", ""],
     "scale": ["pi/0", "1/0", "1,0/0", "nan", "inf", "1e400", "1e-40", "0", "-1", "abc", "2/3/4", "pi/", ""],
