@@ -16,7 +16,9 @@ the plateau, small scales, transform samples and two refusals, then 194
 past the exact/interval switch, gallops up and down, the estimate in mpmath
 and the refusals, then the library requests of ``breakpoint-scan`` at
 seeds 1 to 3 (``odd_harmonic_sum`` and ``breaking_point_report`` on
-constant and custom families).  Each argv runs through ``cli.main`` in this process;
+constant and custom families), then 9 ``breakpoint`` thresholds from 20
+to 16000 whose denominators carry 512 or more factors of two or are
+powers of ten of over 1,000 digits.  Each argv runs through ``cli.main`` in this process;
 its exit code, stdout and stderr are hashed to 16 hex digits, as is each
 library request's success flag and JSON output, and compared, in corpus
 order, with ``cli_digests.txt``.
@@ -207,11 +209,22 @@ def _breakpoint_argv(seed: int = 12) -> list:
                   for t in specials for fmt in ("json", "csv", "plain")]
 
 
+def _huge_denominator_breakpoint_argv() -> list:
+    """breakpoint at thresholds from 20 to 16000 whose denominators carry 512 to 800
+    factors of two, or are powers of ten of 1,001 to 1,501 digits, so that the estimate
+    in mpmath divides by them; the last two refused, past the estimate's bit limit."""
+    thresholds = [20 + Fraction(1, 1 << 600), 25 + Fraction(7, 3**5 << 512), 39 + Fraction(1, 10**1000),
+                  100 - Fraction(1, 10**1200), Fraction((61 << 520) + 3**300, 3 << 520), 1000 + Fraction(1, 10**1500),
+                  2000 + Fraction(1, 1 << 800), 6000 + Fraction(1, 10**1000), 16000 - Fraction(1, 1 << 700)]
+    return [["--format", ("json", "csv", "plain")[i % 3], "breakpoint", "--threshold", rat_str(t)]
+            for i, t in enumerate(thresholds)]
+
+
 def corpus() -> list:
     """CLI argv (lists) and library requests (dicts, as bench/workloads writes them)."""
     return (_workload_argv() + _random_exact_argv() + _library_requests("oracle-crosscheck") + _random_sum_argv()
             + _resonant_sum_argv() + _spline_and_format_argv() + _example5_argv() + _breakpoint_argv()
-            + _library_requests("breakpoint-scan"))
+            + _library_requests("breakpoint-scan") + _huge_denominator_breakpoint_argv())
 
 
 def run(request) -> tuple:
