@@ -340,6 +340,13 @@ def _estimate_breaking_point(threshold) -> int:
     ``MAX_PRECISION_BITS`` is refused here: by n's estimated bit count,
     or, past t = ``MAX_PRECISION_BITS``, where n has over 2.8 t bits,
     by t alone, before mpmath reads a t of any size.
+
+    t = p/q is read as the quotient of the odd parts of p and q, scaled by
+    the power of two they leave: mpmath makes an integer's trailing zero bits
+    into an exponent eight at a time, each step a shift of the whole integer
+    (9 s for the 10^6 of q = 10^(10^6)), and a scaling by a power of two
+    commutes with its correctly rounded division, so the estimate is the
+    same to the bit.
     """
     if threshold < 20:
         return max(0, floor(exp(2 * float(threshold) - _GAMMA_2LN2) - 1))
@@ -347,9 +354,11 @@ def _estimate_breaking_point(threshold) -> int:
         raise NonTerminatingSearchError(_TOO_MANY_BITS % (
             "more than %d" % floor((2 * MAX_PRECISION_BITS - _GAMMA_2LN2) / log(2)), MAX_PRECISION_BITS))
     _load_mpmath()
+    p, q = threshold.numerator, threshold.denominator
+    zp, zq = (p & -p).bit_length() - 1, (q & -q).bit_length() - 1
 
     def y():  # at the working precision
-        return 2 * mp.mpf(threshold.numerator) / threshold.denominator - mp.euler - 2 * mp.ln2
+        return 2 * mp.ldexp(mp.mpf(p >> zp) / (q >> zq), zp - zq) - mp.euler - 2 * mp.ln2
 
     with mp.workprec(64):
         n_bits = int(y() / mp.ln2) + 1

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -15,6 +16,7 @@ from sincprod.exact_core import (
     HarmonicFamily,
     Interval,
     NonTerminatingSearchError,
+    _estimate_breaking_point,
     _floor_ceil,
     _mpf_floor_ceil,
     _odd_sum_enclosure,
@@ -347,6 +349,53 @@ def test_breaking_point_report_pinned_near_partial_sums(m, sign):
 def test_breaking_point_beyond_max_precision_refused():
     with pytest.raises(NonTerminatingSearchError):
         breaking_point(HarmonicFamily.odd_harmonic(), 6000)
+
+
+def test_breaking_point_huge_trailing_zeros_refused_at_once():
+    # t = 16000 + 10^-(10^6), and 2^(3*10^6) over an odd q: mpmath took 9 and 15 s to make the
+    # trailing zero bits of q, and of p, an exponent; read from the odd parts, both refuse at once
+    q, p = 10 ** 10**6, 1 << 3_000_000
+    for t in (Fraction(16000 * q + 1, q), Fraction(p, p // 16000 | 1)):
+        t0 = time.perf_counter()
+        with pytest.raises(NonTerminatingSearchError) as refusal:
+            breaking_point_report(HarmonicFamily.odd_harmonic(), t)
+        assert time.perf_counter() - t0 < 1.0
+        assert str(refusal.value) == (
+            "the breaking point has about 46164 bits; telling S_n from S_(n+1) needs more than "
+            "MAX_PRECISION_BITS = 16384")
+
+
+def _plain_quotient_estimate(t):
+    """The estimate with t read as mpf(p) / q, the reference for its reading from odd parts; None
+    where it refuses."""
+    def y():
+        return 2 * mp.mpf(t.numerator) / t.denominator - mp.euler - 2 * mp.ln2
+
+    with mp.workprec(64):
+        n_bits = int(y() / mp.ln2) + 1
+    if n_bits > exact_core.MAX_PRECISION_BITS - 16:
+        return None
+    with mp.workprec(n_bits + 32):
+        return int(mp.floor(mp.exp(y()) - 1))
+
+
+def test_estimate_from_odd_parts_matches_plain_quotient():
+    # t log-uniform in [20, 16384] over ordinary, 2^512 k, 3^k 2^64 and 10^k denominators, and over
+    # odd 3^k with 512 trailing zero bits in p: the same n, or the same refusal, to the bit
+    rng = random.Random(40)
+    for i in range(250):
+        kind = i % 5
+        q = [rng.randint(1, 10**6), rng.randrange(1, 99, 2) << 512, 3 ** rng.randint(1, 300) << 64,
+             10 ** rng.randint(1, 1500), 3 ** rng.randint(330, 600)][kind]
+        p = q * int(20 * (16384 / 20) ** rng.random()) + rng.randrange(q)
+        t = Fraction(p >> 512 << 512 | 1 << 512 if kind == 4 else p, q)
+        if not 20 <= t <= exact_core.MAX_PRECISION_BITS:
+            continue
+        try:
+            n = _estimate_breaking_point(t)
+        except NonTerminatingSearchError:
+            n = None
+        assert n == _plain_quotient_estimate(t), t
 
 
 def test_breaking_point_exact_equality_escalates_to_exact():
