@@ -8,21 +8,20 @@ raised when the exact path is infeasible or an oracle call is past its
 work cap MAX_ORACLE_WORK (the error report is emitted as JSON so
 callers can machine-parse it).
 
-Each command's flags are one entry of COMMANDS, which _read parses argv
-by and _help renders for -h: --format goes before the command word, a
+Each command is one row of COMMANDS: its help, its flags, the module
+its handler runs on and the handler.  _read parses argv by the flags and
+_help renders them for -h: --format goes before the command word, a
 long flag may be shortened to a unique prefix and take its value as
 "--flag value" or "--flag=value", and a usage error prints one
 "usage error: ..." line.
 
-Each command is one handler, a function of the namespace _read builds
-that prints the command's report.  HANDLERS names, for each command,
-its handler and the module that handler runs on; before the handler
-runs, _run imports that module and binds the names cli takes from it
-(_IMPORTS) but for those bound already, such as a wrapper set on cli.
-So ``import sincprod.cli`` loads no engine.  The handlers call these
-names through cli's globals, not through a local import, because
-bench/tracing.py wraps nine names on cli, seven of them these: a name
-set there is what a command calls.
+A handler is a function of the namespace _read builds that prints the
+command's report.  Before it runs, _run imports the row's module and
+binds the names cli takes from it (_IMPORTS) but for those bound
+already, such as a wrapper set on cli.  So ``import sincprod.cli``
+loads no engine.  The handlers call these names through cli's globals,
+not through a local import, because bench/tracing.py wraps nine names
+on cli, seven of them these: a name set there is what a command calls.
 
 The CLI holds no precision rule: the breaking-point search starts at
 128 bits and doubles while an enclosure straddles the threshold, and
@@ -119,167 +118,6 @@ def _digit_count(text: str) -> int:
     if value > 100_000:
         raise ValueError("at most 100000 digits, got %r" % text)
     return value
-
-
-REQUIRED = object()  # the default of a flag that must be given
-SPEC_FLAGS = {
-    "--betas": (str, None, 'comma list of rational scales, e.g. "1,1/3,1/5"'),
-    "--family": (("odd-harmonic", "sinc-power"), None, "a family of scales, sized by --n"),
-    "--n": (int, None, "family size parameter, at most %d" % MAX_FAMILY_SIZE),
-}
-
-
-def _eval_flags(digits: int) -> dict:
-    return {
-        **SPEC_FLAGS,
-        "--node-budget": (_positive_int, NODE_BUDGET_DEFAULT,
-                          "cap on the knot entries the pruned DP expands per request"),
-        "--digits": (_digit_count, digits, "significant digits, 1 to 100000"),
-    }
-
-
-# command -> (help, {flag: (converter, default, help)}); a converter is a callable,
-# a tuple of the values accepted, or None for a switch, which takes no value
-FORMAT_FLAGS = {"--format": (("json", "csv", "plain"), "plain", "how reports are printed")}
-COMMANDS = {
-    "breakpoint": ("largest n keeping the partial scale sum below a threshold", {
-        "--family": (("odd-harmonic",), "odd-harmonic", "the scales 1/(2k+1), k = 0, 1, 2, ..."),
-        "--threshold": (str, REQUIRED, 'a positive rational, e.g. "3" or "39/2"'),
-    }),
-    "integral": ("exact integral of the sinc product", _eval_flags(12)),
-    "weighted-integral": ("exact odd-cosine weighted integral", {
-        **_eval_flags(12),
-        "--weights": (int, REQUIRED, "number of cosine terms: 1 means 2cos(pi t), 2 adds 2cos(3 pi t), ..."),
-    }),
-    "deficit": ("exact deficit 1 - integral", {
-        **_eval_flags(10), "--weights": (int, 0, "number of cosine terms (0 = plain unweighted integral)"),
-    }),
-    "sum": ("numeric integer-sample sum with rigorous tail bound", {
-        "--scales": (str, REQUIRED, 'comma list, e.g. "5pi/4,1,1"'),
-        "--alternating": (None, False, "sign each term by (-1)^m"),
-        "--one-sided": (None, False, "sum over m >= 0 alone"),
-        "--abs-tol": (float, 1e-10, "bound on the error of the value: the terms past a short direct head are "
-                                    "summed by parts with a rigorous remainder bound (tail_bound <= abs-tol)"),
-    }),
-    "lower-bound": ("sum-side lower bound counterexample check", {
-        "--a0": (str, REQUIRED, "the largest scale, as sum reads it"),
-        "--rest": (str, REQUIRED, "comma list of the other scales, each at most a0"),
-        "--abs-tol": (float, 5e-10, "bound on the error of each of the two sums"),
-    }),
-    "example5": ("band-limited kernel integral or transform check", {
-        "--a": (str, None, 'comma list of positive scales, as sum reads them, e.g. "0.5,0.3" or "pi/8"'),
-        "--b": (str, None, "kernel frequency bound, a positive scale"),
-        "--ft-omegas": (str, None, "comma list of transform sample frequencies, read as scales"),
-        "--tol": (float, 1e-6, "bound on the error of each value"),
-    }),
-    "spline-dump": ("emit the transform spline as CSV pieces (exit 3 past 4*10^6 words)", {
-        **SPEC_FLAGS, "--output": (str, None, "file path, default stdout"),
-    }),
-    "verify": ("run the acceptance self-checks", {
-        "--suite": (("fast", "full"), "fast", "full adds threshold 7 and its 168,803-term certificate"),
-    }),
-}
-
-
-def _help(command) -> str:
-    """The -h text of the top level (command None) or of one command."""
-    if command is None:
-        text, flags = "Exact sinc-product integrals, sums, deficits and breaking points", FORMAT_FLAGS
-        usage = "[-h] [--format {%s}] COMMAND [FLAG ...]" % ",".join(FORMAT_FLAGS["--format"][0])
-        text += "\n\ncommands:\n" + "".join("  %-18s %s\n" % (name, help) for name, (help, _) in COMMANDS.items())
-    else:
-        (text, flags), usage = COMMANDS[command], command + " [-h] [FLAG ...]"
-    rows = [("-h, --help", "show this help and exit")]
-    for flag, (convert, default, help) in flags.items():
-        value = "{%s}" % ",".join(convert) if isinstance(convert, tuple) else "" if convert is None else "VALUE"
-        if convert is not None and default is not None:
-            help += " (required)" if default is REQUIRED else " (default: %s)" % default
-        rows.append(("%s %s" % (flag, value), help))
-    rows = "".join("  %-18s %s\n" % row for row in rows)
-    return "usage: sincprod %s\n\n%s\n\nflags:\n%s" % (usage, text.rstrip("\n"), rows)
-
-
-NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
-
-
-def _option(token: str, flags: dict):
-    """token as (flag, the value attached to it or None) if it names one of flags or -h, as (None,
-    token) if it looks like an option of another table, or None if it is a word: "-" alone, a
-    negative number or a token with a space.  A long flag may be shortened to a unique prefix."""
-    if token[:1] != "-" or token == "-":
-        return None
-    name, eq, value = token.partition("=")
-    if token[:2] == "--":
-        found = [name] if name in flags else [f for f in [*flags, "--help"] if f.startswith(name)]
-        if len(found) > 1:
-            raise ValueError("ambiguous option: %s could match %s" % (name, ", ".join(found)))
-        if found:
-            return found[0], value if eq else None
-    elif token[:2] == "-h":  # "-hh" is -h twice, and "-h=" attaches a value as "--help=" does
-        return "-h", token[3:] if name == "-h" and eq else token[2:] or None
-    return None if " " in token or NEGATIVE_NUMBER.match(token) else (None, token)
-
-
-def _read(argv):
-    """The namespace _run reads, from argv by the flag tables, or None once -h has printed its help.
-
-    Tokens are read left to right: --format and -h, then the command word, then its flags.  The top
-    level classifies the tokens to the first command name, the command's table the rest, each before
-    reading any, so an ambiguous prefix is reported first; a conversion error stops the reading at
-    once; unrecognized tokens, those from the first "--" on among them, are reported at the end."""
-    cut = argv.index("--") if "--" in argv else len(argv)
-    tokens, stray, command, flags, values = argv[:cut], argv[cut:], None, FORMAT_FLAGS, {}
-    for token in (token for token in tokens if token[:3] == "--="):
-        _option(token, flags)  # raises wherever it stands: "--" begins both top-level names
-    top = next((j + 1 for j, token in enumerate(tokens) if token in COMMANDS), len(tokens))
-    kinds, i = [_option(token, flags) for token in tokens[:top]], 0
-    while i < len(tokens):
-        kind, i = kinds[i], i + 1
-        if kind is None and command is None:
-            command = tokens[i - 1]
-            if command not in COMMANDS:
-                raise ValueError("invalid command %r (choose from %s)" % (command, ", ".join(COMMANDS)))
-            flags = COMMANDS[command][1]
-            kinds[i:] = [_option(token, flags) for token in tokens[i:]]
-        elif kind is None or kind[0] is None:
-            stray.append(tokens[i - 1])
-        elif kind[0] in ("-h", "--help"):
-            if kind[1] is not None and (kind[0] == "--help" or kind[1].strip("h") or not kind[1]):
-                raise ValueError("argument -h/--help: ignored explicit argument %r" % kind[1])
-            print(_help(command), end="")
-            return None
-        else:
-            flag, value = kind
-            convert = flags[flag][0]
-            if convert is None and value is not None:
-                raise ValueError("argument %s: ignored explicit argument %r" % (flag, value))
-            if convert is not None and value is None:
-                if i == len(tokens) or kinds[i] is not None:
-                    raise ValueError("argument %s: expected one argument" % flag)
-                value, i = tokens[i], i + 1
-            values[flag] = _convert(flag, convert, value)
-    if command is None:
-        raise ValueError("a command is required: %s" % ", ".join(COMMANDS))
-    missing = [flag for flag, (_, default, _) in flags.items() if default is REQUIRED and flag not in values]
-    if missing:
-        raise ValueError("the following arguments are required: %s" % ", ".join(missing))
-    if stray:
-        raise ValueError("unrecognized arguments: %s" % " ".join(stray))
-    both = {**FORMAT_FLAGS, **flags}
-    return SimpleNamespace(command=command, **{f[2:].replace("-", "_"): values.get(f, both[f][1]) for f in both})
-
-
-def _convert(flag: str, convert, value: str):
-    if convert is None:
-        return True
-    if isinstance(convert, tuple):
-        if value not in convert:
-            raise ValueError("argument %s: invalid choice: %r (choose from %s)" % (flag, value, ", ".join(convert)))
-        return value
-    try:
-        return convert(value)
-    except ValueError as exc:
-        raise ValueError("argument %s: %s" % (flag, exc)) from None
 
 
 def _breakpoint(args):
@@ -380,18 +218,170 @@ def _verify(args) -> int:
     return EXIT_OK if not failures else 1
 
 
-# command -> (the module whose _IMPORTS names its handler calls, the handler)
-HANDLERS = {
-    "breakpoint": ("exact_core", _breakpoint), "integral": ("borwein_engine", _integral),
-    "weighted-integral": ("borwein_engine", _weighted_integral), "deficit": ("borwein_engine", _deficit),
-    "sum": ("numeric_oracle", _sum), "lower-bound": ("numeric_oracle", _lower_bound),
-    "example5": ("numeric_oracle", _example5), "spline-dump": ("borwein_engine", _spline_dump),
-    "verify": ("verify", _verify),
+REQUIRED = object()  # the default of a flag that must be given
+SPEC_FLAGS = {
+    "--betas": (str, None, 'comma list of rational scales, e.g. "1,1/3,1/5"'),
+    "--family": (("odd-harmonic", "sinc-power"), None, "a family of scales, sized by --n"),
+    "--n": (int, None, "family size parameter, at most %d" % MAX_FAMILY_SIZE),
 }
 
 
+def _eval_flags(digits: int) -> dict:
+    return {
+        **SPEC_FLAGS,
+        "--node-budget": (_positive_int, NODE_BUDGET_DEFAULT,
+                          "cap on the knot entries the pruned DP expands per request"),
+        "--digits": (_digit_count, digits, "significant digits, 1 to 100000"),
+    }
+
+
+# command -> (help, {flag: (converter, default, help)}, the module whose _IMPORTS names
+# its handler calls, the handler); a converter is a callable, a tuple of the values
+# accepted, or None for a switch, which takes no value
+FORMAT_FLAGS = {"--format": (("json", "csv", "plain"), "plain", "how reports are printed")}
+COMMANDS = {
+    "breakpoint": ("largest n keeping the partial scale sum below a threshold", {
+        "--family": (("odd-harmonic",), "odd-harmonic", "the scales 1/(2k+1), k = 0, 1, 2, ..."),
+        "--threshold": (str, REQUIRED, 'a positive rational, e.g. "3" or "39/2"'),
+    }, "exact_core", _breakpoint),
+    "integral": ("exact integral of the sinc product", _eval_flags(12), "borwein_engine", _integral),
+    "weighted-integral": ("exact odd-cosine weighted integral", {
+        **_eval_flags(12),
+        "--weights": (int, REQUIRED, "number of cosine terms: 1 means 2cos(pi t), 2 adds 2cos(3 pi t), ..."),
+    }, "borwein_engine", _weighted_integral),
+    "deficit": ("exact deficit 1 - integral", {
+        **_eval_flags(10), "--weights": (int, 0, "number of cosine terms (0 = plain unweighted integral)"),
+    }, "borwein_engine", _deficit),
+    "sum": ("numeric integer-sample sum with rigorous tail bound", {
+        "--scales": (str, REQUIRED, 'comma list, e.g. "5pi/4,1,1"'),
+        "--alternating": (None, False, "sign each term by (-1)^m"),
+        "--one-sided": (None, False, "sum over m >= 0 alone"),
+        "--abs-tol": (float, 1e-10, "bound on the error of the value: the terms past a short direct head are "
+                                    "summed by parts with a rigorous remainder bound (tail_bound <= abs-tol)"),
+    }, "numeric_oracle", _sum),
+    "lower-bound": ("sum-side lower bound counterexample check", {
+        "--a0": (str, REQUIRED, "the largest scale, as sum reads it"),
+        "--rest": (str, REQUIRED, "comma list of the other scales, each at most a0"),
+        "--abs-tol": (float, 5e-10, "bound on the error of each of the two sums"),
+    }, "numeric_oracle", _lower_bound),
+    "example5": ("band-limited kernel integral or transform check", {
+        "--a": (str, None, 'comma list of positive scales, as sum reads them, e.g. "0.5,0.3" or "pi/8"'),
+        "--b": (str, None, "kernel frequency bound, a positive scale"),
+        "--ft-omegas": (str, None, "comma list of transform sample frequencies, read as scales"),
+        "--tol": (float, 1e-6, "bound on the error of each value"),
+    }, "numeric_oracle", _example5),
+    "spline-dump": ("emit the transform spline as CSV pieces (exit 3 past 4*10^6 words)", {
+        **SPEC_FLAGS, "--output": (str, None, "file path, default stdout"),
+    }, "borwein_engine", _spline_dump),
+    "verify": ("run the acceptance self-checks", {
+        "--suite": (("fast", "full"), "fast", "full adds threshold 7 and its 168,803-term certificate"),
+    }, "verify", _verify),
+}
+
+
+def _help(command) -> str:
+    """The -h text of the top level (command None) or of one command."""
+    if command is None:
+        text, flags = "Exact sinc-product integrals, sums, deficits and breaking points", FORMAT_FLAGS
+        usage = "[-h] [--format {%s}] COMMAND [FLAG ...]" % ",".join(FORMAT_FLAGS["--format"][0])
+        text += "\n\ncommands:\n" + "".join("  %-18s %s\n" % (name, help) for name, (help, *_) in COMMANDS.items())
+    else:
+        (text, flags, *_), usage = COMMANDS[command], command + " [-h] [FLAG ...]"
+    rows = [("-h, --help", "show this help and exit")]
+    for flag, (convert, default, help) in flags.items():
+        value = "{%s}" % ",".join(convert) if isinstance(convert, tuple) else "" if convert is None else "VALUE"
+        if convert is not None and default is not None:
+            help += " (required)" if default is REQUIRED else " (default: %s)" % default
+        rows.append(("%s %s" % (flag, value), help))
+    rows = "".join("  %-18s %s\n" % row for row in rows)
+    return "usage: sincprod %s\n\n%s\n\nflags:\n%s" % (usage, text.rstrip("\n"), rows)
+
+
+NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _option(token: str, flags: dict):
+    """token as (flag, the value attached to it or None) if it names one of flags or -h, as (None,
+    token) if it looks like an option of another table, or None if it is a word: "-" alone, a
+    negative number or a token with a space.  A long flag may be shortened to a unique prefix."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if token[:2] == "--":
+        found = [name] if name in flags else [f for f in [*flags, "--help"] if f.startswith(name)]
+        if len(found) > 1:
+            raise ValueError("ambiguous option: %s could match %s" % (name, ", ".join(found)))
+        if found:
+            return found[0], value if eq else None
+    elif token[:2] == "-h":  # "-hh" is -h twice, and "-h=" attaches a value as "--help=" does
+        return "-h", token[3:] if name == "-h" and eq else token[2:] or None
+    return None if " " in token or NEGATIVE_NUMBER.match(token) else (None, token)
+
+
+def _read(argv):
+    """The namespace _run reads, from argv by the flag tables, or None once -h has printed its help.
+
+    Tokens are read left to right: --format and -h, then the command word, then its flags.  The top
+    level classifies the tokens to the first command name, the command's table the rest, each before
+    reading any, so an ambiguous prefix is reported first; a conversion error stops the reading at
+    once; unrecognized tokens, those from the first "--" on among them, are reported at the end."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    tokens, stray, command, flags, values = argv[:cut], argv[cut:], None, FORMAT_FLAGS, {}
+    for token in (token for token in tokens if token[:3] == "--="):
+        _option(token, flags)  # raises wherever it stands: "--" begins both top-level names
+    top = next((j + 1 for j, token in enumerate(tokens) if token in COMMANDS), len(tokens))
+    kinds, i = [_option(token, flags) for token in tokens[:top]], 0
+    while i < len(tokens):
+        kind, i = kinds[i], i + 1
+        if kind is None and command is None:
+            command = tokens[i - 1]
+            if command not in COMMANDS:
+                raise ValueError("invalid command %r (choose from %s)" % (command, ", ".join(COMMANDS)))
+            flags = COMMANDS[command][1]
+            kinds[i:] = [_option(token, flags) for token in tokens[i:]]
+        elif kind is None or kind[0] is None:
+            stray.append(tokens[i - 1])
+        elif kind[0] in ("-h", "--help"):
+            if kind[1] is not None and (kind[0] == "--help" or kind[1].strip("h") or not kind[1]):
+                raise ValueError("argument -h/--help: ignored explicit argument %r" % kind[1])
+            print(_help(command), end="")
+            return None
+        else:
+            flag, value = kind
+            convert = flags[flag][0]
+            if convert is None and value is not None:
+                raise ValueError("argument %s: ignored explicit argument %r" % (flag, value))
+            if convert is not None and value is None:
+                if i == len(tokens) or kinds[i] is not None:
+                    raise ValueError("argument %s: expected one argument" % flag)
+                value, i = tokens[i], i + 1
+            values[flag] = _convert(flag, convert, value)
+    if command is None:
+        raise ValueError("a command is required: %s" % ", ".join(COMMANDS))
+    missing = [flag for flag, (_, default, _) in flags.items() if default is REQUIRED and flag not in values]
+    if missing:
+        raise ValueError("the following arguments are required: %s" % ", ".join(missing))
+    if stray:
+        raise ValueError("unrecognized arguments: %s" % " ".join(stray))
+    both = {**FORMAT_FLAGS, **flags}
+    return SimpleNamespace(command=command, **{f[2:].replace("-", "_"): values.get(f, both[f][1]) for f in both})
+
+
+def _convert(flag: str, convert, value: str):
+    if convert is None:
+        return True
+    if isinstance(convert, tuple):
+        if value not in convert:
+            raise ValueError("argument %s: invalid choice: %r (choose from %s)" % (flag, value, ", ".join(convert)))
+        return value
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError("argument %s: %s" % (flag, exc)) from None
+
+
 def _run(args) -> int:
-    engine, handler = HANDLERS[args.command]
+    _, _, engine, handler = COMMANDS[args.command]
     for name in _IMPORTS[engine].split():
         if name not in globals():
             __getattr__(name)

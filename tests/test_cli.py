@@ -440,7 +440,7 @@ def test_help_lists_every_flag_with_its_help(capsys, command):
         required += [flag] * ("(required)" in line)
     if command is None:
         assert all(any(line.split() and line.split()[0] == name and help in line for line in lines)
-                   for name, (help, _) in cli.COMMANDS.items())
+                   for name, (help, *_) in cli.COMMANDS.items())
     elif required:
         # each flag the help marks required is named when it is left out
         code, out, err = run_cli(capsys, command)
