@@ -28,6 +28,15 @@ A change that moves an output on purpose rewrites that file with
     PYTHONPATH=src python tests/test_cli_digests.py
 
 and lists each moved request, with its old and new output, in CHANGES.md.
+That list comes from the two-tree differential
+
+    PYTHONPATH=src python tests/test_cli_digests.py OTHER/src
+
+which builds the corpus once, here, runs it in two subprocesses, one on
+this tree's ``src`` and one on OTHER/src (the ``src`` of a checkout of
+the parent commit, say), and prints each request whose exit code, stdout
+or stderr (or success flag and JSON output) differs, with both results,
+then a count.  It leaves ``cli_digests.txt`` as it is.
 """
 
 from __future__ import annotations
@@ -37,8 +46,11 @@ import functools
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,5 +269,37 @@ def test_corpus_outputs_are_byte_identical():
     assert not moved, "%d of %d requests moved:\n%s" % (len(moved), len(requests), "\n".join(moved))
 
 
+# what each subprocess of the differential runs, from this directory: the requests in the
+# JSON file argv[1] through run, on the sincprod its PYTHONPATH names, results to argv[2]
+RUN_ALL = ("import json, sys, test_cli_digests as t; "
+           "json.dump([t.run(r) for r in json.load(open(sys.argv[1]))], open(sys.argv[2], 'w'))")
+
+
+def differential(other_src: str):
+    """Print each request of the corpus whose result differs between this tree's src and other_src."""
+    requests, results = corpus(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_file, results_file = os.path.join(tmp, "corpus.json"), os.path.join(tmp, "results.json")
+        with open(corpus_file, "w") as fh:
+            json.dump(requests, fh)
+        for src in (ROOT / "src", Path(other_src).resolve()):
+            env = dict(os.environ, PYTHONPATH=str(src))
+            subprocess.run([sys.executable, "-c", RUN_ALL, corpus_file, results_file], cwd=DIGESTS.parent, env=env,
+                           check=True)
+            with open(results_file) as fh:
+                results.append(json.load(fh))
+    moved = 0
+    for request, here, there in zip(requests, *results):
+        if here != there:
+            moved += 1
+            print(json.dumps(request, sort_keys=True) if isinstance(request, dict) else " ".join(request))
+            for tree, result in (("this", here), ("other", there)):
+                print("  %-5s %r" % (tree, tuple(r if isinstance(r, (bool, int)) else r[:1000] for r in result)))
+    print("%d of %d requests differ between src and %s" % (moved, len(requests), other_src))
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text("".join(digest(run(request)) + "\n" for request in corpus()))
+    if sys.argv[1:]:
+        differential(sys.argv[1])
+    else:
+        DIGESTS.write_text("".join(digest(run(request)) + "\n" for request in corpus()))
