@@ -6,9 +6,12 @@ Run by hand from the repository root (pytest does not collect it):
 
 For each seed from FIRST_SEED to LAST_SEED (default 1 to 100) it draws
 500 argv with ``test_cli._fuzz_argv``, the generator of the tier-1
-``test_seeded_cli_fuzz_exits_cleanly``, and runs each through
-``cli.main`` in this process, from a temporary working directory, with
-stdout and stderr captured.  It prints each argv whose run
+``test_seeded_cli_fuzz_exits_cleanly``, from its wider pools too
+(``wide=True``): scales down to 1e-400 and pi/1e300, and family sizes
+up to 1,000, which the tier-1 test leaves out because their requests
+may run for seconds.  It runs each through ``cli.main`` in this
+process, from a temporary working directory, with stdout and stderr
+captured.  It prints each argv whose run
 
 - raises an exception out of ``main`` (with the exception's last line),
 - ends in other than exit 0, one "usage error: ..." line with exit 2
@@ -20,7 +23,7 @@ and then one line with the seeds, the argv count, the wall time and
 the number of each.  A slow argv is a cost to price, not a fault: name
 its class as a request in ROADMAP items 9 or 16 rather than bound it in
 a test.  It needs the standard library and what ``tests/test_cli.py``
-imports; 100 seeds take a few minutes on a 2-CPU host.
+imports.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def main(first: int = 1, last: int = 100, bound_s: float = 5.0):
             for seed in range(first, last + 1):
                 rng = random.Random(seed)
                 for _ in range(ARGV_PER_SEED):
-                    argv = test_cli._fuzz_argv(rng, os.path.join(tmp, "spline.csv"))
+                    argv = test_cli._fuzz_argv(rng, os.path.join(tmp, "spline.csv"), wide=True)
                     kind, detail = run(argv, bound_s)
                     count += 1
                     if kind != "ok":

@@ -908,10 +908,22 @@ FUZZ_READERS = {
 }
 
 
-def _fuzz_argv(rng, spline_file):
-    """One argv: a well-formed request for any command but a full verify, mutated half the time."""
-    def scales(k, pool=FUZZ_SCALES):
+# the wider pools of tests/fuzz_long.py alone, whose requests may run for seconds: tiny scales,
+# and family sizes to 1,000 in one draw of ten
+FUZZ_WIDE_SCALES = ["1e-20", "1e-400", "pi/1e300"]
+FUZZ_WIDE_SIZE = 1000
+
+
+def _fuzz_argv(rng, spline_file, wide=False):
+    """One argv: a well-formed request for any command but a full verify, mutated half the time;
+    wide draws from the wider pools too."""
+    wide_scales = FUZZ_WIDE_SCALES * wide
+
+    def scales(k, pool=FUZZ_SCALES + wide_scales):
         return ",".join(rng.choice(pool) for _ in range(k))
+
+    def size(low, top):
+        return rng.randint(low, FUZZ_WIDE_SIZE if wide and rng.random() < 0.1 else top)
 
     command = rng.choice(["breakpoint", "integral", "weighted-integral", "deficit", "sum", "lower-bound",
                           "example5", "spline-dump", "verify"])
@@ -922,7 +934,8 @@ def _fuzz_argv(rng, spline_file):
         argv += ["--scales", scales(rng.randint(2, 5))]
         argv += rng.sample(["--alternating", "--one-sided", "--abs-tol=1e-6"], rng.randint(0, 2))
     elif command == "lower-bound":
-        argv += ["--a0", rng.choice(["5pi/4", "2", "3/2"]), "--rest", scales(rng.randint(1, 3), FUZZ_SCALES[:7])]
+        argv += ["--a0", rng.choice(["5pi/4", "2", "3/2"]),
+                 "--rest", scales(rng.randint(1, 3), FUZZ_SCALES[:7] + wide_scales)]
     elif command == "example5":
         argv += rng.choice([["--ft-omegas", scales(rng.randint(1, 3), ["0", "1/2", "1", "3", "pi"])],
                             ["--a", scales(rng.randint(1, 3), ["0.5", "0.3", "pi/8", "1/4"]), "--b", scales(1)]])
@@ -931,8 +944,8 @@ def _fuzz_argv(rng, spline_file):
     else:  # a spline-dump of odd-harmonic n = 13 took 0.4 s and of sinc-power 200 0.25 s on a 2-CPU host
         odd, power = (8, 40) if command == "spline-dump" else (16, 200)
         argv += rng.choice([["--betas", scales(rng.randint(1, 6), FUZZ_RATIONALS)],
-                            ["--family", "odd-harmonic", "--n", str(rng.randint(0, odd))],
-                            ["--family", "sinc-power", "--n", str(rng.randint(1, power))]])
+                            ["--family", "odd-harmonic", "--n", str(size(0, odd))],
+                            ["--family", "sinc-power", "--n", str(size(1, power))]])
         if command in ("weighted-integral", "deficit"):
             argv += ["--weights", str(rng.randint(0, 4))]
         if command == "spline-dump":
