@@ -271,8 +271,8 @@ def test_corpus_outputs_are_byte_identical():
 
 # what each subprocess of the differential runs, from this directory: the requests in the
 # JSON file argv[1] through run, on the sincprod its PYTHONPATH names, results to argv[2]
-RUN_ALL = ("import json, sys, test_cli_digests as t; "
-           "json.dump([t.run(r) for r in json.load(open(sys.argv[1]))], open(sys.argv[2], 'w'))")
+RUN_ALL = ("import json, sys, test_cli_digests as t; from pathlib import Path; "
+           "Path(sys.argv[2]).write_text(json.dumps([t.run(r) for r in json.loads(Path(sys.argv[1]).read_text())]))")
 
 
 def differential(other_src: str):
@@ -280,14 +280,12 @@ def differential(other_src: str):
     requests, results = corpus(), []
     with tempfile.TemporaryDirectory() as tmp:
         corpus_file, results_file = os.path.join(tmp, "corpus.json"), os.path.join(tmp, "results.json")
-        with open(corpus_file, "w") as fh:
-            json.dump(requests, fh)
+        Path(corpus_file).write_text(json.dumps(requests))
         for src in (ROOT / "src", Path(other_src).resolve()):
             env = dict(os.environ, PYTHONPATH=str(src))
             subprocess.run([sys.executable, "-c", RUN_ALL, corpus_file, results_file], cwd=DIGESTS.parent, env=env,
                            check=True)
-            with open(results_file) as fh:
-                results.append(json.load(fh))
+            results.append(json.loads(Path(results_file).read_text()))
     moved = 0
     for request, here, there in zip(requests, *results):
         if here != there:
