@@ -381,7 +381,7 @@ def _plain_quotient_estimate(t):
 
 def test_estimate_from_odd_parts_matches_plain_quotient():
     # t log-uniform in [20, 16384] over ordinary, 2^512 k, 3^k 2^64 and 10^k denominators, and over
-    # odd 3^k with 512 trailing zero bits in p: the same n, or the same refusal, to the bit
+    # odd 3^k with 512 trailing zero bits in p: the same n to the bit, or a refusal by both
     rng = random.Random(40)
     for i in range(250):
         kind = i % 5
