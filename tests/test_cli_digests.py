@@ -18,7 +18,9 @@ and the refusals, then the library requests of ``breakpoint-scan`` at
 seeds 1 to 3 (``odd_harmonic_sum`` and ``breaking_point_report`` on
 constant and custom families), then 9 ``breakpoint`` thresholds from 20
 to 16000 whose denominators carry 512 or more factors of two or are
-powers of ten of over 1,000 digits.  Each argv runs through ``cli.main`` in this process;
+powers of ten of over 1,000 digits, then 9 ``integral`` requests
+whose decimals have exponents past +-1,000, ties and round-ups to a
+power of ten.  Each argv runs through ``cli.main`` in this process;
 its exit code, stdout and stderr are hashed to 16 hex digits, as is each
 library request's success flag and JSON output, and compared, in corpus
 order, with ``cli_digests.txt``.
@@ -232,11 +234,27 @@ def _huge_denominator_breakpoint_argv() -> list:
             for i, t in enumerate(thresholds)]
 
 
+def _wide_exponent_argv() -> list:
+    """integral on scales whose decimals have exponents past +-1,000, where an
+    exponent taken from bit lengths with a coarse log10(2) is digits off; an
+    exact tie (5/4 to 2 digits) and a near tie that only the remainder breaks;
+    and quotients just under a power of ten that round up to it."""
+    return [argv.split() for argv in [
+        "--format json integral --betas 3e1500", "--format json integral --betas 3e-1500",
+        "--format json integral --betas 7e2500 --digits 100", "--format csv integral --betas 3e-1200 --digits 1",
+        "--format json integral --betas 3e1000,7e1000 --digits 30",
+        "--format json integral --betas 0.100000000000000001",
+        "--format json integral --betas 1.00000000000000001e-1500",
+        "--format json integral --betas 4/5 --digits 2",
+        "--format json integral --betas 800000000/1000000001 --digits 2"]]
+
+
 def corpus() -> list:
     """CLI argv (lists) and library requests (dicts, as bench/workloads writes them)."""
     return (_workload_argv() + _random_exact_argv() + _library_requests("oracle-crosscheck") + _random_sum_argv()
             + _resonant_sum_argv() + _spline_and_format_argv() + _example5_argv() + _breakpoint_argv()
-            + _library_requests("breakpoint-scan") + _huge_denominator_breakpoint_argv())
+            + _library_requests("breakpoint-scan") + _huge_denominator_breakpoint_argv()
+            + _wide_exponent_argv())
 
 
 def run(request) -> tuple:
