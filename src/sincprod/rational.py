@@ -4,6 +4,12 @@ All exact computation in this package runs on arbitrary-precision
 rationals kept in lowest terms with positive denominator.  Rat is the
 stdlib fractions.Fraction; the heavy exact work runs on Python integers
 and meets Rat at the report boundary.
+
+to_decimal rounds from one integer quotient p 10^s // q, with s taken
+from the bit lengths of p and q through 30103 / 10^5, a ratio just above
+log10(2): it leaves the quotient at least digits + 1 digits, so the
+digits past the significant ones and the remainder decide the rounding,
+and their count gives the exponent, with no search for it.
 """
 
 from __future__ import annotations
@@ -69,28 +75,20 @@ def ratio_str(p: int, q: int, g: int = 0) -> str:
         return int_str(p // g) + "/" + int_str(q // g)
 
 
-def _decimal_exponent(p: int, q: int) -> int:
-    """Largest e with 10^e <= p/q, for positive integers p, q."""
-    e = int((p.bit_length() - q.bit_length()) * 0.30103)
-
-    def at_least(k):  # p/q >= 10^k
-        if k >= 0:
-            return p >= q * 10**k
-        return p * 10**-k >= q
-
-    while not at_least(e):
-        e -= 1
-    while at_least(e + 1):
-        e += 1
-    return e
-
-
 def to_decimal(x, significant_digits: int) -> str:
     """Correctly rounded decimal string of a rational, round-half-to-even.
 
     Plain notation is used when the exponent lies in [-4, digits-1],
     otherwise scientific notation like "1.484870809e-138".  Trailing
     zeros of the fractional part are trimmed ("1/1" renders as "1").
+
+    One integer quotient gives both the exponent and the rounding.  With
+    g = bits(p) - bits(q), |x| = p/q lies in (2^(g-1), 2^(g+1)), and
+    s = digits + 2 - floor(g * 30103 / 10^5) scales it to a = floor(p 10^s / q),
+    which has digits + 1 to digits + 5 digits: 30103 / 10^5 exceeds log10(2)
+    by 4.4e-9, so g * 30103 / 10^5 stays within 0.7 of g log10(2) while |g|
+    is below 1.6e8 bits (48 million digits).  The k digits of a past the
+    first `digits`, and whether the remainder is zero, decide the rounding.
     """
     if significant_digits < 1:
         raise ValueError("significant_digits must be >= 1")
@@ -99,17 +97,16 @@ def to_decimal(x, significant_digits: int) -> str:
         return "0"
     sign = "-" if x < 0 else ""
     p, q = abs(x.numerator), x.denominator
-    e = _decimal_exponent(p, q)
-    shift = significant_digits - 1 - e
-    if shift >= 0:
-        a, r = divmod(p * 10**shift, q)
-        d = q
-    else:
-        d = q * 10**-shift
-        a, r = divmod(p, d)
-    if 2 * r > d or (2 * r == d and a & 1):
+    s = significant_digits + 2 - (p.bit_length() - q.bit_length()) * 30103 // 10**5
+    a, r = divmod(p * 10**s, q) if s >= 0 else divmod(p, q * 10**-s)
+    unit, k = 10**significant_digits, 1
+    while a >= unit * 10**k:
+        k += 1
+    a, rest = divmod(a, 10**k)
+    if 2 * rest > 10**k or (2 * rest == 10**k and (r or a & 1)):
         a += 1
-    if a == 10**significant_digits:
+    e = significant_digits - 1 + k - s
+    if a == unit:
         a //= 10
         e += 1
     digits = int_str(a)

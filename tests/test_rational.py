@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sincprod.rational import Rat, rat, rat_str, to_decimal
@@ -83,6 +83,17 @@ def test_to_decimal_known_values():
     assert to_decimal(rat(999999, 1000), 3) == "1e+3"
     assert to_decimal(rat(25, 10), 1) == "2"  # half-to-even
     assert to_decimal(rat(35, 10), 1) == "4"
+    assert to_decimal(rat(1, 3 * 10**1500), 12) == "3.33333333333e-1501"
+    assert to_decimal(rat(10**1500, 3), 12) == "3.33333333333e+1499"
+    assert to_decimal(rat(5, 4), 2) == "1.2"  # an exact tie, to even
+    assert to_decimal(rat(-15, 4), 2) == "-3.8"
+    assert to_decimal(rat(1000000001, 800000000), 2) == "1.3"  # 1.25000000125: only the remainder breaks the tie
+    assert to_decimal(rat(10**18, 10**17 + 1), 12) == "10"  # 9.99999999999999999..., carried to 10
+    assert to_decimal(rat(10**1518, 10**17 + 1), 12) == "1e+1501"
+    assert to_decimal(rat(1, 10**4), 3) == "0.0001"
+    assert to_decimal(rat(1, 10**5), 3) == "1e-5"
+    assert to_decimal(rat(123), 3) == "123"
+    assert to_decimal(rat(1234), 3) == "1.23e+3"
 
 
 def _decimal_oracle(p, q, digits):
@@ -95,10 +106,14 @@ def _decimal_oracle(p, q, digits):
 
 @settings(max_examples=300)
 @given(
-    p=st.integers(min_value=-(10**25), max_value=10**25),
-    q=st.integers(min_value=1, max_value=10**25),
-    digits=st.integers(min_value=1, max_value=20),
+    p=st.integers(min_value=-(10**700), max_value=10**700),
+    q=st.integers(min_value=1, max_value=10**700),
+    digits=st.integers(min_value=1, max_value=100),
 )
+@example(p=1, q=10**700, digits=100)  # bit lengths 2,326 apart, both ways
+@example(p=-(10**700), q=3, digits=12)
+@example(p=3**1400, q=1, digits=1)
+@example(p=-1, q=7**828, digits=37)
 def test_to_decimal_matches_decimal_module(p, q, digits):
     got = to_decimal(rat(p, q), digits)
     want = _decimal_oracle(p, q, digits)
