@@ -19,10 +19,16 @@ import sys
 from fractions import Fraction
 
 Rat = Fraction
+# Fraction("1e9999999") builds 10^9999999 for 10 s before anything can price it
+MAX_DECIMAL_EXPONENT = 999_999
 
 
 def rat(value, den=None):
-    """Build a rational from int, str ("p/q" or decimal), Fraction or Rat."""
+    """Build a rational from int, str ("p/q" or decimal), Fraction or Rat.
+
+    A decimal token's exponent may reach MAX_DECIMAL_EXPONENT; a well-formed
+    one past it raises ValueError before Fraction builds 10^|e|.
+    """
     if den is not None:
         return Rat(value) / Rat(den)
     if type(value) is Rat:
@@ -34,6 +40,10 @@ def rat(value, den=None):
             p, q = s.split("/", 1)
             return Rat(int(p), int(q))
         if "." in s or "e" in s or "E" in s:
+            head, _, tail = s.lower().partition("e")
+            mantissa, exponent = (part[part[:1] in "+-" :].replace("_", "") for part in (head, tail))
+            if len(exponent.lstrip("0")) > 6 and exponent.isdecimal() and mantissa.replace(".", "", 1).isdecimal():
+                raise ValueError("an exponent past %d" % MAX_DECIMAL_EXPONENT)
             return Fraction(s)
         return Rat(int(s))
     if isinstance(value, float):

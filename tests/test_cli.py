@@ -611,6 +611,22 @@ def test_huge_family_size_exits_two_at_once(capsys, command):
     assert code == 2 and out == "" and "n must be at most 100000" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integral", "--betas", "1e1000000"], "cannot read rational '1e1000000': an exponent past 999999"),
+        (["sum", "--scales", "1e-1000000,1,1"], "cannot read scale '1e-1000000': an exponent past 999999"),
+        (["breakpoint", "--threshold", "1e99999999"], "cannot read rational '1e99999999': an exponent past 999999"),
+    ],
+)
+def test_decimal_exponent_past_the_cap_exits_two_at_once(capsys, argv, message):
+    # Fraction would build 10^|e| first: 1e99999999 took minutes
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == "" and err == "usage error: %s\n" % message
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["--format", "json", "integral", "--family", "odd-harmonic", "--n", "7"]
     _, out1, _ = run_cli(capsys, *argv)

@@ -20,7 +20,8 @@ constant and custom families), then 9 ``breakpoint`` thresholds from 20
 to 16000 whose denominators carry 512 or more factors of two or are
 powers of ten of over 1,000 digits, then 9 ``integral`` requests
 whose decimals have exponents past +-1,000, ties and round-ups to a
-power of ten.  Each argv runs through ``cli.main`` in this process;
+power of ten, and 2 ``breakpoint`` thresholds past the decimal exponent
+cap.  Each argv runs through ``cli.main`` in this process;
 its exit code, stdout and stderr are hashed to 16 hex digits, as is each
 library request's success flag and JSON output, and compared, in corpus
 order, with ``cli_digests.txt``.
@@ -238,7 +239,8 @@ def _wide_exponent_argv() -> list:
     """integral on scales whose decimals have exponents past +-1,000, where an
     exponent taken from bit lengths with a coarse log10(2) is digits off; an
     exact tie (5/4 to 2 digits) and a near tie that only the remainder breaks;
-    and quotients just under a power of ten that round up to it."""
+    and quotients just under a power of ten that round up to it; then two
+    breakpoint thresholds whose exponents pass rat's cap, refused as they are read."""
     return [argv.split() for argv in [
         "--format json integral --betas 3e1500", "--format json integral --betas 3e-1500",
         "--format json integral --betas 7e2500 --digits 100", "--format csv integral --betas 3e-1200 --digits 1",
@@ -246,7 +248,8 @@ def _wide_exponent_argv() -> list:
         "--format json integral --betas 0.100000000000000001",
         "--format json integral --betas 1.00000000000000001e-1500",
         "--format json integral --betas 4/5 --digits 2",
-        "--format json integral --betas 800000000/1000000001 --digits 2"]]
+        "--format json integral --betas 800000000/1000000001 --digits 2",
+        "breakpoint --threshold 1e1000000", "breakpoint --threshold 1e-1000000"]]
 
 
 def corpus() -> list:

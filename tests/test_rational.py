@@ -1,5 +1,6 @@
 import decimal
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,20 @@ def test_rat_reads_p_over_q(text, want):
     else:
         with pytest.raises(want):
             rat(text)
+
+
+def test_rat_refuses_a_decimal_exponent_past_the_cap():
+    assert rat("1e999999") == 10**999999 and rat("-1.5E-999_999") == Fraction(-3, 2 * 10**999999)
+    assert rat("2.5e0001000") == Fraction(5, 2) * 10**1000  # leading zeros are not significant
+    t0 = time.perf_counter()
+    for text in ["1e1000000", "-2.5E-1000000", "1e+1_000_000", ".5e99999999"]:
+        with pytest.raises(ValueError, match="^an exponent past 999999$"):
+            rat(text)
+    assert time.perf_counter() - t0 < 1
+    for text in ["1e1000000x", "e1000000", "1.2.3e1000000", "1e+-1000000", "1 e1000000"]:  # Fraction's own message
+        with pytest.raises(ValueError) as refused:
+            rat(text)
+        assert str(refused.value) == "Invalid literal for Fraction: %r" % text
 
 
 def test_rat_is_the_stdlib_fraction():
