@@ -42,7 +42,9 @@ def rat(value, den=None):
         if "." in s or "e" in s or "E" in s:
             head, _, tail = s.lower().partition("e")
             mantissa, exponent = (part[part[:1] in "+-" :].replace("_", "") for part in (head, tail))
-            if len(exponent.lstrip("0")) > 6 and exponent.isdecimal() and mantissa.replace(".", "", 1).isdecimal():
+            # Fraction's grammar but for where underscores sit; the rest keep Fraction's message
+            well_formed = mantissa.replace(".", "", 1).isdecimal() and exponent.isdecimal()
+            if well_formed and int(exponent) > MAX_DECIMAL_EXPONENT:
                 raise ValueError("an exponent past %d" % MAX_DECIMAL_EXPONENT)
             return Fraction(s)
         return Rat(int(s))
